@@ -13,7 +13,7 @@ pre-activation of exactly 0 evaluates to 0 (strict inequality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -85,11 +85,6 @@ class ArchSpec:
         return [(self.width,)] * self.n_gate_layers()
 
 
-def scalar_head(arch: ArchSpec) -> ArchSpec:
-    """The same trunk with a single scalar output head."""
-    return arch if arch.n_out == 1 else replace(arch, n_out=1)
-
-
 def weight_layer_specs(arch: ArchSpec) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, kind) per weight layer, in forward order.
 
@@ -158,7 +153,7 @@ def init_params(
 
 @dataclass
 class GateTensor:
-    """Per-layer gating values in [0, 1]; conv includes a constant pooling mask."""
+    """Per-layer gating values in [0, 1]."""
 
     arch: ArchSpec
     layers: list[np.ndarray]
@@ -167,16 +162,6 @@ class GateTensor:
     def __post_init__(self):
         if self.mode not in (HARD, SOFT):
             raise ValueError(f"gate mode must be hard or soft, got {self.mode!r}")
-
-    @property
-    def pool_value(self) -> float | None:
-        """GAP modeled as a constant gate of 1/d_in (conv family only)."""
-        return 1.0 / self.arch.d_in if self.arch.family == CONV_GAP else None
-
-    def pool_mask(self) -> np.ndarray | None:
-        if self.arch.family != CONV_GAP:
-            return None
-        return np.full((self.arch.d_in, self.arch.width), 1.0 / self.arch.d_in)
 
 
 @dataclass(frozen=True)
@@ -211,7 +196,6 @@ IDENTITY_ROUTING = GateRouting()
 class ForwardResult:
     y: float | np.ndarray
     gates: GateTensor
-    trace: dict
     y_node: Node
     gate_nodes: list
 
@@ -248,44 +232,40 @@ def _as_nodes(params: Mapping) -> dict[str, Node]:
 GateProvider = Callable[[int, Node], Node]
 
 
+def _relu_gate(idx: int, q: Node) -> Node:
+    """Hard self-gate 1{q > 0} of a ReLU unit."""
+    return Node(ad.hard_gate_values(q.value, warn=False))
+
+
 def _stack(
     arch: ArchSpec,
     params: Mapping[str, Node],
     X: np.ndarray,
     gate_provider: GateProvider | None,
-) -> tuple[Node, list[Node], list[Node], list[Node]]:
+) -> tuple[Node, list[Node], list[Node]]:
     """Run the weight stack, gating each hidden layer via `gate_provider`.
 
     `gate_provider(idx, q)` returns the gate node for gated layer `idx` given
     its pre-activation node; None runs the stack fully linear (deep linear
-    feature network). Returns (output, preacts, gates, layer_outputs).
+    feature network). Returns (output, preacts, gates).
     """
     preacts: list[Node] = []
     gates: list[Node] = []
-    outs: list[Node] = []
-    idx = 0
 
     def gated(q: Node, is_gated: bool) -> Node:
-        nonlocal idx
         preacts.append(q)
         if not is_gated or gate_provider is None:
-            z = q
-            if is_gated:
-                gates.append(None)  # linear feature nets export preacts, not gates
-        else:
-            g = gate_provider(idx, q)
-            idx += 1
-            gates.append(g)
-            z = ad.mul(q, g)
-        outs.append(z)
-        return z
+            return q
+        g = gate_provider(len(gates), q)
+        gates.append(g)
+        return ad.mul(q, g)
 
     if arch.family == FC:
         z: Node = Node(X)
         for l in range(1, arch.depth + 1):
             q = ad.matmul(z, params[f"fc{l}"])
             z = gated(q, is_gated=(l < arch.depth))
-        return z, preacts, gates, outs
+        return z, preacts, gates
 
     if arch.family == CONV_GAP:
         z = Node(X[:, :, None])
@@ -293,11 +273,10 @@ def _stack(
             q = ad.conv_circular(z, params[f"cv{l}"])
             z = gated(q, is_gated=True)
         z = ad.global_avg_pool(z)
-        outs.append(z)
         for l in range(1, arch.d_fc + 1):
             q = ad.matmul(z, params[f"fc{l}"])
             z = gated(q, is_gated=(l < arch.d_fc))
-        return z, preacts, gates, outs
+        return z, preacts, gates
 
     # res
     z = Node(X)
@@ -311,35 +290,19 @@ def _stack(
             z = gated(q, is_gated=(layer_no < total_layers))
         if 1 <= j <= arch.b:
             z = ad.add(block_in, z)
-            outs.append(z)
-    return z, preacts, gates, outs
+    return z, preacts, gates
 
 
 def _squeeze_result(
-    arch: ArchSpec,
-    y_node: Node,
-    gate_nodes: list[Node],
-    preacts: list[Node],
-    outs: list[Node],
-    mode: str,
-    squeeze: bool,
+    arch: ArchSpec, y_node: Node, gate_nodes: list[Node], mode: str, squeeze: bool
 ) -> ForwardResult:
-    def val(node):
-        v = np.asarray(node.value if isinstance(node, Node) else node)
-        return v[0] if squeeze else v
-
-    gate_vals = [val(g) for g in gate_nodes]
+    gate_vals = [g.value[0] if squeeze else g.value for g in gate_nodes]
     y = y_node.value
     if squeeze:
         y = float(y[0, 0]) if arch.n_out == 1 else y[0]
-    trace = {
-        "preactivations": [val(p) for p in preacts],
-        "outputs": [val(z) for z in outs],
-    }
     return ForwardResult(
         y=y,
         gates=GateTensor(arch=arch, layers=gate_vals, mode=mode),
-        trace=trace,
         y_node=y_node,
         gate_nodes=gate_nodes,
     )
@@ -348,34 +311,8 @@ def _squeeze_result(
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     """Plain DNN with ReLUs: every hidden unit is q * 1{q > 0}."""
     X, squeeze = _ensure_batch(x, arch.d_in)
-    nodes = _as_nodes(params)
-
-    def provider(idx: int, q: Node) -> Node:
-        return Node(ad.hard_gate_values(q.value, warn=False))
-
-    y, preacts, gates, outs = _stack(arch, nodes, X, provider)
-    return _squeeze_result(arch, y, gates, preacts, outs, HARD, squeeze)
-
-
-def _external_provider(gates_seq: list) -> GateProvider:
-    def provider(idx: int, q: Node) -> Node:
-        g = gates_seq[idx]
-        g = g if isinstance(g, Node) else Node(g)
-        if g.value.shape != q.value.shape:
-            raise ValueError(
-                f"gate shape {g.value.shape} incompatible with pre-activation "
-                f"{q.value.shape} at gated layer {idx}"
-            )
-        return g
-
-    return provider
-
-
-def _resolve_value_input(arch, x_f, x_v, routing: GateRouting):
-    if routing.constant_one_input or (isinstance(x_v, str) and x_v == "ones"):
-        base = np.asarray(x_f, dtype=np.float64)
-        return np.ones_like(base) if base.ndim > 0 else np.ones(arch.d_in)
-    return x_v
+    y, _, gates = _stack(arch, _as_nodes(params), X, _relu_gate)
+    return _squeeze_result(arch, y, gates, HARD, squeeze)
 
 
 def forward_gated(
@@ -388,8 +325,10 @@ def forward_gated(
     """Value network of GaLUs driven by externally supplied gates.
 
     `external_gates` is a GateTensor or a list of per-layer gate arrays/nodes
-    (unrouted; `routing.perm` is applied here). `x_v` may be 'ones' for the
-    constant-1 input.
+    (unrouted; `routing.perm` is applied here). Gated layer i takes a gate
+    array of shape `arch.gate_layer_shapes()[i]`, broadcast over the batch,
+    or a gate of shape `(n,) + arch.gate_layer_shapes()[i]`, used as is.
+    `routing.constant_one_input` replaces the value input by ones.
     """
     routing.validate(arch)
     if isinstance(external_gates, GateTensor):
@@ -398,25 +337,22 @@ def forward_gated(
         seq, mode = list(external_gates), HARD
     if len(seq) != arch.n_gate_layers():
         raise ValueError(f"expected {arch.n_gate_layers()} gate layers, got {len(seq)}")
-    if isinstance(x_v, str) and x_v == "ones":
-        x_v = np.ones(arch.d_in)
     X, squeeze = _ensure_batch(x_v, arch.d_in)
-    routed = routing.apply(seq)
-    # broadcast single-sample gates over the batch
-    routed2 = []
-    for g in routed:
-        if isinstance(g, Node):
-            routed2.append(g)
-        else:
+    if routing.constant_one_input:
+        X = np.ones_like(X)
+    routed = []
+    for i, (g, shape) in enumerate(zip(routing.apply(seq), arch.gate_layer_shapes())):
+        if not isinstance(g, Node):
             g = np.asarray(g, dtype=np.float64)
-            if g.ndim == len(arch.gate_layer_shapes()[0]) and X.shape[0] > 1:
-                g = np.broadcast_to(g, (X.shape[0],) + g.shape)
-            elif g.ndim == 1 or (arch.family == CONV_GAP and g.ndim == 2 and g.shape[0] == arch.d_in):
-                g = g[None, ...]
-            routed2.append(Node(np.asarray(g, dtype=np.float64)))
-    nodes = _as_nodes(params_v)
-    y, preacts, gates, outs = _stack(arch, nodes, X, _external_provider(routed2))
-    return _squeeze_result(arch, y, gates, preacts, outs, mode, squeeze)
+            g = Node(np.repeat(g[None], len(X), axis=0) if g.shape == shape else g)
+        if g.shape != (len(X),) + shape:
+            raise ValueError(
+                f"gate shape {g.shape} at gated layer {i} is neither {shape} "
+                f"nor {(len(X),) + shape}"
+            )
+        routed.append(g)
+    y, _, gates = _stack(arch, _as_nodes(params_v), X, lambda idx, q: routed[idx])
+    return _squeeze_result(arch, y, gates, mode, squeeze)
 
 
 def feature_gates(
@@ -426,50 +362,45 @@ def feature_gates(
     mode: str = HARD,
     linear: bool = False,
     shallow: bool = False,
-    warn_on_ties: bool = True,
-) -> tuple[list[Node], Node | None, bool]:
-    """Gate nodes produced by the feature network on x_f.
+) -> list[Node]:
+    """Gate nodes, one per gated layer, produced by the feature network on x_f.
 
     linear=False: ReLU feature network (DGN); linear=True: deep linear
     feature network (DLGN); shallow=True: per-layer independent single maps
-    (DLGN-SF). Returns (gate nodes, feature-net output node or None, squeeze).
+    (DLGN-SF). Gates always carry a batch axis.
     """
-    X, squeeze = _ensure_batch(x_f, arch.d_in)
+    X, _ = _ensure_batch(x_f, arch.d_in)
     nodes = _as_nodes(params_f)
 
     def to_gate(q: Node) -> Node:
         if mode == SOFT:
             return ad.logistic(q, arch.beta)
-        return Node(ad.hard_gate_values(q.value, warn=warn_on_ties))
+        return Node(ad.hard_gate_values(q.value))
 
     if shallow:
         gates = []
-        for (name, _, kind), shape in zip(shallow_layer_specs(arch), arch.gate_layer_shapes()):
+        for name, _, kind in shallow_layer_specs(arch):
             if kind == "conv":
                 q = ad.conv_circular(Node(X[:, :, None]), nodes[name])
             else:
                 q = ad.matmul(Node(X), nodes[name])
             gates.append(to_gate(q))
-        return gates, None, squeeze
+        return gates
 
-    if linear:
-        y_f, preacts, _, _ = _stack(arch, nodes, X, gate_provider=None)
-        gated_preacts = _gated_preacts(arch, preacts)
-        return [to_gate(q) for q in gated_preacts], y_f, squeeze
-
-    # ReLU feature network: hidden units propagate with hard self-gates,
-    # the exported gates tap the pre-activations (hard or soft).
-    def provider(idx: int, q: Node) -> Node:
-        return Node(ad.hard_gate_values(q.value, warn=False))
-
-    y_f, preacts, _, _ = _stack(arch, nodes, X, provider)
-    gated_preacts = _gated_preacts(arch, preacts)
-    return [to_gate(q) for q in gated_preacts], y_f, squeeze
+    # A ReLU feature network propagates its hidden units with hard
+    # self-gates; either way the exported gates tap the pre-activations of
+    # the gated layers (all but the output layer).
+    _, preacts, _ = _stack(arch, nodes, X, None if linear else _relu_gate)
+    return [to_gate(q) for q in preacts[:-1]]
 
 
-def _gated_preacts(arch: ArchSpec, preacts: list[Node]) -> list[Node]:
-    """Drop the final (ungated, output) pre-activation from a stack's list."""
-    return preacts[:-1]
+def _value_input(x_f, x_v):
+    """x_v, defaulting to x_f; both must be single samples or both batches."""
+    if x_v is None:
+        return x_f
+    if np.ndim(x_f) != np.ndim(x_v):
+        raise ValueError("x_f and x_v must have the same batch structure")
+    return x_v
 
 
 def forward_dgn(
@@ -482,7 +413,8 @@ def forward_dgn(
     routing: GateRouting = IDENTITY_ROUTING,
 ) -> ForwardResult:
     """DGN: ReLU feature network gates a GaLU value network."""
-    return _forward_two_net(arch, params_f, params_v, x_f, x_v, mode, routing, linear=False)
+    gates = GateTensor(arch, feature_gates(arch, params_f, x_f, mode=mode), mode)
+    return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))
 
 
 def forward_dlgn(
@@ -496,22 +428,7 @@ def forward_dlgn(
     shallow_features: bool = False,
 ) -> ForwardResult:
     """DLGN: deep linear (or per-layer shallow) feature network gates a GaLU net."""
-    return _forward_two_net(
-        arch, params_f, params_v, x_f, x_v, mode, routing,
-        linear=not shallow_features, shallow=shallow_features,
-    )
-
-
-def _forward_two_net(arch, params_f, params_v, x_f, x_v, mode, routing, linear, shallow=False):
-    routing.validate(arch)
-    if x_v is None:
-        x_v = x_f
-    x_v = _resolve_value_input(arch, x_f, x_v, routing)
-    gates, _, _ = feature_gates(arch, params_f, x_f, mode=mode, linear=linear, shallow=shallow)
-    X, squeeze = _ensure_batch(x_v, arch.d_in)
-    if np.asarray(x_f).ndim != np.asarray(x_v).ndim:
-        raise ValueError("x_f and x_v must have the same batch structure")
-    routed = routing.apply(gates)
-    nodes = _as_nodes(params_v)
-    y, preacts, gate_nodes, outs = _stack(arch, nodes, X, _external_provider(routed))
-    return _squeeze_result(arch, y, gate_nodes, preacts, outs, mode, squeeze)
+    layers = feature_gates(arch, params_f, x_f, mode=mode,
+                           linear=not shallow_features, shallow=shallow_features)
+    return forward_gated(arch, params_v, GateTensor(arch, layers, mode), routing,
+                         _value_input(x_f, x_v))

@@ -42,10 +42,6 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
-def _is_leaf_like(x) -> bool:
-    return not isinstance(x, Node)
-
-
 def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     out = a.value @ b.value

@@ -13,7 +13,6 @@ round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
-``DUALVIEW_THREADS`` caps worker parallelism.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,7 +82,6 @@ DEFAULT_CONFIG: dict = {
     },
     "kernel": {
         "n": 64,
-        "cap": 2048,
         "tag": "npk-fc",
     },
     "experiment": {
@@ -100,6 +98,15 @@ class ExperimentConfig:
     """Declarative experiment document; see DEFAULT_CONFIG for the schema."""
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
+
+    def __post_init__(self):
+        for section, cls in (("arch", ArchSpec), ("train", TrainConfig)):
+            if not isinstance(self.doc.get(section), dict):
+                raise ValueError(f"config section {section!r} must be an object")
+            known = {f.name for f in fields(cls)}
+            for key in self.doc[section]:
+                if key not in known:
+                    raise ValueError(f"unknown config key {section}.{key}")
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -191,13 +198,15 @@ def _verify_probes(seed: int):
 
 
 def _eq1_check(probes, n_samples, max_paths, seed):
+    """Path identity on every probe family whose path count is within budget."""
     rng = make_rng(seed, stream=202)
     worst = 0.0
-    checked = 0
-    for arch, params, _, _ in probes.values():
-        if count_paths(arch) > max_paths:
-            return {"check": "path identity y = <phi, v>", "skipped": True,
-                    "reason": f"path count {count_paths(arch)} exceeds budget {max_paths}"}
+    checked, skipped = [], {}
+    for name, (arch, params, _, _) in probes.items():
+        n_paths = count_paths(arch)
+        if n_paths > max_paths:
+            skipped[name] = f"path count {n_paths} exceeds budget {max_paths}"
+            continue
         table = enumerate_paths(arch, budget=max_paths)
         for _ in range(n_samples):
             x = rng.normal(size=arch.d_in)
@@ -205,9 +214,13 @@ def _eq1_check(probes, n_samples, max_paths, seed):
             dv = dual_vectors(arch, params, x, res.gates, table=table)
             dev = abs(float(res.y) - dv.output()) / (1.0 + abs(float(res.y)))
             worst = max(worst, dev)
-            checked += 1
-    return {"check": "path identity y = <phi, v>", "max_deviation": worst,
-            "tolerance": 1e-9, "passed": worst <= 1e-9, "samples": checked}
+        checked.append(name)
+    result = {"check": "path identity y = <phi, v>", "families": checked,
+              "skipped_families": skipped}
+    if not checked:
+        return {**result, "skipped": True}
+    return {**result, "max_deviation": worst, "tolerance": 1e-9, "passed": worst <= 1e-9,
+            "samples": n_samples * len(checked)}
 
 
 def _mc_check(probes, n_samples, sigma_scale, seed):
@@ -243,7 +256,9 @@ def cmd_verify(config: ExperimentConfig) -> int:
     skipped = [k for k, r in report.items() if r.get("skipped")]
     for k, r in report.items():
         status = "SKIP" if r.get("skipped") else ("PASS" if r.get("passed") else "FAIL")
-        print(f"[{status}] {k}: {r.get('check', k)}")
+        partial = r.get("skipped_families")
+        note = f" (skipped for {', '.join(partial)})" if partial else ""
+        print(f"[{status}] {k}: {r.get('check', k)}{note}")
     if failed:
         print(f"verify: {len(failed)} check(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -295,7 +310,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
         gb = forward_relu(arch, pf, b).gates
         return npk_fc(a, b, ga, gb)
 
-    g = gram(X, kernel, tag=kc["tag"], cap=kc["cap"])
+    g = gram(X, kernel, tag=kc["tag"])
     out = _ensure_out(config.doc["out"])
     g.save_csv(os.path.join(out, "gram.csv"))
     g.save_npkg(os.path.join(out, "gram.npkg"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -31,7 +30,6 @@ from .arch import (
     IDENTITY_ROUTING,
     CONV_GAP,
     FC,
-    HARD,
     RES,
     forward_gated,
     forward_relu,
@@ -313,6 +311,11 @@ class GramMatrix:
     tag: str
     fingerprint: str
 
+    def __post_init__(self):
+        # the CSV header is whitespace-separated key=value pairs
+        if any(c.isspace() for c in self.tag):
+            raise ValueError(f"gram tag {self.tag!r} contains whitespace")
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -371,44 +374,27 @@ def dataset_fingerprint(X: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
-def max_threads() -> int:
-    env = os.environ.get("DUALVIEW_THREADS")
-    return max(1, int(env)) if env else 1
+# Largest dataset gram() accepts: the pairwise fill makes n(n+1)/2 kernel calls.
+GRAM_CAP = 2048
 
 
 def gram(
     X: np.ndarray,
     kernel: Callable[[np.ndarray, np.ndarray], float],
     tag: str,
-    cap: int = 2048,
 ) -> GramMatrix:
     """Symmetric kernel matrix over the rows of X (upper-triangle fill)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if n > cap:
-        raise ValueError(f"dataset size {n} exceeds gram cap {cap}")
+    if n > GRAM_CAP:
+        raise ValueError(f"dataset size {n} exceeds gram cap {GRAM_CAP}")
     m = np.zeros((n, n))
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def fill(pair):
-        i, j = pair
-        try:
-            return i, j, float(kernel(X[i], X[j]))
-        except Exception as exc:
-            raise RuntimeError(f"kernel failed on pair ({i}, {j}): {exc}") from exc
-
-    workers = max_threads()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fill, pairs))
-    else:
-        results = [fill(p) for p in pairs]
-    for i, j, v in results:
-        m[i, j] = v
-        m[j, i] = v
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                m[i, j] = m[j, i] = float(kernel(X[i], X[j]))
+            except Exception as exc:
+                raise RuntimeError(f"kernel failed on pair ({i}, {j}): {exc}") from exc
     return GramMatrix(matrix=m, tag=tag, fingerprint=dataset_fingerprint(X))
 
 
@@ -431,19 +417,13 @@ def invariance_report(
     ensemble additivity. Each probe is (arch, params_f, x, x2)."""
     import itertools
 
-    from .arch import feature_gates
     from .paths import dual_vectors, enumerate_paths
-
-    def hard_gates(arch, params_f, xx, linear=False):
-        gates, _, _ = feature_gates(arch, params_f, xx, mode=HARD, linear=linear,
-                                    warn_on_ties=False)
-        return GateTensor(arch, [g.value[0] for g in gates], HARD)
 
     report: dict[str, dict] = {}
 
     if fc_probe is not None:
         arch, params_f, x, x2 = fc_probe
-        gx, gx2 = hard_gates(arch, params_f, x), hard_gates(arch, params_f, x2)
+        gx, gx2 = forward_relu(arch, params_f, x).gates, forward_relu(arch, params_f, x2).gates
         corr = gate_correlations(gx, gx2)
         base = npk_fc(x, x2, gx, gx2)
         worst = 0.0
@@ -468,7 +448,7 @@ def invariance_report(
         arch, params_f, x, x2 = conv_probe
 
         def provider(xx):
-            return hard_gates(arch, params_f, xx)
+            return forward_relu(arch, params_f, xx).gates
 
         base = npk_conv_rotsum(arch, x, x2, provider)
         worst = 0.0
@@ -480,7 +460,7 @@ def invariance_report(
 
     if res_probe is not None:
         arch, params_f, x, x2 = res_probe
-        gx, gx2 = hard_gates(arch, params_f, x), hard_gates(arch, params_f, x2)
+        gx, gx2 = forward_relu(arch, params_f, x).gates, forward_relu(arch, params_f, x2).gates
         total, per_mask = npk_res_ensemble(arch, x, x2, gx, gx2)
         table = enumerate_paths(arch)
         dv = dual_vectors(arch, {k: np.asarray(v) for k, v in params_f.items()}, x, gx, table=table)

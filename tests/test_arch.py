@@ -105,7 +105,7 @@ def test_forward_gated_ones_input():
     p = normal_params(FC_SMALL, rng)
     x = rng.normal(size=3)
     gates = forward_relu(FC_SMALL, p, x).gates
-    y = forward_gated(FC_SMALL, p, gates, x_v="ones").y
+    y = forward_gated(FC_SMALL, p, gates, GateRouting(constant_one_input=True), x_v=x).y
     expect = forward_gated(FC_SMALL, p, gates, x_v=np.ones(3)).y
     assert np.allclose(y, expect, atol=1e-14)
 
@@ -136,9 +136,9 @@ def test_dlgn_feature_net_is_linear_in_input():
     arch = FC_SMALL
     pf = normal_params(arch, rng)
     x1, x2 = rng.normal(size=3), rng.normal(size=3)
-    g1, _, _ = feature_gates(arch, pf, x1, mode=SOFT, linear=True)
-    g2, _, _ = feature_gates(arch, pf, x2, mode=SOFT, linear=True)
-    g12, _, _ = feature_gates(arch, pf, 0.5 * (x1 + x2), mode=SOFT, linear=True)
+    g1 = feature_gates(arch, pf, x1, mode=SOFT, linear=True)
+    g2 = feature_gates(arch, pf, x2, mode=SOFT, linear=True)
+    g12 = feature_gates(arch, pf, 0.5 * (x1 + x2), mode=SOFT, linear=True)
     for a, b, c in zip(g1, g2, g12):
         # invert the logistic to recover the linear pre-activations
         qa = np.log(a.value / (1 - a.value)) / arch.beta
@@ -167,8 +167,9 @@ def test_dgn_soft_gates_match_feature_preacts():
     pv = normal_params(arch, rng)
     x = rng.normal(size=3)
     out = forward_dgn(arch, pf, pv, x, x, mode=SOFT)
-    relu = forward_relu(arch, pf, x)
-    for g, q in zip(out.gates.layers, relu.trace["preactivations"][:-1]):
+    q1 = x @ pf["fc1"]
+    q2 = np.maximum(q1, 0.0) @ pf["fc2"]  # the feature net's hidden ReLU layers
+    for g, q in zip(out.gates.layers, (q1, q2), strict=True):
         assert np.allclose(g, 1.0 / (1.0 + np.exp(-arch.beta * q)), atol=1e-12)
 
 
@@ -193,3 +194,15 @@ def test_forward_gated_wrong_layer_count():
     p = normal_params(FC_SMALL, make_rng(13))
     with pytest.raises(ValueError):
         forward_gated(FC_SMALL, p, [np.ones(4)], x_v=np.ones(3))
+
+
+def test_forward_gated_gate_shape_errors():
+    p = normal_params(CONV_SMALL, make_rng(14))
+    X = np.ones((2, 5))
+    good = [np.ones((5, 3)), np.ones((2, 5, 3)), np.ones(3)]
+    forward_gated(CONV_SMALL, p, good, x_v=X)
+    for i, bad in ((1, np.ones((3, 5, 3))), (2, np.ones((2, 5, 3))), (0, np.ones((5, 2)))):
+        gates = list(good)
+        gates[i] = bad
+        with pytest.raises(ValueError, match=f"gated layer {i}"):
+            forward_gated(CONV_SMALL, p, gates, x_v=X)

@@ -244,3 +244,26 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_unknown_config_key(tmp_path, capsys):
+    for key in ("train.bogus", "arch.bogus"):
+        assert main(["train", "--out", str(tmp_path / "u"), "--override", f"{key}=1"]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_cli_kernel_tag_with_whitespace(tmp_path, capsys):
+    assert main(["kernel", "--out", str(tmp_path / "k"), "--override", "kernel.n=4",
+                 "--override", "dataset.n=20", "--override", "kernel.tag=my tag"]) == 2
+    assert "whitespace" in capsys.readouterr().err
+
+
+def test_cli_verify_skips_path_identity_per_family(tmp_path):
+    # path counts of the probes: fc 192, res 300, conv 540
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--override", "verify.max_paths=400",
+                 "--override", "verify.mc_samples=100", "--override", "verify.eq1_samples=2"]) == 0
+    eq1 = json.loads((out / "verify.json").read_text())["path_identity"]
+    assert eq1["families"] == ["fc", "res"]
+    assert list(eq1["skipped_families"]) == ["conv"]
+    assert eq1["passed"] and eq1["samples"] == 4
