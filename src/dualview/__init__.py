@@ -31,7 +31,6 @@ from .kernels import (
     npk_res_ensemble,
     ntk_expectation_mc,
     ntk_fixed_gates,
-    ntk_relu,
     rot,
 )
 from .data import Dataset, generate_synthetic, load_dataset
@@ -49,7 +48,6 @@ from .paths import (
     overlap_vector,
     path_activity,
     path_value,
-    soft_overlap,
 )
 from .training import (
     Adam,

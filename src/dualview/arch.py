@@ -13,6 +13,7 @@ pre-activation of exactly 0 evaluates to 0 (strict inequality).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -84,6 +85,11 @@ class ArchSpec:
             return conv + fc
         return [(self.width,)] * self.n_gate_layers()
 
+    def init_sigma(self, kind: str) -> float:
+        """Fan-in weight scale: c/sqrt(w) for dense layers, c/sqrt(w * w_cv) for conv."""
+        fan = self.width * self.w_cv if kind == "conv" else self.width
+        return self.c_scale / math.sqrt(fan)
+
 
 def weight_layer_specs(arch: ArchSpec) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, kind) per weight layer, in forward order.
@@ -131,24 +137,15 @@ def init_params(
     sigma: float | None = None,
     role: str = "dense",
 ) -> dict[str, np.ndarray]:
-    """Bernoulli +/-sigma ParamSet; default sigma is c_scale/sqrt(fan) per layer.
+    """Bernoulli +/-sigma ParamSet; default sigma is `arch.init_sigma(kind)` per layer.
 
-    Conv layers use c_scale/sqrt(w * w_cv), dense layers c_scale/sqrt(w).
     A float `sigma` overrides every layer.
     """
     from .numerics import init_bernoulli
 
     specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
-    params: dict[str, np.ndarray] = {}
-    for name, shape, kind in specs:
-        if sigma is not None:
-            s = sigma
-        elif kind == "conv":
-            s = arch.c_scale / np.sqrt(arch.width * arch.w_cv)
-        else:
-            s = arch.c_scale / np.sqrt(arch.width)
-        params[name] = init_bernoulli(shape, s, rng)
-    return params
+    return {name: init_bernoulli(shape, arch.init_sigma(kind) if sigma is None else sigma, rng)
+            for name, shape, kind in specs}
 
 
 @dataclass
@@ -197,7 +194,6 @@ class ForwardResult:
     y: float | np.ndarray
     gates: GateTensor
     y_node: Node
-    gate_nodes: list
 
 
 def gate_fn(q, mode: str, beta: float | None = None):
@@ -294,9 +290,9 @@ def _stack(
 
 
 def _squeeze_result(
-    arch: ArchSpec, y_node: Node, gate_nodes: list[Node], mode: str, squeeze: bool
+    arch: ArchSpec, y_node: Node, gates: list[Node], mode: str, squeeze: bool
 ) -> ForwardResult:
-    gate_vals = [g.value[0] if squeeze else g.value for g in gate_nodes]
+    gate_vals = [g.value[0] if squeeze else g.value for g in gates]
     y = y_node.value
     if squeeze:
         y = float(y[0, 0]) if arch.n_out == 1 else y[0]
@@ -304,7 +300,6 @@ def _squeeze_result(
         y=y,
         gates=GateTensor(arch=arch, layers=gate_vals, mode=mode),
         y_node=y_node,
-        gate_nodes=gate_nodes,
     )
 
 

@@ -11,6 +11,8 @@ One binary, four subcommands:
 Configs are JSON documents; every field has a default and the parsed form
 round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
+An unknown key or a non-object section is a usage error. The ``train``
+section's defaults are those of :class:`dualview.training.TrainConfig`.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
 """
@@ -22,7 +24,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,20 +53,7 @@ DEFAULT_CONFIG: dict = {
         "width": 16,
         "n_out": 2,
     },
-    "train": {
-        "regime": "DNN",
-        "x_v": "data",
-        "perm": None,
-        "optimizer": "adam",
-        "lr": 3e-3,
-        "momentum": 0.9,
-        "use_schedule": False,
-        "epochs": 30,
-        "batch_size": 128,
-        "seed": 0,
-        "init": "normal",
-        "pretrain_epochs": 15,
-    },
+    "train": asdict(TrainConfig()),
     "dataset": {
         "kind": "circles",  # blobs | circles | shifted_pulses | file
         "n": 2000,
@@ -95,18 +84,30 @@ DEFAULT_CONFIG: dict = {
 
 @dataclass
 class ExperimentConfig:
-    """Declarative experiment document; see DEFAULT_CONFIG for the schema."""
+    """Declarative experiment document.
+
+    DEFAULT_CONFIG is the schema: a key it does not have is an error, except
+    that `arch` takes every ArchSpec field and `dataset.params` is passed to
+    the dataset generator as is.
+    """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
 
     def __post_init__(self):
-        for section, cls in (("arch", ArchSpec), ("train", TrainConfig)):
+        for key in self.doc:
+            if key not in DEFAULT_CONFIG:
+                raise ValueError(f"unknown config key {key}")
+        for section, default in DEFAULT_CONFIG.items():
+            if not isinstance(default, dict):
+                continue
             if not isinstance(self.doc.get(section), dict):
                 raise ValueError(f"config section {section!r} must be an object")
-            known = {f.name for f in fields(cls)}
+            known = {f.name for f in fields(ArchSpec)} if section == "arch" else default
             for key in self.doc[section]:
                 if key not in known:
                     raise ValueError(f"unknown config key {section}.{key}")
+        if not isinstance(self.doc["dataset"].get("params"), dict):
+            raise ValueError("config key dataset.params must be an object")
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -131,10 +132,7 @@ class ExperimentConfig:
         return ArchSpec(**self.doc["arch"])
 
     def train_config(self) -> TrainConfig:
-        kw = dict(self.doc["train"])
-        if kw.get("perm") is not None:
-            kw["perm"] = tuple(kw["perm"])
-        return TrainConfig(**kw)
+        return TrainConfig(**self.doc["train"])
 
     def make_dataset(self) -> Dataset:
         d = self.doc["dataset"]
@@ -142,7 +140,7 @@ class ExperimentConfig:
             if not d.get("path"):
                 raise ValueError("dataset.kind == 'file' requires dataset.path")
             return load_dataset(d["path"], d.get("format", "csv"))
-        return generate_synthetic(d["kind"], d["n"], d["seed"], **d.get("params", {}))
+        return generate_synthetic(d["kind"], d["n"], d["seed"], **d["params"])
 
 
 def _merge(base: dict, patch: dict) -> None:
@@ -470,6 +468,9 @@ def main(argv=None) -> int:
     except (ValueError, PathBudgetError) as exc:
         print(f"dualview {args.command}: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"dualview {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ path-product decomposition.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +120,21 @@ def _gen_shifted_pulses(n, rng, d_in=8, k=2, noise=0.05):
     return X, y, k
 
 
+_GENERATORS = {BLOBS: _gen_blobs, CIRCLES: _gen_circles, SHIFTED_PULSES: _gen_shifted_pulses}
+
+
 def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
     """Deterministic synthetic dataset; same (kind, n, seed, params) -> same bytes."""
     if n < 2:
         raise DatasetError(f"n must be >= 2, got {n}")
-    rng = make_rng(seed, stream=101)
-    if kind == BLOBS:
-        X, y, k = _gen_blobs(n, rng, **params)
-    elif kind == CIRCLES:
-        X, y, k = _gen_circles(n, rng, **params)
-    elif kind == SHIFTED_PULSES:
-        X, y, k = _gen_shifted_pulses(n, rng, **params)
-    else:
+    gen = _GENERATORS.get(kind)
+    if gen is None:
         raise DatasetError(f"unknown synthetic kind {kind!r}; choose from {KINDS}")
+    known = list(inspect.signature(gen).parameters)[2:]  # after (n, rng)
+    for key in params:
+        if key not in known:
+            raise DatasetError(f"unknown {kind} parameter {key!r}; choose from {known}")
+    X, y, k = gen(n, make_rng(seed, stream=101), **params)
     tag = f"synthetic:{kind}:n={n}:seed={seed}"
     if params:
         tag += ":" + ",".join(f"{a}={b}" for a, b in sorted(params.items()))

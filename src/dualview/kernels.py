@@ -25,9 +25,7 @@ import numpy as np
 
 from .arch import (
     ArchSpec,
-    GateRouting,
     GateTensor,
-    IDENTITY_ROUTING,
     CONV_GAP,
     FC,
     RES,
@@ -35,7 +33,7 @@ from .arch import (
     forward_relu,
     init_params,
 )
-from .numerics import grad, make_rng
+from .numerics import grad
 from .paths import SubFcnMask, enumerate_subfcns, res_gate_indices
 
 
@@ -56,13 +54,13 @@ class KernelConstants:
     def sigma_fc(self) -> float:
         if self.sigma_override is not None:
             return self.sigma_override
-        return self.arch.c_scale / math.sqrt(self.arch.width)
+        return self.arch.init_sigma("fc")
 
     @property
     def sigma_cv(self) -> float:
         if self.sigma_override is not None:
             return self.sigma_override
-        return self.arch.c_scale / math.sqrt(self.arch.width * self.arch.w_cv)
+        return self.arch.init_sigma("conv")
 
     @property
     def fc_factor(self) -> float:
@@ -202,39 +200,17 @@ def ntk_fixed_gates(
     gates_x2: GateTensor,
     x,
     x2,
-    routing: GateRouting = IDENTITY_ROUTING,
-    subset=None,
 ) -> float:
     """<grad y(x), grad y(x')> w.r.t. the value-network weights, gates fixed."""
 
     def fwd(gates, xx):
         def closure(nodes):
-            return forward_gated(arch, nodes, gates, routing, xx).y_node
+            return forward_gated(arch, nodes, gates, x_v=xx).y_node
 
         return closure
 
-    g1 = grad(fwd(gates_x, x), params_v, subset)
-    g2 = grad(fwd(gates_x2, x2), params_v, subset)
-    return float(g1 @ g2)
-
-
-def ntk_relu(
-    arch: ArchSpec,
-    params: Mapping[str, np.ndarray],
-    x,
-    x2,
-    subset=None,
-) -> float:
-    """Full-parameter NTK of a plain ReLU network (diagnostic)."""
-
-    def fwd(xx):
-        def closure(nodes):
-            return forward_relu(arch, nodes, xx).y_node
-
-        return closure
-
-    g1 = grad(fwd(x), params, subset)
-    g2 = grad(fwd(x2), params, subset)
+    g1 = grad(fwd(gates_x, x), params_v)
+    g2 = grad(fwd(gates_x2, x2), params_v)
     return float(g1 @ g2)
 
 
@@ -257,7 +233,6 @@ def ntk_expectation_mc(
     n_samples: int,
     rng: np.random.Generator,
     sigma: float | None = None,
-    routing: GateRouting = IDENTITY_ROUTING,
 ) -> McResult:
     """Monte-Carlo mean of the value-weight NTK over Bernoulli +/-sigma draws.
 
@@ -270,7 +245,7 @@ def ntk_expectation_mc(
     samples = np.empty(n_samples)
     for s in range(n_samples):
         params_v = init_params(arch, rng, sigma=sigma)
-        samples[s] = ntk_fixed_gates(arch, params_v, gates_x, gates_x2, x, x2, routing=routing)
+        samples[s] = ntk_fixed_gates(arch, params_v, gates_x, gates_x2, x, x2)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n_samples))
     return McResult(mean=mean, stderr=stderr, samples=samples)
@@ -305,6 +280,12 @@ def mc_target(
 NPKG_MAGIC = b"NPKG"
 
 
+def _check_tag(tag: str) -> None:
+    # the CSV header is whitespace-separated key=value pairs
+    if any(c.isspace() for c in tag):
+        raise ValueError(f"gram tag {tag!r} contains whitespace")
+
+
 @dataclass
 class GramMatrix:
     matrix: np.ndarray
@@ -312,9 +293,7 @@ class GramMatrix:
     fingerprint: str
 
     def __post_init__(self):
-        # the CSV header is whitespace-separated key=value pairs
-        if any(c.isspace() for c in self.tag):
-            raise ValueError(f"gram tag {self.tag!r} contains whitespace")
+        _check_tag(self.tag)
 
     @property
     def n(self) -> int:
@@ -384,6 +363,7 @@ def gram(
     tag: str,
 ) -> GramMatrix:
     """Symmetric kernel matrix over the rows of X (upper-triangle fill)."""
+    _check_tag(tag)
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n > GRAM_CAP:

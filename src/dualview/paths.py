@@ -398,7 +398,7 @@ def _require_hard(gates: GateTensor) -> None:
     for g in gates.layers:
         g = np.asarray(g)
         if not np.all((g == 0.0) | (g == 1.0)):
-            raise ValueError("overlap counts require hard gates; see soft_overlap")
+            raise ValueError("overlap counts require hard gates")
 
 
 def overlap(
@@ -448,12 +448,3 @@ def overlap_vector(
         dtype=np.float64,
     )
 
-
-def soft_overlap(gates_x: GateTensor, gates_x2: GateTensor) -> float:
-    """Soft-gate relaxation of the overlap count: product of layerwise
-    gate correlations. Diagnostic only; the counting definition applies to
-    hard gates."""
-    prod = 1.0
-    for g, g2 in zip(gates_x.layers, gates_x2.layers):
-        prod *= float(np.dot(np.asarray(g).ravel(), np.asarray(g2).ravel()))
-    return prod

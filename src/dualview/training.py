@@ -1,19 +1,22 @@
 """Losses, optimizers, and the six training regimes.
 
-Regimes:
+``REGIME_TABLE`` is the only description of a regime: (feature source, gate
+mode, trains features). The feature source is where the gates come from:
+``self`` (the network's own ReLUs), ``relu`` (a ReLU feature net),
+``linear`` (a deep linear feature net) or ``shallow`` (per-layer shallow
+linear maps of the input).
 
-* ``DNN``            — plain ReLU network, all weights trained
-* ``DGN_FR``         — frozen random ReLU feature net supplies hard gates
-* ``DGN_FL``         — feature net pre-trained as a ReLU classifier, frozen,
-  then the value net is trained against its hard gates
-* ``DGN_STANDALONE`` — feature + value nets trained jointly through soft gates
-* ``DLGN``           — deep linear feature net, joint soft training
-* ``DLGN_SF``        — per-layer shallow linear feature maps, joint soft training
+* ``DNN``            — self, hard; a plain ReLU network
+* ``DGN_FR``         — relu, hard, frozen at its random init
+* ``DGN_FL``         — relu, hard, pre-trained as a ReLU classifier, then frozen
+* ``DGN_STANDALONE`` — relu, soft, trained jointly with the value net
+* ``DLGN``           — linear, soft, trained jointly
+* ``DLGN_SF``        — shallow, soft, trained jointly
 
-Hard-gate regimes freeze the feature parameters bit-exactly; soft regimes use
-the logistic gate with the architecture's beta. The gate routing permutation
-and the constant-1 value input are applied identically during training and
-evaluation.
+The value net always trains. A frozen feature net is checked to be
+bit-identical after training; soft gates are the logistic gate with the
+architecture's beta. The gate routing permutation and the constant-1 value
+input are applied identically during training and evaluation.
 """
 
 from __future__ import annotations
@@ -46,10 +49,17 @@ DGN_FL = "DGN_FL"
 DGN_STANDALONE = "DGN_STANDALONE"
 DLGN = "DLGN"
 DLGN_SF = "DLGN_SF"
-REGIMES = (DNN, DGN_FR, DGN_FL, DGN_STANDALONE, DLGN, DLGN_SF)
 
-HARD_GATE_REGIMES = (DGN_FR, DGN_FL)
-SOFT_GATE_REGIMES = (DGN_STANDALONE, DLGN, DLGN_SF)
+# regime -> (feature source, gate mode, trains features); see the module docstring
+REGIME_TABLE = {
+    DNN: ("self", HARD, False),
+    DGN_FR: ("relu", HARD, False),
+    DGN_FL: ("relu", HARD, False),
+    DGN_STANDALONE: ("relu", SOFT, True),
+    DLGN: ("linear", SOFT, True),
+    DLGN_SF: ("shallow", SOFT, True),
+}
+REGIMES = tuple(REGIME_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ class SGDMomentum(Optimizer):
                 v = np.zeros_like(params[name])
             v = self.momentum * v - eta * g
             self.velocity[name] = v
-            params[name] = params[name] + v
+            params[name] += v
         self.t += 1
 
 
@@ -165,7 +175,7 @@ class Adam(Optimizer):
             self.m[name], self.v[name] = m, v
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            params[name] = params[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.9,
@@ -189,14 +199,14 @@ class TrainConfig:
     x_v: str = "data"  # "data" or "ones" (constant-1 value input)
     perm: tuple[int, ...] | None = None  # gate routing permutation
     optimizer: str = "adam"
-    lr: float = 3e-4
+    lr: float = 3e-3
     momentum: float = 0.9
     use_schedule: bool = False  # 4-phase schedule (sgd only)
-    epochs: int = 50
-    batch_size: int = 64
+    epochs: int = 30
+    batch_size: int = 128
     seed: int = 0
     init: str = "normal"  # "normal" or "bernoulli" (+-sigma)
-    pretrain_epochs: int = 20  # DGN_FL feature pre-training
+    pretrain_epochs: int = 15  # DGN_FL feature pre-training
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -251,16 +261,13 @@ class Model:
     def logits_node(self, X: np.ndarray, nodes_f=None, nodes_v=None) -> Node:
         pf = self.params_f if nodes_f is None else nodes_f
         pv = self.params_v if nodes_v is None else nodes_v
-        if self.regime == DNN:
+        source, mode, _ = REGIME_TABLE[self.regime]
+        if source == "self":
             return forward_relu(self.arch, pv, X).y_node
-        if self.regime in HARD_GATE_REGIMES:
-            return forward_dgn(self.arch, pf, pv, X, mode=HARD, routing=self.routing).y_node
-        if self.regime == DGN_STANDALONE:
-            return forward_dgn(self.arch, pf, pv, X, mode=SOFT, routing=self.routing).y_node
-        if self.regime == DLGN:
-            return forward_dlgn(self.arch, pf, pv, X, mode=SOFT, routing=self.routing).y_node
-        return forward_dlgn(self.arch, pf, pv, X, mode=SOFT, routing=self.routing,
-                            shallow_features=True).y_node
+        if source == "relu":
+            return forward_dgn(self.arch, pf, pv, X, mode=mode, routing=self.routing).y_node
+        return forward_dlgn(self.arch, pf, pv, X, mode=mode, routing=self.routing,
+                            shallow_features=(source == "shallow")).y_node
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.logits_node(np.asarray(X, dtype=np.float64)).value
@@ -283,23 +290,11 @@ def _init_net(arch: ArchSpec, rng, how: str, role: str = "dense") -> dict[str, n
     if how == "bernoulli":
         return init_params(arch, rng, role=role)
     specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
-    params = {}
-    for name, shape, kind in specs:
-        fan = arch.width * arch.w_cv if kind == "conv" else arch.width
-        params[name] = rng.normal(scale=arch.c_scale / np.sqrt(fan), size=shape)
-    return params
+    return {name: rng.normal(scale=arch.init_sigma(kind), size=shape)
+            for name, shape, kind in specs}
 
 
-def _trainable(regime: str) -> tuple[bool, bool]:
-    """(train feature params, train value params)."""
-    if regime == DNN:
-        return False, True
-    if regime in HARD_GATE_REGIMES:
-        return False, True
-    return True, True
-
-
-def _batch_grads(model: Model, Xb, yb, train_f: bool, train_v: bool):
+def _batch_grads(model: Model, Xb, yb):
     nodes_v = {k: Node(v) for k, v in model.params_v.items()}
     nodes_f = None
     if model.params_f is not None:
@@ -315,33 +310,31 @@ def _batch_grads(model: Model, Xb, yb, train_f: bool, train_v: bool):
             g[f"{prefix}{name}"] = np.zeros_like(node.value) if c is None else c
         return g
 
-    grads: dict[str, np.ndarray] = {}
-    if train_v:
-        grads.update(collect("v.", nodes_v))
-    if train_f and nodes_f is not None:
+    grads = collect("v.", nodes_v)
+    _, _, trains_features = REGIME_TABLE[model.regime]
+    if trains_features:
         grads.update(collect("f.", nodes_f))
     return loss, grads
 
 
 def _run_epochs(model: Model, dataset, opt: Optimizer, epochs, batch_size, rng,
-                train_f, train_v, report: TrainReport | None, test=None):
+                report: TrainReport | None, test=None):
+    """Train the value net, and the feature net if the regime trains it.
+
+    The optimizer updates the parameter arrays in place.
+    """
     n = dataset.n
-    flat = {}
-    for name, arr in model.params_v.items():
-        flat[f"v.{name}"] = arr
-    if model.params_f is not None and train_f:
-        for name, arr in model.params_f.items():
-            flat[f"f.{name}"] = arr
+    _, _, trains_features = REGIME_TABLE[model.regime]
+    flat = {f"v.{name}": arr for name, arr in model.params_v.items()}
+    if trains_features:
+        flat.update({f"f.{name}": arr for name, arr in model.params_f.items()})
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = _batch_grads(model, dataset.X[idx], dataset.y[idx], train_f, train_v)
+            loss, grads = _batch_grads(model, dataset.X[idx], dataset.y[idx])
             opt.step(flat, grads)
-            for name, arr in flat.items():
-                side, pname = name.split(".", 1)
-                (model.params_v if side == "v" else model.params_f)[pname] = arr
             losses.append(loss)
         if report is not None:
             report.train_loss.append(float(np.mean(losses)))
@@ -350,6 +343,8 @@ def _run_epochs(model: Model, dataset, opt: Optimizer, epochs, batch_size, rng,
                 report.test_accuracy.append(evaluate(model, test))
 
 
+# Overflow shows up as a non-finite gradient, which the optimizer reports by name.
+@np.errstate(over="ignore", invalid="ignore")
 def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
     """Run one regime on a dataset. Returns (TrainReport, Model)."""
     if arch.n_out != dataset.k:
@@ -364,8 +359,9 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
     rng_v = make_rng(config.seed, stream=2)
     rng_batch = make_rng(config.seed, stream=3)
 
-    role_f = "shallow" if config.regime == DLGN_SF else "dense"
-    params_f = None if config.regime == DNN else _init_net(arch, rng_f, config.init, role_f)
+    source, _, trains_features = REGIME_TABLE[config.regime]
+    role_f = "shallow" if source == "shallow" else "dense"
+    params_f = None if source == "self" else _init_net(arch, rng_f, config.init, role_f)
     params_v = _init_net(arch, rng_v, config.init)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
                   params_v=params_v, routing=routing)
@@ -381,19 +377,17 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         pre_opt = make_optimizer(config.optimizer, config.lr, config.momentum,
                                  iters if config.use_schedule else None)
         _run_epochs(pre, dataset, pre_opt, config.pretrain_epochs, config.batch_size,
-                    make_rng(config.seed, stream=4), train_f=False, train_v=True,
-                    report=None)
+                    make_rng(config.seed, stream=4), report=None)
 
     frozen_before = None
-    if config.regime in HARD_GATE_REGIMES:
+    if params_f is not None and not trains_features:
         frozen_before = {k: v.copy() for k, v in params_f.items()}
 
-    train_f, train_v = _trainable(config.regime)
     iters = config.epochs * max(1, dataset.n // config.batch_size)
     opt = make_optimizer(config.optimizer, config.lr, config.momentum,
                          iters if config.use_schedule else None)
     _run_epochs(model, dataset, opt, config.epochs, config.batch_size, rng_batch,
-                train_f, train_v, report, test=test)
+                report, test=test)
 
     if frozen_before is not None:
         for k, v in frozen_before.items():

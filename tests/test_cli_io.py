@@ -17,6 +17,7 @@ from dualview.data import (
     load_dataset,
 )
 from dualview.kernels import GramMatrix
+from dualview.training import TrainConfig
 
 
 # -- datasets ----------------------------------------------------------------
@@ -74,6 +75,8 @@ def test_generator_errors():
         generate_synthetic("spirals", 10, seed=0)
     with pytest.raises(DatasetError):
         generate_synthetic("blobs", 1, seed=0)
+    with pytest.raises(DatasetError, match="'bogus'"):
+        generate_synthetic("circles", 10, seed=0, bogus=1)
 
 
 def test_split():
@@ -165,6 +168,10 @@ def test_config_overrides(tmp_path):
         ExperimentConfig.load(None, overrides=["no-equals-sign"])
 
 
+def test_config_train_defaults_are_train_config():
+    assert ExperimentConfig().train_config() == TrainConfig()
+
+
 # -- CLI commands ------------------------------------------------------------
 
 
@@ -247,9 +254,27 @@ def test_cli_usage_errors(tmp_path):
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):
-    for key in ("train.bogus", "arch.bogus"):
+    for key in ("train.bogus", "arch.bogus", "kernel.cap", "verify.bogus", "dataset.bogus",
+                "experiment.bogus", "bogus"):
         assert main(["train", "--out", str(tmp_path / "u"), "--override", f"{key}=1"]) == 2
         assert key in capsys.readouterr().err
+    for key in ("dataset", "verify", "kernel", "experiment", "train", "arch", "dataset.params"):
+        assert main(["kernel", "--out", str(tmp_path / "u"), "--override", f"{key}=3"]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_cli_unknown_dataset_param(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path / "u"),
+                 "--override", 'dataset.params={"bogus": 1}']) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_cli_train_non_finite_gradient(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path / "t"), "--override", "train.lr=1e300",
+                 "--override", "train.epochs=2", "--override", "dataset.n=200"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "non-finite gradient for parameter 'v." in err
 
 
 def test_cli_kernel_tag_with_whitespace(tmp_path, capsys):

@@ -200,6 +200,18 @@ def test_gram_cap():
         gram(X, lambda a, b: 0.0, tag="t")
 
 
+def test_gram_rejects_whitespace_tag_before_any_kernel_call():
+    calls = []
+
+    def kernel(a, b):
+        calls.append(1)
+        return float(a @ b)
+
+    with pytest.raises(ValueError, match="whitespace"):
+        gram(np.ones((3, 2)), kernel, tag="a b")
+    assert calls == []
+
+
 def test_gram_csv_roundtrip(tmp_path):
     g, _ = _toy_gram()
     path = tmp_path / "g.csv"

@@ -172,9 +172,25 @@ def test_dgn_shared_init_first_loss_matches_dnn():
                   params_f={k: v.copy() for k, v in params_v.items()},
                   params_v=params_v, routing=GateRouting())
     rep = TrainReport(regime=DGN_FR, seed=3, config={})
-    _run_epochs(model, tr, mk("adam", 3e-4), 1, tr.n, make_rng(3, stream=3),
-                False, True, rep)
+    _run_epochs(model, tr, mk("adam", 3e-4), 1, tr.n, make_rng(3, stream=3), rep)
     assert np.isclose(rep.train_loss[0], rep_dnn.train_loss[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("role", ["dense", "shallow"])
+def test_init_net_bernoulli_draws_fan_in_sigma(role):
+    from dualview.arch import shallow_layer_specs, weight_layer_specs
+    from dualview.training import _init_net
+
+    arch = ArchSpec(family="conv_gap", d_in=6, w_cv=3, width=4, d_cv=2, d_fc=2, c_scale=1.5)
+    specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
+    params = _init_net(arch, make_rng(0, stream=1), "bernoulli", role)
+    assert list(params) == [name for name, _, _ in specs]
+    assert {kind for _, _, kind in specs} == {"conv", "fc"}
+    for name, shape, kind in specs:
+        sigma = arch.init_sigma(kind)
+        assert sigma == 1.5 / np.sqrt(4 * 3 if kind == "conv" else 4)
+        assert params[name].shape == shape
+        assert set(np.unique(params[name])) == {-sigma, sigma}
 
 
 @pytest.mark.parametrize("regime", REGIMES)
