@@ -16,7 +16,6 @@ from .arch import (
     forward_dlgn,
     forward_gated,
     forward_relu,
-    gate_fn,
     init_params,
 )
 from .kernels import (
@@ -26,12 +25,14 @@ from .kernels import (
     gram,
     invariance_report,
     mc_target,
+    npk,
     npk_conv_rotsum,
     npk_fc,
     npk_res_ensemble,
     ntk_expectation_mc,
     ntk_fixed_gates,
     rot,
+    rotated_gates,
 )
 from .data import Dataset, generate_synthetic, load_dataset
 from .numerics import finite_diff_grad, grad, init_bernoulli, make_rng

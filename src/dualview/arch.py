@@ -196,18 +196,6 @@ class ForwardResult:
     y_node: Node
 
 
-def gate_fn(q, mode: str, beta: float | None = None):
-    """Hard: 1{q > 0}; soft: logistic(beta * q)."""
-    q = np.asarray(q, dtype=np.float64)
-    if mode == HARD:
-        return (q > 0.0).astype(np.float64)
-    if mode == SOFT:
-        if beta is None or beta <= 0:
-            raise ValueError("soft mode needs beta > 0")
-        return 1.0 / (1.0 + np.exp(-beta * q))
-    raise ValueError(f"unknown gate mode {mode!r}")
-
-
 def _ensure_batch(x, d_in: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -225,7 +213,7 @@ def _as_nodes(params: Mapping) -> dict[str, Node]:
     return {k: (v if isinstance(v, Node) else Node(v)) for k, v in params.items()}
 
 
-GateProvider = Callable[[int, Node], Node]
+GateRule = Callable[[int, Node], Node]
 
 
 def _relu_gate(idx: int, q: Node) -> Node:
@@ -237,11 +225,11 @@ def _stack(
     arch: ArchSpec,
     params: Mapping[str, Node],
     X: np.ndarray,
-    gate_provider: GateProvider | None,
+    gate_rule: GateRule | None,
 ) -> tuple[Node, list[Node], list[Node]]:
-    """Run the weight stack, gating each hidden layer via `gate_provider`.
+    """Run the weight stack, gating each hidden layer via `gate_rule`.
 
-    `gate_provider(idx, q)` returns the gate node for gated layer `idx` given
+    `gate_rule(idx, q)` returns the gate node for gated layer `idx` given
     its pre-activation node; None runs the stack fully linear (deep linear
     feature network). Returns (output, preacts, gates).
     """
@@ -250,9 +238,9 @@ def _stack(
 
     def gated(q: Node, is_gated: bool) -> Node:
         preacts.append(q)
-        if not is_gated or gate_provider is None:
+        if not is_gated or gate_rule is None:
             return q
-        g = gate_provider(len(gates), q)
+        g = gate_rule(len(gates), q)
         gates.append(g)
         return ad.mul(q, g)
 

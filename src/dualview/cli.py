@@ -4,15 +4,17 @@ One binary, four subcommands:
 
 * ``dualview verify``     — run the structural invariant suite, emit JSON
 * ``dualview train``      — train one regime, emit TrainReport JSON + params
-* ``dualview kernel``     — emit a Gram matrix as CSV and NPKG binary
+* ``dualview kernel``     — emit the NPK Gram of any family (tag
+  ``npk-<family>``) as CSV and NPKG binary
 * ``dualview experiment`` — run a named bundle (permutation-sweep,
   constant-one, width-sweep) and emit combined JSON + per-figure CSVs
 
 Configs are JSON documents; every field has a default and the parsed form
 round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
-An unknown key or a non-object section is a usage error. The ``train``
-section's defaults are those of :class:`dualview.training.TrainConfig`.
+An unknown key, a non-object section or a value whose JSON type differs
+from its default's is a usage error. The ``train`` section's defaults are
+those of :class:`dualview.training.TrainConfig`.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
 """
@@ -24,21 +26,14 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from .arch import ArchSpec, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, load_dataset
-from .kernels import (
-    GramMatrix,
-    McResult,
-    gram,
-    invariance_report,
-    mc_target,
-    npk_fc,
-    ntk_expectation_mc,
-)
+from .kernels import gram, invariance_report, mc_target, npk, ntk_expectation_mc
 from .numerics import make_rng
 from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
 from .training import TrainConfig, evaluate, train
@@ -71,7 +66,6 @@ DEFAULT_CONFIG: dict = {
     },
     "kernel": {
         "n": 64,
-        "tag": "npk-fc",
     },
     "experiment": {
         "bundle": "permutation-sweep",
@@ -86,9 +80,11 @@ DEFAULT_CONFIG: dict = {
 class ExperimentConfig:
     """Declarative experiment document.
 
-    DEFAULT_CONFIG is the schema: a key it does not have is an error, except
-    that `arch` takes every ArchSpec field and `dataset.params` is passed to
-    the dataset generator as is.
+    DEFAULT_CONFIG is the schema: a key it does not have is an error, and a
+    value must have its default's JSON type (an int passes for a float; a
+    key whose default is None takes any value). `arch` takes every ArchSpec
+    field, typed as the field. The values inside `dataset.params` go to the
+    dataset generator unchecked.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -98,16 +94,18 @@ class ExperimentConfig:
             if key not in DEFAULT_CONFIG:
                 raise ValueError(f"unknown config key {key}")
         for section, default in DEFAULT_CONFIG.items():
+            value = self.doc.get(section)
+            _check_type(section, value, type(default))
             if not isinstance(default, dict):
                 continue
-            if not isinstance(self.doc.get(section), dict):
-                raise ValueError(f"config section {section!r} must be an object")
-            known = {f.name for f in fields(ArchSpec)} if section == "arch" else default
-            for key in self.doc[section]:
-                if key not in known:
+            if section == "arch":
+                types = get_type_hints(ArchSpec)
+            else:
+                types = {k: type(v) for k, v in default.items()}
+            for key, v in value.items():
+                if key not in types:
                     raise ValueError(f"unknown config key {section}.{key}")
-        if not isinstance(self.doc["dataset"].get("params"), dict):
-            raise ValueError("config key dataset.params must be an object")
+                _check_type(f"{section}.{key}", v, types[key])
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -141,6 +139,16 @@ class ExperimentConfig:
                 raise ValueError("dataset.kind == 'file' requires dataset.path")
             return load_dataset(d["path"], d.get("format", "csv"))
         return generate_synthetic(d["kind"], d["n"], d["seed"], **d["params"])
+
+
+def _check_type(key: str, value, want: type) -> None:
+    """Reject a config value whose JSON type is not `want`; a null default takes any value."""
+    if want is type(None):
+        return
+    ok = isinstance(value, (int, float) if want is float else want)
+    if not ok or isinstance(value, bool) != (want is bool):
+        noun = "an object" if want is dict else f"of type {want.__name__}"
+        raise ValueError(f"config key {key} must be {noun}, got {value!r}")
 
 
 def _merge(base: dict, patch: dict) -> None:
@@ -295,10 +303,12 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def cmd_kernel(config: ExperimentConfig) -> int:
     kc = config.doc["kernel"]
+    if kc["n"] < 1:
+        raise ValueError(f"kernel.n must be >= 1, got {kc['n']}")
     arch = config.arch()
-    if arch.family != "fc":
-        raise ValueError("kernel subcommand currently builds fc-family NPK grams")
     ds = config.make_dataset()
+    if ds.d_in != arch.d_in:
+        raise ValueError(f"arch.d_in={arch.d_in} != dataset d_in={ds.d_in}")
     n = min(kc["n"], ds.n)
     X = ds.X[:n]
     pf = init_params(arch, make_rng(config.doc["seed"], stream=206))
@@ -306,14 +316,15 @@ def cmd_kernel(config: ExperimentConfig) -> int:
     def kernel(a, b):
         ga = forward_relu(arch, pf, a).gates
         gb = forward_relu(arch, pf, b).gates
-        return npk_fc(a, b, ga, gb)
+        return npk(arch, a, b, ga, gb)
 
-    g = gram(X, kernel, tag=kc["tag"])
+    tag = f"npk-{arch.family}"
+    g = gram(X, kernel, tag=tag)
     out = _ensure_out(config.doc["out"])
     g.save_csv(os.path.join(out, "gram.csv"))
     g.save_npkg(os.path.join(out, "gram.npkg"))
     ok = g.is_psd() and g.is_symmetric()
-    print(f"kernel: {n}x{n} gram tag={kc['tag']} min_eig={g.min_eigenvalue():.3e} "
+    print(f"kernel: {n}x{n} gram tag={tag} min_eig={g.min_eigenvalue():.3e} "
           f"floor={g.psd_floor():.3e} psd={g.is_psd()}")
     return 0 if ok else 1
 

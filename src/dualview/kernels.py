@@ -3,14 +3,15 @@
 The closed forms here are verified elsewhere against the enumeration oracle
 in :mod:`dualview.paths`. Conventions:
 
-* ``npk_fc`` returns the *unnormalized* product form
+* ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
+  of x and x'. The width-limit constants live in :class:`KernelConstants`.
+* ``npk_fc`` is the *unnormalized* product form
   <x, x'> * prod_l <G_l(x), G_l(x')>, which equals <phi(x), phi(x')> for
-  hard gates. The width-limit constants live in :class:`KernelConstants`.
+  hard gates.
 * For the conv family the bundle-level <phi, phi'> (whose activities carry
   the 1/d_in pooling factor twice) equals the rotation sum with
   integer-count overlaps divided by d_in**2. The Monte-Carlo NTK target is
-  therefore beta_cv * <phi, phi'> = (beta_cv / d_in**2) * rotation_sum;
-  both bookkeepings are exposed and checked.
+  therefore beta_cv * <phi, phi'>.
 """
 
 from __future__ import annotations
@@ -109,62 +110,56 @@ def conv_overlap_counts(arch: ArchSpec, gates_x: GateTensor, gates_x2: GateTenso
     """overlap(i, x, x') for every input node, by layerwise path counting.
 
     Joint gate H = G(x)*G(x') per unit; the count of jointly active paths
-    from node i is propagated through the conv layers (each window offset
-    reaches exactly one upstream position) and the FC head. The pooling mask
-    is excluded so the result is an integer count.
+    from each node i is propagated through the conv layers (each window
+    offset reaches exactly one upstream position) and the FC head, for all
+    nodes at once. The pooling mask is excluded so the result is an integer
+    count.
     """
     if arch.family != CONV_GAP:
         raise ValueError("conv_overlap_counts requires the conv_gap family")
-    d_in, w_cv = arch.d_in, arch.w_cv
-    conv_h = [
-        np.asarray(g) * np.asarray(g2)
-        for g, g2 in zip(gates_x.layers[: arch.d_cv], gates_x2.layers[: arch.d_cv])
-    ]
-    fc_h = [
-        np.asarray(g) * np.asarray(g2)
-        for g, g2 in zip(gates_x.layers[arch.d_cv :], gates_x2.layers[arch.d_cv :])
-    ]
-    out = np.empty(d_in)
-    pos = np.arange(d_in)
-    for i in range(d_in):
-        reach = ((i - pos) % d_in < w_cv).astype(np.float64)  # one window offset each
-        n = conv_h[0] * reach[:, None]
-        for h in conv_h[1:]:
-            upstream = n.sum(axis=1)  # total count entering each position
-            window = np.zeros(d_in)
-            for c in range(w_cv):
-                window += np.roll(upstream, -c)  # previous position (p + c) % d_in
-            n = h * window[:, None]
-        m = n.sum(axis=0)
-        for h in fc_h:
-            m = h * m.sum()
-        out[i] = m.sum()
-    return out
+    h = [np.asarray(g) * np.asarray(g2) for g, g2 in zip(gates_x.layers, gates_x2.layers)]
+    conv_h, fc_h = h[: arch.d_cv], h[arch.d_cv :]
+    pos = np.arange(arch.d_in)
+    # reach[q, p] = 1 when the window at position p covers position q
+    reach = ((pos[:, None] - pos[None, :]) % arch.d_in < arch.w_cv).astype(np.float64)
+    paths = reach  # paths[i, p]: paths from node i entering the window at p
+    for hl in conv_h[:-1]:
+        paths = (paths * hl.sum(axis=1)) @ reach
+    m = paths @ conv_h[-1]  # (node, channel), summed over the last conv layer's positions
+    for hl in fc_h:
+        m = hl * m.sum(axis=1, keepdims=True)
+    return m.sum(axis=1)
 
 
-def npk_conv_rotsum(
-    arch: ArchSpec,
-    x,
-    x2,
-    gates_provider: Callable[[np.ndarray], GateTensor],
-    gates_x: GateTensor | None = None,
-) -> float:
+def rotated_gates(arch: ArchSpec, gates: GateTensor, r: int) -> GateTensor:
+    """The hard gates of rot(x, r), given the gates of x (conv_gap family).
+
+    Circular convolution is shift-equivariant and global average pooling
+    removes the shift, so the conv-layer gates roll with the input and the
+    FC-head gates stay as they are.
+    """
+    if arch.family != CONV_GAP:
+        raise ValueError("rotated_gates requires the conv_gap family")
+    layers = [np.roll(g, -r, axis=-2) if l < arch.d_cv else g
+              for l, g in enumerate(gates.layers)]
+    return GateTensor(arch=arch, layers=layers, mode=gates.mode)
+
+
+def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
     """sum_r <x, rot(x', r)>_overlap(., x, rot(x', r)).
 
-    `gates_provider` must yield hard gates for any (rotated) input. The
-    bundle-level <phi, phi'> equals this sum divided by d_in**2.
+    The gates of rot(x', r) come from :func:`rotated_gates`, so no forward
+    pass runs here. The bundle-level <phi, phi'> equals this sum divided by
+    d_in**2.
     """
     if arch.family != CONV_GAP:
         raise ValueError("npk_conv_rotsum requires the conv_gap family")
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    if gates_x is None:
-        gates_x = gates_provider(x)
     total = 0.0
     for r in range(arch.d_in):
-        xr = rot(x2, r)
-        counts = conv_overlap_counts(arch, gates_x, gates_provider(xr))
-        total += float((x * xr) @ counts)
+        counts = conv_overlap_counts(arch, gates_x, rotated_gates(arch, gates_x2, r))
+        total += float((x * rot(x2, r)) @ counts)
     return total
 
 
@@ -186,6 +181,15 @@ def npk_res_ensemble(
         ids = res_gate_indices(arch, mask)
         per_mask[mask] = base * float(np.prod(corr[ids]))
     return sum(per_mask.values()), per_mask
+
+
+def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
+    """<phi(x), phi(x')> for any family, from the hard gates of x and x'."""
+    if arch.family == FC:
+        return npk_fc(x, x2, gates_x, gates_x2)
+    if arch.family == CONV_GAP:
+        return npk_conv_rotsum(arch, x, x2, gates_x, gates_x2) / arch.d_in**2
+    return npk_res_ensemble(arch, x, x2, gates_x, gates_x2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +262,15 @@ def mc_target(
     gates_x: GateTensor,
     gates_x2: GateTensor,
     sigma: float | None = None,
-    gates_provider: Callable[[np.ndarray], GateTensor] | None = None,
+    gates_provider=None,  # unused: conv rolls the gates of x'; kept for callers passing it
 ) -> float:
     """Closed-form limit the MC mean is checked against, per family."""
     consts = KernelConstants(arch, sigma_override=sigma)
     if arch.family == FC:
-        return consts.fc_factor * npk_fc(x, x2, gates_x, gates_x2)
+        return consts.fc_factor * npk(arch, x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
-        if gates_provider is None:
-            raise ValueError("conv target needs a gates_provider for rotated inputs")
-        rotsum = npk_conv_rotsum(arch, x, x2, gates_provider, gates_x=gates_x)
-        return consts.beta_cv / arch.d_in**2 * rotsum
-    total, per_mask = npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
+        return consts.beta_cv * npk(arch, x, x2, gates_x, gates_x2)
+    _, per_mask = npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
     return float(sum(consts.beta_res(m) * v for m, v in per_mask.items()))
 
 
@@ -426,15 +427,13 @@ def invariance_report(
 
     if conv_probe is not None:
         arch, params_f, x, x2 = conv_probe
-
-        def provider(xx):
-            return forward_relu(arch, params_f, xx).gates
-
-        base = npk_conv_rotsum(arch, x, x2, provider)
-        worst = 0.0
-        for s in range(1, arch.d_in):
-            shifted = npk_conv_rotsum(arch, rot(np.asarray(x), s), rot(np.asarray(x2), s), provider)
-            worst = max(worst, abs(shifted - base))
+        # gates of the rotated inputs come from their own forward passes, so
+        # this also checks the shift-equivariance npk_conv_rotsum relies on
+        pairs = [(rot(np.asarray(x), s), rot(np.asarray(x2), s)) for s in range(arch.d_in)]
+        values = [npk(arch, a, b, forward_relu(arch, params_f, a).gates,
+                      forward_relu(arch, params_f, b).gates) for a, b in pairs]
+        base = values[0]
+        worst = max(abs(v - base) for v in values)
         scale = 1.0 + abs(base)
         report["rotation"] = _check("rotation invariance", worst / scale, 1e-9, value=base)
 

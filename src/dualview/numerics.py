@@ -9,7 +9,7 @@ versioned with it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,44 +35,26 @@ def init_bernoulli(shape: Sequence[int], sigma: float, rng: np.random.Generator)
     return signs * sigma
 
 
-def select_names(params: ParamDict, subset=None) -> list[str]:
-    """Parameter names in declaration order, optionally restricted."""
-    if subset is None:
-        return list(params.keys())
-    subset = set(subset)
-    names = [k for k in params.keys() if k in subset]
-    missing = subset - set(names)
-    if missing:
-        raise KeyError(f"unknown parameter names: {sorted(missing)}")
-    return names
-
-
-def flatten_params(params: ParamDict, names: Iterable[str]) -> np.ndarray:
-    return np.concatenate([np.asarray(params[n], dtype=np.float64).ravel() for n in names])
-
-
 def grad(
     forward: Callable[[Mapping[str, Node]], Node],
     params: ParamDict,
-    subset=None,
 ) -> np.ndarray:
     """Flat gradient of a scalar-output forward closure.
 
     `forward` receives {name: Node} and must return a scalar Node. The flat
-    ordering is the declaration order of `params` restricted to `subset`,
-    each tensor flattened C-order.
+    ordering is the declaration order of `params`, each tensor flattened
+    C-order.
     """
-    names = select_names(params, subset)
     nodes = {k: Node(v) for k, v in params.items()}
     out = forward(nodes)
     if out.value.size != 1:
         raise ValueError(f"forward output must be scalar, got shape {out.value.shape}")
     grads = backward(out)
     parts = []
-    for n in names:
-        g = grads.get(id(nodes[n]))
+    for node in nodes.values():
+        g = grads.get(id(node))
         if g is None:
-            g = np.zeros_like(nodes[n].value)
+            g = np.zeros_like(node.value)
         parts.append(np.asarray(g).ravel())
     return np.concatenate(parts)
 
@@ -80,13 +62,11 @@ def grad(
 def finite_diff_grad(
     forward: Callable[[Mapping[str, Node]], Node],
     params: ParamDict,
-    subset=None,
     step: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradient oracle, step scaled by parameter magnitude."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    names = select_names(params, subset)
     work = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
 
     def value() -> float:
@@ -94,8 +74,7 @@ def finite_diff_grad(
         return forward(nodes).value.reshape(()).item()
 
     parts = []
-    for n in names:
-        arr = work[n]
+    for arr in work.values():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:

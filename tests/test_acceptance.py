@@ -215,12 +215,13 @@ def test_criterion_5_conv_rotation_kernel():
         dual_vectors(arch, params, x, provider(x), table=table).npf
         @ dual_vectors(arch, params, x2, provider(x2), table=table).npf
     )
-    rotsum = npk_conv_rotsum(arch, x, x2, provider)
+    rotsum = npk_conv_rotsum(arch, x, x2, provider(x), provider(x2))
     dev_brute = abs(rotsum / arch.d_in**2 - brute) / (1.0 + abs(brute))
 
     dev_rot = 0.0
     for s in range(1, arch.d_in):
-        shifted = npk_conv_rotsum(arch, rot(x, s), rot(x2, s), provider)
+        shifted = npk_conv_rotsum(arch, rot(x, s), rot(x2, s), provider(rot(x, s)),
+                                  provider(rot(x2, s)))
         dev_rot = max(dev_rot, abs(shifted - rotsum) / (1.0 + abs(rotsum)))
 
     mc_arch = ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=32, d_cv=1, d_fc=2)
@@ -233,8 +234,7 @@ def test_criterion_5_conv_rotation_kernel():
     mx2 = mx + 0.4 * make_rng(8, stream=68).normal(size=5)
     gmx, gmx2 = mc_provider(mx), mc_provider(mx2)
     sigma = 0.3
-    target = mc_target(mc_arch, mx, mx2, gmx, gmx2, sigma=sigma,
-                       gates_provider=mc_provider)
+    target = mc_target(mc_arch, mx, mx2, gmx, gmx2, sigma=sigma)
     res = ntk_expectation_mc(mc_arch, gmx, gmx2, mx, mx2, n_samples=400,
                              rng=make_rng(9, stream=69), sigma=sigma)
     mc_ok = res.within(target, 3.0)

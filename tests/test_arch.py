@@ -13,7 +13,6 @@ from dualview.arch import (
     forward_dlgn,
     forward_gated,
     forward_relu,
-    gate_fn,
     init_params,
     shallow_layer_specs,
     weight_layer_specs,
@@ -57,16 +56,6 @@ def test_init_params_default_sigma():
     arch = ArchSpec(family="fc", d_in=3, depth=2, width=16, c_scale=2.0)
     p = init_params(arch, make_rng(0))
     assert np.all(np.abs(p["fc1"]) == 2.0 / 4.0)
-
-
-def test_gate_fn():
-    q = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(gate_fn(q, HARD), [0.0, 0.0, 1.0])
-    soft = gate_fn(q, SOFT, beta=10.0)
-    assert np.allclose(soft[1], 0.5)
-    assert soft[0] < 1e-4 and soft[2] > 1 - 1e-8
-    with pytest.raises(ValueError):
-        gate_fn(q, SOFT)
 
 
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dualview.arch import forward_relu, init_params
 from dualview.cli import (
     DEFAULT_CONFIG,
     ExperimentConfig,
@@ -17,6 +18,8 @@ from dualview.data import (
     load_dataset,
 )
 from dualview.kernels import GramMatrix
+from dualview.numerics import make_rng
+from dualview.paths import dual_vectors, enumerate_paths
 from dualview.training import TrainConfig
 
 
@@ -254,13 +257,59 @@ def test_cli_usage_errors(tmp_path):
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):
-    for key in ("train.bogus", "arch.bogus", "kernel.cap", "verify.bogus", "dataset.bogus",
-                "experiment.bogus", "bogus"):
+    for key in ("train.bogus", "arch.bogus", "kernel.cap", "kernel.tag", "verify.bogus",
+                "dataset.bogus", "experiment.bogus", "bogus"):
         assert main(["train", "--out", str(tmp_path / "u"), "--override", f"{key}=1"]) == 2
         assert key in capsys.readouterr().err
     for key in ("dataset", "verify", "kernel", "experiment", "train", "arch", "dataset.params"):
         assert main(["kernel", "--out", str(tmp_path / "u"), "--override", f"{key}=3"]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_cli_config_value_types(tmp_path, capsys):
+    for spec in ('dataset.n="abc"', 'arch.width="x"', "kernel.n=true", "train.lr=[1]",
+                 "train.use_schedule=1", "experiment.widths=16", 'seed="0"', "arch.c_scale=null"):
+        key = spec.split("=")[0]
+        assert main(["train", "--out", str(tmp_path / "t"), "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"config key {key} must be" in err
+    # an int passes for a float; keys whose default is None are not checked
+    cfg = ExperimentConfig.load(None, ["train.lr=1", "arch.c_scale=2", "dataset.path=3"])
+    assert cfg.train_config().lr == 1 and cfg.arch().c_scale == 2
+
+
+def test_cli_kernel_usage_errors(tmp_path, capsys):
+    for spec, msg in (("dataset.kind=blobs", "arch.d_in=3 != dataset d_in=2"),
+                      ("kernel.n=0", "kernel.n must be >= 1"),
+                      ("kernel.n=-1", "kernel.n must be >= 1")):
+        assert main(["kernel", "--out", str(tmp_path / "k"), "--override", "dataset.n=20",
+                     "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and msg in err
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("arch,dataset", [
+    ({"family": "conv_gap", "d_in": 8, "w_cv": 3, "width": 4, "d_cv": 2, "d_fc": 2},
+     "shifted_pulses"),
+    ({"family": "res", "d_in": 3, "b": 2, "d_blk": 1, "width": 4}, "circles"),
+], ids=["conv_gap", "res"])
+def test_cli_kernel_gram_matches_path_oracle(tmp_path, arch, dataset):
+    out = tmp_path / "k"
+    overrides = [f"arch={json.dumps(arch)}", f"dataset.kind={dataset}", "dataset.n=40"]
+    argv = ["kernel", "--out", str(out), "--seed", "4", "--override", "kernel.n=10"]
+    assert main(argv + [a for spec in overrides for a in ("--override", spec)]) == 0
+    g = GramMatrix.load_csv(out / "gram.csv")
+    assert g.tag == f"npk-{arch['family']}" and g.n == 10 and g.is_psd()
+    cfg = ExperimentConfig.load(None, overrides)
+    spec, X = cfg.arch(), cfg.make_dataset().X
+    pf = init_params(spec, make_rng(4, stream=206))  # the kernel command's feature stream
+    table = enumerate_paths(spec)
+    npf = [dual_vectors(spec, pf, x, forward_relu(spec, pf, x).gates, table=table).npf
+           for x in X[:10]]
+    for i, j in [(0, 0), (0, 1), (2, 7), (3, 3), (5, 9), (8, 4), (9, 9)]:
+        terms = float(np.abs(npf[i]) @ np.abs(npf[j]))
+        assert abs(g.matrix[i, j] - float(npf[i] @ npf[j])) <= 1e-12 * terms
 
 
 def test_cli_unknown_dataset_param(tmp_path, capsys):
@@ -275,12 +324,6 @@ def test_cli_train_non_finite_gradient(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "non-finite gradient for parameter 'v." in err
-
-
-def test_cli_kernel_tag_with_whitespace(tmp_path, capsys):
-    assert main(["kernel", "--out", str(tmp_path / "k"), "--override", "kernel.n=4",
-                 "--override", "dataset.n=20", "--override", "kernel.tag=my tag"]) == 2
-    assert "whitespace" in capsys.readouterr().err
 
 
 def test_cli_verify_skips_path_identity_per_family(tmp_path):

@@ -97,29 +97,26 @@ def test_conv_overlap_counts_match_enumeration():
 
 
 def test_conv_rotsum_equals_bundle_brute_force():
-    p, x, x2, _, _ = _pair(CONV_SMALL, 3)
-
-    def provider(xx):
-        return forward_relu(CONV_SMALL, p, xx).gates
-
+    p, x, x2, gx, gx2 = _pair(CONV_SMALL, 3)
     table = enumerate_paths(CONV_SMALL)
     brute = float(
-        dual_vectors(CONV_SMALL, p, x, provider(x), table=table).npf
-        @ dual_vectors(CONV_SMALL, p, x2, provider(x2), table=table).npf
+        dual_vectors(CONV_SMALL, p, x, gx, table=table).npf
+        @ dual_vectors(CONV_SMALL, p, x2, gx2, table=table).npf
     )
-    rotsum = npk_conv_rotsum(CONV_SMALL, x, x2, provider)
+    rotsum = npk_conv_rotsum(CONV_SMALL, x, x2, gx, gx2)
     assert abs(rotsum / CONV_SMALL.d_in**2 - brute) <= 1e-9 * (1 + abs(brute))
 
 
 def test_conv_rotsum_rotation_invariant():
-    p, x, x2, _, _ = _pair(CONV_SMALL, 4)
+    p, x, x2, gx, gx2 = _pair(CONV_SMALL, 4)
 
-    def provider(xx):
+    def gates(xx):
         return forward_relu(CONV_SMALL, p, xx).gates
 
-    base = npk_conv_rotsum(CONV_SMALL, x, x2, provider)
+    base = npk_conv_rotsum(CONV_SMALL, x, x2, gx, gx2)
     for s in range(1, CONV_SMALL.d_in):
-        shifted = npk_conv_rotsum(CONV_SMALL, rot(x, s), rot(x2, s), provider)
+        xs, x2s = rot(x, s), rot(x2, s)
+        shifted = npk_conv_rotsum(CONV_SMALL, xs, x2s, gates(xs), gates(x2s))
         assert abs(shifted - base) <= 1e-9 * (1 + abs(base))
 
 
@@ -160,11 +157,8 @@ def test_mc_ntk_matches_target(arch, sigma):
     x = rng.normal(size=arch.d_in)
     x2 = x + 0.4 * rng.normal(size=arch.d_in)
 
-    def provider(xx):
-        return forward_relu(arch, p, xx).gates
-
-    gx, gx2 = provider(x), provider(x2)
-    target = mc_target(arch, x, x2, gx, gx2, sigma=sigma, gates_provider=provider)
+    gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
     res = ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=300,
                              rng=make_rng(8, stream=33), sigma=sigma)
     assert res.within(target, 4.0)  # generous bound for a single smoke trial

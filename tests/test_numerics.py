@@ -9,7 +9,6 @@ from dualview import autodiff as ad
 from dualview.autodiff import Node, NondifferentiablePointWarning, backward
 from dualview.numerics import (
     finite_diff_grad,
-    flatten_params,
     grad,
     init_bernoulli,
     make_rng,
@@ -47,12 +46,6 @@ def test_init_bernoulli_rejects_bad_sigma():
 def test_init_bernoulli_magnitude_property(seed):
     w = init_bernoulli((4, 5), 0.7, make_rng(seed))
     assert np.all(np.abs(w) == 0.7)
-
-
-def test_flatten_params_order():
-    p = {"a": np.arange(4.0).reshape(2, 2), "b": np.array([9.0])}
-    assert np.array_equal(flatten_params(p, ["a", "b"]), [0, 1, 2, 3, 9])
-    assert np.array_equal(flatten_params(p, ["b"]), [9])
 
 
 # -- autodiff ops against finite differences -------------------------------
@@ -153,7 +146,7 @@ def test_grad_rejects_nonscalar(rng):
         grad(lambda nodes: nodes["w"], params)
 
 
-def test_grad_subset_and_unused(rng):
+def test_grad_unused_parameter_is_zero(rng):
     params = {"w": rng.normal(size=(2, 1)), "dead": rng.normal(size=(3,))}
 
     def forward(nodes):
@@ -161,7 +154,3 @@ def test_grad_subset_and_unused(rng):
 
     full = grad(forward, params)
     assert np.allclose(full[2:], 0.0)  # unused parameter gets zero gradient
-    sub = grad(forward, params, subset=["w"])
-    assert np.array_equal(sub, full[:2])
-    with pytest.raises(KeyError):
-        grad(forward, params, subset=["nope"])

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import normal_params
 
 from dualview.arch import ArchSpec, forward_gated, forward_relu
+from dualview.kernels import npk, rot, rotated_gates
 from dualview.numerics import make_rng
+from dualview.paths import dual_vectors, enumerate_paths
 
 
 @st.composite
-def small_arch(draw):
-    family = draw(st.sampled_from(["fc", "conv_gap", "res"]))
+def small_arch(draw, families=("fc", "conv_gap", "res")):
+    family = draw(st.sampled_from(families))
     n_out = draw(st.integers(1, 2))
     width = draw(st.integers(1, 4))
     if family == "fc":
@@ -50,3 +52,33 @@ def test_single_sample_gates_broadcast_over_batch(case):
     batch = forward_gated(arch, p, gates, x_v=X).y
     rows = np.array([forward_gated(arch, p, gates, x_v=x).y for x in X]).reshape(batch.shape)
     assert np.allclose(batch, rows, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def arch_params_pair(draw, families=("fc", "conv_gap", "res")):
+    arch = draw(small_arch(families))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    return arch, normal_params(arch, rng), rng.normal(size=arch.d_in), rng.normal(size=arch.d_in)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch_params_pair(families=("conv_gap",)))
+def test_conv_gates_of_a_rotated_input_are_rolled_gates(case):
+    arch, p, x, _ = case
+    gates = forward_relu(arch, p, x).gates
+    for r in range(arch.d_in):
+        direct = forward_relu(arch, p, rot(x, r)).gates.layers
+        rolled = rotated_gates(arch, gates, r).layers
+        assert all(np.array_equal(a, b) for a, b in zip(rolled, direct))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch_params_pair())
+def test_npk_matches_path_enumeration(case):
+    arch, p, x, x2 = case
+    table = enumerate_paths(arch)
+    gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    npf = dual_vectors(arch, p, x, gx, table=table).npf
+    npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
+    terms = float(np.abs(npf) @ np.abs(npf2))
+    assert abs(npk(arch, x, x2, gx, gx2) - float(npf @ npf2)) <= 1e-12 * terms
