@@ -146,7 +146,7 @@ def test_grad_rejects_nonscalar(rng):
         grad(lambda nodes: nodes["w"], params)
 
 
-def test_grad_unused_parameter_is_zero(rng):
+def test_grad_subset_and_unused(rng):
     params = {"w": rng.normal(size=(2, 1)), "dead": rng.normal(size=(3,))}
 
     def forward(nodes):
