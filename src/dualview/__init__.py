@@ -23,7 +23,6 @@ from .kernels import (
     KernelConstants,
     McResult,
     gram,
-    invariance_report,
     mc_target,
     npk,
     npk_conv_rotsum,

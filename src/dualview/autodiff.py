@@ -1,8 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the operations needed by the supported forward graphs are provided:
-dense matmul, elementwise add/mul, circular 1-D convolution, global average
-pooling, scaled logistic, ReLU and hard gating. Values are float64
+dense matmul, elementwise add/mul, scaling by a constant, circular 1-D
+convolution, global average pooling and the scaled logistic. Hard gates are
+constant 0/1 masks from :func:`hard_gate_values`, so a ReLU is a ``mul`` by
+its gate. Values are float64
 throughout. Nodes are immutable after construction; gradients are returned
 from :func:`backward` rather than stored on shared state, so graphs are safe
 to evaluate concurrently.

@@ -2,7 +2,9 @@
 
 One binary, four subcommands:
 
-* ``dualview verify``     — run the structural invariant suite, emit JSON
+* ``dualview verify``     — check the closed forms on small probe networks
+  (NPK invariances, the path oracle within ``verify.max_paths``, MC NTK),
+  emit JSON
 * ``dualview train``      — train one regime, emit TrainReport JSON + params
 * ``dualview kernel``     — emit the NPK Gram of any family (tag
   ``npk-<family>``) as CSV and NPKG binary
@@ -13,8 +15,10 @@ Configs are JSON documents; every field has a default and the parsed form
 round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
 An unknown key, a non-object section or a value whose JSON type differs
-from its default's is a usage error. The ``train`` section's defaults are
-those of :class:`dualview.training.TrainConfig`.
+from its default's is a usage error; so is a ``train.perm`` that is not a
+list of ints or a ``dataset.params`` value whose type differs from the
+generator keyword's default. The ``train`` section's defaults are those of
+:class:`dualview.training.TrainConfig`.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import os
 import sys
@@ -31,12 +36,13 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .arch import ArchSpec, forward_relu, init_params, weight_layer_specs
+from .arch import RES, ArchSpec, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, load_dataset
-from .kernels import gram, invariance_report, mc_target, npk, ntk_expectation_mc
+from .kernels import (gate_correlations, gram, mc_target, npk, npk_fc, npk_res_ensemble,
+                      ntk_expectation_mc, rot)
 from .numerics import make_rng
 from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, train
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -83,8 +89,8 @@ class ExperimentConfig:
     DEFAULT_CONFIG is the schema: a key it does not have is an error, and a
     value must have its default's JSON type (an int passes for a float; a
     key whose default is None takes any value). `arch` takes every ArchSpec
-    field, typed as the field. The values inside `dataset.params` go to the
-    dataset generator unchecked.
+    field, typed as the field. The dataset generator checks the values
+    inside `dataset.params`, and TrainConfig checks `train.perm`.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -203,30 +209,71 @@ def _verify_probes(seed: int):
     return probes
 
 
-def _eq1_check(probes, n_samples, max_paths, seed):
-    """Path identity on every probe family whose path count is within budget."""
+def _record(check: str, deviation: float, tol: float, **extra) -> dict:
+    return {"check": check, "max_deviation": float(deviation), "tolerance": tol,
+            "passed": bool(deviation <= tol), **extra}
+
+
+def _structure_checks(probes) -> dict:
+    """Closed-form structure checks that need no path table."""
+    arch, params, x, x2 = probes["fc"]
+    gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
+    corr = gate_correlations(gx, gx2)
+    base = npk_fc(x, x2, gx, gx2)
+    worst = max(abs(float(x @ x2) * float(np.prod(corr[list(perm)])) - base)
+                for perm in itertools.permutations(range(len(corr))))
+    report = {"permutation": _record("layer permutation invariance", worst, 1e-12)}
+    ones = np.ones(arch.d_in)
+    const1, expected = npk_fc(ones, ones, gx, gx2), arch.d_in * float(np.prod(corr))
+    report["constant_one"] = _record("constant-1 NPK keeps gate information",
+                                     abs(const1 - expected), 1e-12, value=const1,
+                                     expected=expected)
+    arch, params, x, x2 = probes["conv"]
+    # gates of the rotated inputs come from their own forward passes, so
+    # this also checks the shift-equivariance npk_conv_rotsum relies on
+    values = [npk(arch, a, b, forward_relu(arch, params, a).gates,
+                  forward_relu(arch, params, b).gates)
+              for a, b in ((rot(x, s), rot(x2, s)) for s in range(arch.d_in))]
+    worst = max(abs(v - values[0]) for v in values)
+    report["rotation"] = _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9,
+                                 value=values[0])
+    return report
+
+
+def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
+    """Path identity and npk = <phi(x), phi(x')> from one path table per
+    family; a family with more than `max_paths` paths is never enumerated."""
     rng = make_rng(seed, stream=202)
-    worst = 0.0
-    checked, skipped = [], {}
-    for name, (arch, params, _, _) in probes.items():
+    worst_eq1 = worst_npk = 0.0
+    checked, skipped, extra = [], {}, {}
+    for name, (arch, params, x, x2) in probes.items():
         n_paths = count_paths(arch)
         if n_paths > max_paths:
             skipped[name] = f"path count {n_paths} exceeds budget {max_paths}"
             continue
         table = enumerate_paths(arch, budget=max_paths)
         for _ in range(n_samples):
-            x = rng.normal(size=arch.d_in)
-            res = forward_relu(arch, params, x)
-            dv = dual_vectors(arch, params, x, res.gates, table=table)
-            dev = abs(float(res.y) - dv.output()) / (1.0 + abs(float(res.y)))
-            worst = max(worst, dev)
+            xs = rng.normal(size=arch.d_in)
+            res = forward_relu(arch, params, xs)
+            y, dv = float(res.y), dual_vectors(arch, params, xs, res.gates, table=table)
+            worst_eq1 = max(worst_eq1, abs(y - dv.output()) / (1.0 + abs(y)))
+        gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
+        brute = float(dual_vectors(arch, params, x, gx, table=table).npf
+                      @ dual_vectors(arch, params, x2, gx2, table=table).npf)
+        worst_npk = max(worst_npk, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
+        if arch.family == RES:
+            per_mask = npk_res_ensemble(arch, x, x2, gx, gx2)[1]
+            extra["per_mask"] = {str(m.included): v for m, v in per_mask.items()}
         checked.append(name)
-    result = {"check": "path identity y = <phi, v>", "families": checked,
-              "skipped_families": skipped}
+    scope = {"families": checked, "skipped_families": skipped}
+    report = {
+        "path_identity": _record("path identity y = <phi, v>", worst_eq1, 1e-9, **scope,
+                                 samples=n_samples * len(checked)),
+        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, **scope, **extra),
+    }
     if not checked:
-        return {**result, "skipped": True}
-    return {**result, "max_deviation": worst, "tolerance": 1e-9, "passed": worst <= 1e-9,
-            "samples": n_samples * len(checked)}
+        return {k: {"check": r["check"], **scope, "skipped": True} for k, r in report.items()}
+    return report
 
 
 def _mc_check(probes, n_samples, sigma_scale, seed):
@@ -249,10 +296,9 @@ def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
-    fc, cv, rs = probes["fc"], probes["conv"], probes["res"]
-    report = invariance_report(fc_probe=fc, conv_probe=cv, res_probe=rs)
-    report["path_identity"] = _eq1_check(probes, v["eq1_samples"], v["max_paths"], seed)
-    report["mc_ntk"] = _mc_check(probes, v["mc_samples"], v["mc_sigma_scale"], seed)
+    report = {**_structure_checks(probes),
+              **_oracle_checks(probes, v["eq1_samples"], v["max_paths"], seed),
+              "mc_ntk": _mc_check(probes, v["mc_samples"], v["mc_sigma_scale"], seed)}
 
     out = _ensure_out(config.doc["out"])
     with open(os.path.join(out, "verify.json"), "w") as fh:
@@ -341,49 +387,36 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _bundle_permutation_sweep(config: ExperimentConfig, out: str) -> dict:
-    import itertools
-
+def _train_sweep(config: ExperimentConfig, out: str, name: str, fixed: dict, grid: dict) -> dict:
+    """Final test accuracy per grid point (last key fastest) and seed, with
+    `fixed`, the point and the seed patched into the `train` section."""
     arch = config.arch()
-    n_seeds = config.doc["experiment"]["seeds"]
     ds = config.make_dataset()
     tr, te = ds.split(config.doc["dataset"]["train_fraction"],
                       make_rng(config.doc["seed"], stream=207))
-    perms = list(itertools.permutations(range(arch.n_gate_layers())))
     records = []
-    base = config.doc["train"]
-    for perm in perms:
-        for seed in range(n_seeds):
-            tc = TrainConfig(**{**base, "regime": "DLGN", "perm": perm, "seed": seed})
-            report, model = train(arch, tr, tc, test=te)
-            records.append({"perm": list(perm), "seed": seed,
-                            "test_accuracy": report.final_test_accuracy})
-    _write_csv(os.path.join(out, "permutation_sweep.csv"),
-               ["perm", "seed", "test_accuracy"],
-               [["-".join(map(str, r["perm"])), r["seed"], r["test_accuracy"]]
+    for values in itertools.product(*grid.values()):
+        for seed in range(config.doc["experiment"]["seeds"]):
+            point = {**dict(zip(grid, values)), "seed": seed}
+            report, _ = train(arch, tr, TrainConfig(**{**config.doc["train"], **fixed, **point}),
+                              test=te)
+            records.append({**point, "test_accuracy": report.final_test_accuracy})
+    _write_csv(os.path.join(out, name.replace("-", "_") + ".csv"),
+               [*grid, "seed", "test_accuracy"],
+               [["-".join(map(str, v)) if isinstance(v, list) else v for v in r.values()]
                 for r in records])
-    return {"bundle": "permutation-sweep", "records": records}
+    return {"bundle": name, "records": records}
+
+
+def _bundle_permutation_sweep(config: ExperimentConfig, out: str) -> dict:
+    perms = itertools.permutations(range(config.arch().n_gate_layers()))
+    return _train_sweep(config, out, "permutation-sweep", {"regime": "DLGN"},
+                        {"perm": [list(p) for p in perms]})
 
 
 def _bundle_constant_one(config: ExperimentConfig, out: str) -> dict:
-    n_seeds = config.doc["experiment"]["seeds"]
-    arch = config.arch()
-    ds = config.make_dataset()
-    tr, te = ds.split(config.doc["dataset"]["train_fraction"],
-                      make_rng(config.doc["seed"], stream=207))
-    records = []
-    base = config.doc["train"]
-    for regime in ("DGN_STANDALONE", "DLGN"):
-        for x_v in ("data", "ones"):
-            for seed in range(n_seeds):
-                tc = TrainConfig(**{**base, "regime": regime, "x_v": x_v, "seed": seed})
-                report, model = train(arch, tr, tc, test=te)
-                records.append({"regime": regime, "x_v": x_v, "seed": seed,
-                                "test_accuracy": report.final_test_accuracy})
-    _write_csv(os.path.join(out, "constant_one.csv"),
-               ["regime", "x_v", "seed", "test_accuracy"],
-               [[r["regime"], r["x_v"], r["seed"], r["test_accuracy"]] for r in records])
-    return {"bundle": "constant-one", "records": records}
+    return _train_sweep(config, out, "constant-one", {},
+                        {"regime": ["DGN_STANDALONE", "DLGN"], "x_v": ["data", "ones"]})
 
 
 def _bundle_width_sweep(config: ExperimentConfig, out: str) -> dict:

@@ -123,6 +123,14 @@ def _gen_shifted_pulses(n, rng, d_in=8, k=2, noise=0.05):
 _GENERATORS = {BLOBS: _gen_blobs, CIRCLES: _gen_circles, SHIFTED_PULSES: _gen_shifted_pulses}
 
 
+def _has_type_of(value, default) -> bool:
+    """JSON-type check: an int passes for a float, a list for a tuple of the default's items."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_has_type_of(v, default[0]) for v in value)
+    want = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, want) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
     """Deterministic synthetic dataset; same (kind, n, seed, params) -> same bytes."""
     if n < 2:
@@ -130,10 +138,14 @@ def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
     gen = _GENERATORS.get(kind)
     if gen is None:
         raise DatasetError(f"unknown synthetic kind {kind!r}; choose from {KINDS}")
-    known = list(inspect.signature(gen).parameters)[2:]  # after (n, rng)
-    for key in params:
-        if key not in known:
-            raise DatasetError(f"unknown {kind} parameter {key!r}; choose from {known}")
+    keywords = list(inspect.signature(gen).parameters.values())[2:]  # after (n, rng)
+    defaults = {p.name: p.default for p in keywords}
+    for key, value in params.items():
+        if key not in defaults:
+            raise DatasetError(f"unknown {kind} parameter {key!r}; choose from {list(defaults)}")
+        if not _has_type_of(value, defaults[key]):
+            raise DatasetError(f"{kind} parameter {key!r} must have the type of its default "
+                               f"{defaults[key]!r}, got {value!r}")
     X, y, k = gen(n, make_rng(seed, stream=101), **params)
     tag = f"synthetic:{kind}:n={n}:seed={seed}"
     if params:

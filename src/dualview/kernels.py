@@ -1,7 +1,8 @@
 """Closed-form neural path kernels, finite-width NTK, and Monte-Carlo checks.
 
-The closed forms here are verified elsewhere against the enumeration oracle
-in :mod:`dualview.paths`. Conventions:
+The closed forms here are checked against the enumeration oracle in
+:mod:`dualview.paths` by ``dualview verify`` and the tests; this module
+never calls that oracle. Conventions:
 
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
   of x and x'. The width-limit constants live in :class:`KernelConstants`.
@@ -31,7 +32,6 @@ from .arch import (
     FC,
     RES,
     forward_gated,
-    forward_relu,
     init_params,
 )
 from .numerics import grad
@@ -377,78 +377,3 @@ def gram(
             except Exception as exc:
                 raise RuntimeError(f"kernel failed on pair ({i}, {j}): {exc}") from exc
     return GramMatrix(matrix=m, tag=tag, fingerprint=dataset_fingerprint(X))
-
-
-# ---------------------------------------------------------------------------
-# Invariance report
-# ---------------------------------------------------------------------------
-
-
-def _check(name: str, deviation: float, tol: float, **extra) -> dict:
-    return {"check": name, "max_deviation": float(deviation), "tolerance": tol,
-            "passed": bool(deviation <= tol), **extra}
-
-
-def invariance_report(
-    fc_probe: tuple[ArchSpec, Mapping, np.ndarray, np.ndarray] | None = None,
-    conv_probe: tuple[ArchSpec, Mapping, np.ndarray, np.ndarray] | None = None,
-    res_probe: tuple[ArchSpec, Mapping, np.ndarray, np.ndarray] | None = None,
-) -> dict:
-    """Structural kernel checks: layer permutation, rotation, constant-1,
-    ensemble additivity. Each probe is (arch, params_f, x, x2)."""
-    import itertools
-
-    from .paths import dual_vectors, enumerate_paths
-
-    report: dict[str, dict] = {}
-
-    if fc_probe is not None:
-        arch, params_f, x, x2 = fc_probe
-        gx, gx2 = forward_relu(arch, params_f, x).gates, forward_relu(arch, params_f, x2).gates
-        corr = gate_correlations(gx, gx2)
-        base = npk_fc(x, x2, gx, gx2)
-        worst = 0.0
-        n_layers = len(corr)
-        perms = itertools.permutations(range(n_layers)) if n_layers <= 5 else [
-            tuple(np.random.default_rng(0).permutation(n_layers)) for _ in range(20)
-        ]
-        for perm in perms:
-            permuted = float(np.asarray(x) @ np.asarray(x2)) * float(np.prod(corr[list(perm)]))
-            worst = max(worst, abs(permuted - base))
-        report["permutation"] = _check("layer permutation invariance", worst, 1e-12)
-
-        ones = np.ones(arch.d_in)
-        const1 = npk_fc(ones, ones, gx, gx2)
-        expected = arch.d_in * float(np.prod(corr))
-        report["constant_one"] = _check(
-            "constant-1 NPK keeps gate information", abs(const1 - expected), 1e-12,
-            value=const1, expected=expected,
-        )
-
-    if conv_probe is not None:
-        arch, params_f, x, x2 = conv_probe
-        # gates of the rotated inputs come from their own forward passes, so
-        # this also checks the shift-equivariance npk_conv_rotsum relies on
-        pairs = [(rot(np.asarray(x), s), rot(np.asarray(x2), s)) for s in range(arch.d_in)]
-        values = [npk(arch, a, b, forward_relu(arch, params_f, a).gates,
-                      forward_relu(arch, params_f, b).gates) for a, b in pairs]
-        base = values[0]
-        worst = max(abs(v - base) for v in values)
-        scale = 1.0 + abs(base)
-        report["rotation"] = _check("rotation invariance", worst / scale, 1e-9, value=base)
-
-    if res_probe is not None:
-        arch, params_f, x, x2 = res_probe
-        gx, gx2 = forward_relu(arch, params_f, x).gates, forward_relu(arch, params_f, x2).gates
-        total, per_mask = npk_res_ensemble(arch, x, x2, gx, gx2)
-        table = enumerate_paths(arch)
-        dv = dual_vectors(arch, {k: np.asarray(v) for k, v in params_f.items()}, x, gx, table=table)
-        dv2 = dual_vectors(arch, {k: np.asarray(v) for k, v in params_f.items()}, x2, gx2, table=table)
-        brute = float(dv.npf @ dv2.npf)
-        dev = abs(total - brute) / (1.0 + abs(brute))
-        report["ensemble"] = _check(
-            "ensemble sum-of-products", dev, 1e-9,
-            per_mask={str(m.included): v for m, v in per_mask.items()},
-        )
-
-    return report

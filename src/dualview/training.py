@@ -218,6 +218,10 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.perm is not None:
+            if not isinstance(self.perm, (list, tuple)) or not all(
+                    isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+                    for p in self.perm):
+                raise ValueError(f"train.perm must be null or a list of ints, got {self.perm!r}")
             self.perm = tuple(int(p) for p in self.perm)
 
     def routing(self) -> GateRouting:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dualview import cli, paths
 from dualview.arch import forward_relu, init_params
 from dualview.cli import (
     DEFAULT_CONFIG,
@@ -184,7 +185,11 @@ def test_cli_verify_passes(tmp_path):
                  "--override", "verify.mc_samples=150",
                  "--override", "verify.eq1_samples=4"]) == 0
     report = json.loads((out / "verify.json").read_text())
-    assert all(r.get("passed") or r.get("skipped") for r in report.values())
+    assert set(report) == {"permutation", "constant_one", "rotation", "path_identity", "npk",
+                           "mc_ntk"}
+    assert all(r["passed"] for r in report.values())
+    assert report["npk"]["families"] == ["fc", "conv", "res"]
+    assert set(report["npk"]["per_mask"]) == {"()", "(1,)", "(2,)", "(1, 2)"}
 
 
 def test_cli_verify_sabotaged_sigma_fails(tmp_path):
@@ -237,6 +242,23 @@ def test_cli_experiment_permutation_sweep(tmp_path):
     assert len(lines) == 7
 
 
+def test_cli_experiment_constant_one(tmp_path):
+    out = tmp_path / "c"
+    assert main(["experiment", "--out", str(out),
+                 "--override", "experiment.bundle=constant-one",
+                 "--override", "experiment.seeds=2",
+                 "--override", "train.epochs=2",
+                 "--override", "dataset.n=200"]) == 0
+    doc = json.loads((out / "experiment.json").read_text())
+    # one record per regime x value input x seed: 2 x 2 x 2
+    assert [(r["regime"], r["x_v"], r["seed"]) for r in doc["records"]] == [
+        (regime, x_v, seed) for regime in ("DGN_STANDALONE", "DLGN")
+        for x_v in ("data", "ones") for seed in (0, 1)]
+    lines = (out / "constant_one.csv").read_text().strip().splitlines()
+    assert lines[0] == "regime,x_v,seed,test_accuracy"
+    assert lines[1].startswith("DGN_STANDALONE,data,0,") and len(lines) == 9
+
+
 def test_cli_experiment_width_sweep(tmp_path):
     out = tmp_path / "w"
     assert main(["experiment", "--out", str(out),
@@ -273,9 +295,21 @@ def test_cli_config_value_types(tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "t"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"config key {key} must be" in err
+    # generator parameters have their default's type, and train.perm is a list of ints
+    for cmd, spec, key in (("train", "train.perm=3", "train.perm"),
+                           ("train", 'train.perm=["a"]', "train.perm"),
+                           ("kernel", 'dataset.params={"radii":3}', "'radii'"),
+                           ("kernel", 'dataset.params={"radii":["a",2]}', "'radii'"),
+                           ("kernel", 'dataset.params={"noise":"x"}', "'noise'"),
+                           ("kernel", 'dataset.params={"append_one":1}', "'append_one'")):
+        assert main([cmd, "--out", str(tmp_path / "t"), "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "must" in err
     # an int passes for a float; keys whose default is None are not checked
-    cfg = ExperimentConfig.load(None, ["train.lr=1", "arch.c_scale=2", "dataset.path=3"])
+    cfg = ExperimentConfig.load(None, ["train.lr=1", "arch.c_scale=2", "dataset.path=3",
+                                       'dataset.params={"radii":[1,3],"noise":0}'])
     assert cfg.train_config().lr == 1 and cfg.arch().c_scale == 2
+    assert cfg.make_dataset().n == DEFAULT_CONFIG["dataset"]["n"]
 
 
 def test_cli_kernel_usage_errors(tmp_path, capsys):
@@ -331,7 +365,25 @@ def test_cli_verify_skips_path_identity_per_family(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out), "--override", "verify.max_paths=400",
                  "--override", "verify.mc_samples=100", "--override", "verify.eq1_samples=2"]) == 0
-    eq1 = json.loads((out / "verify.json").read_text())["path_identity"]
-    assert eq1["families"] == ["fc", "res"]
-    assert list(eq1["skipped_families"]) == ["conv"]
+    report = json.loads((out / "verify.json").read_text())
+    eq1, npk = report["path_identity"], report["npk"]
+    assert eq1["families"] == npk["families"] == ["fc", "res"]
+    assert list(eq1["skipped_families"]) == list(npk["skipped_families"]) == ["conv"]
     assert eq1["passed"] and eq1["samples"] == 4
+    assert npk["passed"] and "per_mask" in npk
+
+
+def test_cli_verify_budget_bounds_every_enumeration(tmp_path, monkeypatch):
+    # no probe fits 100 paths, so verify enumerates no path table at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path table beyond verify.max_paths")
+
+    monkeypatch.setattr(cli, "enumerate_paths", refuse)
+    monkeypatch.setattr(paths, "enumerate_paths", refuse)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--override", "verify.max_paths=100",
+                 "--override", "verify.mc_samples=100", "--override", "verify.eq1_samples=2"]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    for key in ("path_identity", "npk"):
+        assert report[key]["skipped"] and report[key]["families"] == []
+        assert list(report[key]["skipped_families"]) == ["fc", "conv", "res"]

@@ -81,7 +81,7 @@ def test_path_identity(arch):
         assert abs(dv.output() - float(res.y)) <= 1e-9 * (1 + abs(float(res.y)))
 
 
-@pytest.mark.parametrize("arch", [FC_SMALL, RES_SMALL], ids=lambda a: a.family)
+@pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_scalar_path_walk_matches_vectorized(arch):
     rng = make_rng(22)
     p = normal_params(arch, rng)

@@ -1,5 +1,7 @@
 """Property tests over randomly drawn small architectures and batch sizes."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,18 @@ def test_single_sample_gates_broadcast_over_batch(case):
     batch = forward_gated(arch, p, gates, x_v=X).y
     rows = np.array([forward_gated(arch, p, gates, x_v=x).y for x in X]).reshape(batch.shape)
     assert np.allclose(batch, rows, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_arch(), st.integers(0, 2**16))
+def test_output_is_path_features_dot_path_values(arch, seed):
+    arch = replace(arch, n_out=1)  # the dual view has a scalar output
+    rng = make_rng(seed)
+    p, x = normal_params(arch, rng), rng.normal(size=arch.d_in)
+    relu = forward_relu(arch, p, x)
+    dv = dual_vectors(arch, p, x, relu.gates, table=enumerate_paths(arch))
+    terms = float(np.abs(dv.npf) @ np.abs(dv.npv))
+    assert abs(float(relu.y) - dv.output()) <= 1e-12 * terms
 
 
 @st.composite
