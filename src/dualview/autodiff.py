@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the operations needed by the supported forward graphs are provided:
-dense matmul, elementwise add/mul, scaling by a constant, circular 1-D
-convolution, global average pooling and the scaled logistic. Hard gates are
+dense matmul, elementwise add/mul, circular 1-D convolution, global average
+pooling and the scaled logistic. Hard gates are
 constant 0/1 masks from :func:`hard_gate_values`, so a ReLU is a ``mul`` by
 its gate. Values are float64
 throughout. Nodes are immutable after construction; gradients are returned
@@ -73,49 +73,45 @@ def mul(a, b) -> Node:
     )
 
 
-def scale(a, s: float) -> Node:
-    a = as_node(a)
-    return Node(a.value * s, parents=(a,), vjps=(lambda g: g * s,))
-
-
 def conv_circular(z, theta) -> Node:
     """Circular 1-D convolution.
 
     z: (n, d_in, c_in) layer input, theta: (w_cv, c_in, c_out).
     Output q: (n, d_in, c_out) with
-    q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i].
+    q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i],
+    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. The VJPs
+    recompute the rolled z of each tap instead of keeping w_cv copies alive.
     """
     z, theta = as_node(z), as_node(theta)
     zv, tv = z.value, theta.value
-    d_in = zv.shape[1]
-    w_cv = tv.shape[0]
-    # stacked[c] = z rolled so that stacked[c][n, p, i] = z[n, (p + c) % d_in, i]
-    stacked = np.stack([np.roll(zv, -c, axis=1) for c in range(w_cv)], axis=0)
-    q = np.einsum("cnpi,cij->npj", stacked, tv)
+    w_cv, c_in, c_out = tv.shape
 
-    def vjp_z(g):
-        dz = np.zeros_like(zv)
-        for c in range(w_cv):
-            # q[n, p, j] received z[n, (p + c) % d, i] * theta[c, i, j]
-            dz += np.roll(np.einsum("npj,cij->npi", g, tv[c : c + 1]), c, axis=1)
+    def tap(c):  # tap(c)[n * d_in + p] = z[n, (p + c) % d_in]
+        return (np.roll(zv, -c, axis=1) if c else zv).reshape(-1, c_in)
+
+    q = tap(0) @ tv[0]
+    for c in range(1, w_cv):
+        q += tap(c) @ tv[c]
+
+    def vjp_z(g):  # q[n, p] received z[n, (p + c) % d_in] @ theta[c]
+        g2 = g.reshape(-1, c_out)
+        dz = (g2 @ tv[0].T).reshape(zv.shape)
+        for c in range(1, w_cv):
+            dz += np.roll((g2 @ tv[c].T).reshape(zv.shape), c, axis=1)
         return dz
 
     def vjp_theta(g):
-        return np.einsum("cnpi,npj->cij", stacked, g)
+        return np.stack([tap(c).T @ g.reshape(-1, c_out) for c in range(w_cv)])
 
-    return Node(q, parents=(z, theta), vjps=(vjp_z, vjp_theta))
+    return Node(q.reshape(*zv.shape[:2], c_out), parents=(z, theta), vjps=(vjp_z, vjp_theta))
 
 
 def global_avg_pool(z) -> Node:
     """Mean over the spatial axis: (n, d_in, w) -> (n, w)."""
     z = as_node(z)
     d_in = z.value.shape[1]
-    out = z.value.mean(axis=1)
-
-    def vjp(g):
-        return np.repeat(g[:, None, :], d_in, axis=1) / d_in
-
-    return Node(out, parents=(z,), vjps=(vjp,))
+    return Node(z.value.mean(axis=1), parents=(z,),
+                vjps=(lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1),))
 
 
 def logistic(q, beta: float) -> Node:

@@ -294,6 +294,9 @@ def _mc_check(probes, n_samples, sigma_scale, seed):
 
 def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
+    for key in ("eq1_samples", "max_paths"):
+        if v[key] < 1:
+            raise ValueError(f"verify.{key} must be >= 1, got {v[key]}")
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
     report = {**_structure_checks(probes),

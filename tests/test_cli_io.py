@@ -323,6 +323,16 @@ def test_cli_kernel_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "k").exists()
 
 
+def test_cli_verify_usage_errors(tmp_path, capsys):
+    # a sample count or path budget below 1 would check nothing and pass
+    for spec in ("verify.eq1_samples=0", "verify.eq1_samples=-1", "verify.max_paths=0",
+                 "verify.max_paths=-1"):
+        assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{spec.split('=')[0]} must be >= 1" in err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("arch,dataset", [
     ({"family": "conv_gap", "d_in": 8, "w_cv": 3, "width": 4, "d_cv": 2, "d_fc": 2},
      "shifted_pulses"),

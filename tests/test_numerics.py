@@ -1,3 +1,4 @@
+import itertools
 import numpy as np
 import pytest
 import warnings
@@ -71,7 +72,7 @@ def test_mul_add_scale_grad(rng):
     params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 3))}
 
     def forward(nodes):
-        s = ad.scale(ad.add(nodes["a"], ad.mul(nodes["a"], nodes["b"])), 0.5)
+        s = ad.mul(ad.add(nodes["a"], ad.mul(nodes["a"], nodes["b"])), Node(np.full((2, 3), 0.5)))
         return ad.matmul(ad.matmul(Node(np.ones((1, 2))), s), Node(np.ones((3, 1))))
 
     _fd_check(forward, params)
@@ -82,29 +83,61 @@ def test_mul_rejects_broadcasting():
         ad.mul(Node(np.ones((2, 3))), Node(np.ones(3)))
 
 
+def _conv_loop(z, theta, g):
+    """conv_circular's docstring formula and its two VJPs for the output
+    cotangent g, as loops: q[n, p, j] = sum_{c, i} theta[c, i, j] z[n, (p + c) % d, i]."""
+    n_b, d, _ = z.shape
+    q = np.zeros(z.shape[:2] + theta.shape[2:])
+    dz, dtheta = np.zeros_like(z), np.zeros_like(theta)
+    for n, p, c, i, j in itertools.product(range(n_b), range(d), *map(range, theta.shape)):
+        q[n, p, j] += theta[c, i, j] * z[n, (p + c) % d, i]
+        dz[n, (p + c) % d, i] += theta[c, i, j] * g[n, p, j]
+        dtheta[c, i, j] += z[n, (p + c) % d, i] * g[n, p, j]
+    return q, dz, dtheta
+
+
 def test_conv_circular_values(rng):
-    # q[n, p, j] = sum_{c, i} theta[c, i, j] z[n, (p + c) % d, i]
     z = rng.normal(size=(2, 5, 3))
     theta = rng.normal(size=(2, 3, 4))
     q = ad.conv_circular(Node(z), Node(theta)).value
-    expect = np.zeros((2, 5, 4))
-    for n in range(2):
-        for p in range(5):
-            for j in range(4):
-                for c in range(2):
-                    for i in range(3):
-                        expect[n, p, j] += theta[c, i, j] * z[n, (p + c) % 5, i]
+    expect = _conv_loop(z, theta, np.zeros((2, 5, 4)))[0]
     assert np.allclose(q, expect, atol=1e-12)
 
 
+@st.composite
+def conv_case(draw):
+    d_in = draw(st.integers(2, 9))
+    n, w_cv = draw(st.integers(1, 4)), draw(st.integers(1, d_in - 1))
+    c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    return (rng.normal(size=(n, d_in, c_in)), rng.normal(size=(w_cv, c_in, c_out)),
+            rng.normal(size=(n, d_in, c_out)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(conv_case())
+def test_conv_circular_matches_loop_reference(case):
+    z, theta, g = case
+    out = ad.conv_circular(Node(z), Node(theta))
+    got = (out.value, out.vjps[0](g), out.vjps[1](g))
+    # the loop over |terms| bounds the rounding error of each entry's sum
+    scales = _conv_loop(np.abs(z), np.abs(theta), np.abs(g))
+    for value, expect, scale in zip(got, _conv_loop(z, theta, g), scales):
+        assert value.shape == expect.shape
+        assert np.all(np.abs(value - expect) <= 1e-12 * scale)
+
+
 def test_conv_circular_grad(rng):
-    z = rng.normal(size=(1, 4, 2))
-    params = {"theta": rng.normal(size=(2, 2, 3)), "zp": z}
+    # a batch of 3 and 3 taps, read out with a weight per (n, p, j): a
+    # batch-mixing or shift-direction bug changes the value
+    z = rng.normal(size=(3, 5, 2))
+    params = {"theta": rng.normal(size=(3, 2, 3)), "zp": z}
+    readout = rng.normal(size=(3, 5, 3))
 
     def forward(nodes):
-        q = ad.conv_circular(nodes["zp"], nodes["theta"])
+        q = ad.mul(ad.conv_circular(nodes["zp"], nodes["theta"]), Node(readout))
         pooled = ad.global_avg_pool(q)
-        return ad.matmul(pooled, Node(np.ones((3, 1))))
+        return ad.matmul(Node(np.ones((1, 3))), ad.matmul(pooled, Node(np.ones((3, 1)))))
 
     _fd_check(forward, params)
 
@@ -135,7 +168,7 @@ def test_backward_accumulates_shared_node():
 
 def test_backward_custom_seed():
     a = Node(np.array([[1.0, 2.0]]))
-    out = ad.scale(a, 3.0)
+    out = ad.mul(a, Node(np.full((1, 2), 3.0)))
     grads = backward(out, seed=np.array([[1.0, 10.0]]))
     assert np.allclose(grads[id(a)], [[3.0, 30.0]])
 
