@@ -20,7 +20,6 @@ from .arch import (
 )
 from .kernels import (
     GramMatrix,
-    KernelConstants,
     McResult,
     gram,
     mc_target,

@@ -15,7 +15,8 @@ Configs are JSON documents; every field has a default and the parsed form
 round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
 An unknown key, a non-object section or a value whose JSON type differs
-from its default's is a usage error; so is a ``train.perm`` that is not a
+from its default's (for a list, an item whose type differs from the
+default's first item) is a usage error; so is a ``train.perm`` that is not a
 list of ints or a ``dataset.params`` value whose type differs from the
 generator keyword's default. The ``train`` section's defaults are those of
 :class:`dualview.training.TrainConfig`.
@@ -31,15 +32,13 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .arch import RES, ArchSpec, forward_relu, init_params, weight_layer_specs
-from .data import Dataset, generate_synthetic, load_dataset
-from .kernels import (gate_correlations, gram, mc_target, npk, npk_fc, npk_res_ensemble,
-                      ntk_expectation_mc, rot)
+from .data import Dataset, generate_synthetic, has_type_of, load_dataset
+from .kernels import gate_correlations, gram, mc_target, npk, npk_fc, ntk_expectation_mc, rot
 from .numerics import make_rng
 from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
 from .training import TrainConfig, train
@@ -77,7 +76,7 @@ DEFAULT_CONFIG: dict = {
         "bundle": "permutation-sweep",
         "seeds": 3,
         "widths": [16, 64, 256],
-        "mc_deviation_samples": 60,
+        "mc_deviation_samples": 100,
     },
 }
 
@@ -87,9 +86,10 @@ class ExperimentConfig:
     """Declarative experiment document.
 
     DEFAULT_CONFIG is the schema: a key it does not have is an error, and a
-    value must have its default's JSON type (an int passes for a float; a
-    key whose default is None takes any value). `arch` takes every ArchSpec
-    field, typed as the field. The dataset generator checks the values
+    value must have its default's JSON type (an int passes for a float, a
+    list's items need the type of the default's first item, and a key whose
+    default is None takes any value). `arch` takes every ArchSpec field,
+    typed as the field's default. The dataset generator checks the values
     inside `dataset.params`, and TrainConfig checks `train.perm`.
     """
 
@@ -101,17 +101,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key}")
         for section, default in DEFAULT_CONFIG.items():
             value = self.doc.get(section)
-            _check_type(section, value, type(default))
+            _check_type(section, value, default)
             if not isinstance(default, dict):
                 continue
             if section == "arch":
-                types = get_type_hints(ArchSpec)
-            else:
-                types = {k: type(v) for k, v in default.items()}
+                default = {**{f.name: f.default for f in fields(ArchSpec)}, **default}
             for key, v in value.items():
-                if key not in types:
+                if key not in default:
                     raise ValueError(f"unknown config key {section}.{key}")
-                _check_type(f"{section}.{key}", v, types[key])
+                _check_type(f"{section}.{key}", v, default[key])
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -147,14 +145,17 @@ class ExperimentConfig:
         return generate_synthetic(d["kind"], d["n"], d["seed"], **d["params"])
 
 
-def _check_type(key: str, value, want: type) -> None:
-    """Reject a config value whose JSON type is not `want`; a null default takes any value."""
-    if want is type(None):
+def _check_type(key: str, value, default) -> None:
+    """Reject a config value whose JSON type is not its default's."""
+    if has_type_of(value, default):
         return
-    ok = isinstance(value, (int, float) if want is float else want)
-    if not ok or isinstance(value, bool) != (want is bool):
-        noun = "an object" if want is dict else f"of type {want.__name__}"
-        raise ValueError(f"config key {key} must be {noun}, got {value!r}")
+    if isinstance(default, dict):
+        noun = "an object"
+    elif isinstance(default, list):
+        noun = f"a list of {type(default[0]).__name__}"
+    else:
+        noun = f"of type {type(default).__name__}"
+    raise ValueError(f"config key {key} must be {noun}, got {value!r}")
 
 
 def _merge(base: dict, patch: dict) -> None:
@@ -258,12 +259,13 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
             y, dv = float(res.y), dual_vectors(arch, params, xs, res.gates, table=table)
             worst_eq1 = max(worst_eq1, abs(y - dv.output()) / (1.0 + abs(y)))
         gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
-        brute = float(dual_vectors(arch, params, x, gx, table=table).npf
-                      @ dual_vectors(arch, params, x2, gx2, table=table).npf)
+        phi = dual_vectors(arch, params, x, gx, table=table).npf
+        phi2 = dual_vectors(arch, params, x2, gx2, table=table).npf
+        brute = float(phi @ phi2)
         worst_npk = max(worst_npk, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
         if arch.family == RES:
-            per_mask = npk_res_ensemble(arch, x, x2, gx, gx2)[1]
-            extra["per_mask"] = {str(m.included): v for m, v in per_mask.items()}
+            extra["per_mask"] = {str(m.included): float(phi[s] @ phi2[s])
+                                 for m, s in table.blocks()}
         checked.append(name)
     scope = {"families": checked, "skipped_families": skipped}
     report = {
@@ -438,7 +440,7 @@ def _bundle_width_sweep(config: ExperimentConfig, out: str) -> dict:
         gx2 = forward_relu(arch, pf, x2).gates
         target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
         res = ntk_expectation_mc(arch, gx, gx2, x, x2,
-                                 n_samples=max(100, ex["mc_deviation_samples"]),
+                                 n_samples=ex["mc_deviation_samples"],
                                  rng=make_rng(seed, stream=209 + w), sigma=sigma)
         rel = np.abs(res.samples - target) / abs(target)
         med = float(np.median(rel))
@@ -459,9 +461,15 @@ BUNDLES = {
 
 
 def cmd_experiment(config: ExperimentConfig) -> int:
-    bundle = config.doc["experiment"]["bundle"]
+    ex = config.doc["experiment"]
+    bundle = ex["bundle"]
     if bundle not in BUNDLES:
         raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
+    # either would write an experiment.json with no records
+    if ex["seeds"] < 1:
+        raise ValueError(f"experiment.seeds must be >= 1, got {ex['seeds']}")
+    if not ex["widths"]:
+        raise ValueError("experiment.widths must not be empty")
     out = _ensure_out(config.doc["out"])
     result = BUNDLES[bundle](config, out)
     with open(os.path.join(out, "experiment.json"), "w") as fh:

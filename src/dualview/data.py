@@ -123,10 +123,14 @@ def _gen_shifted_pulses(n, rng, d_in=8, k=2, noise=0.05):
 _GENERATORS = {BLOBS: _gen_blobs, CIRCLES: _gen_circles, SHIFTED_PULSES: _gen_shifted_pulses}
 
 
-def _has_type_of(value, default) -> bool:
-    """JSON-type check: an int passes for a float, a list for a tuple of the default's items."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_has_type_of(v, default[0]) for v in value)
+def has_type_of(value, default) -> bool:
+    """JSON-type check against a default: a None default takes any value, an
+    int passes for a float, and a list or tuple default needs a list or tuple
+    whose items have the type of the default's first item."""
+    if default is None:
+        return True
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and all(has_type_of(v, default[0]) for v in value)
     want = (int, float) if isinstance(default, float) else type(default)
     return isinstance(value, want) and isinstance(value, bool) == isinstance(default, bool)
 
@@ -143,7 +147,7 @@ def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
     for key, value in params.items():
         if key not in defaults:
             raise DatasetError(f"unknown {kind} parameter {key!r}; choose from {list(defaults)}")
-        if not _has_type_of(value, defaults[key]):
+        if not has_type_of(value, defaults[key]):
             raise DatasetError(f"{kind} parameter {key!r} must have the type of its default "
                                f"{defaults[key]!r}, got {value!r}")
     X, y, k = gen(n, make_rng(seed, stream=101), **params)

@@ -5,10 +5,14 @@ The closed forms here are checked against the enumeration oracle in
 never calls that oracle. Conventions:
 
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
-  of x and x'. The width-limit constants live in :class:`KernelConstants`.
+  of x and x'; ``mc_target`` is its width limit, the NPK scaled by the
+  family's constant (per sub-FCN depth for the res family).
 * ``npk_fc`` is the *unnormalized* product form
   <x, x'> * prod_l <G_l(x), G_l(x')>, which equals <phi(x), phi(x')> for
   hard gates.
+* For the res family the sum over the 2^b sub-FCNs factors over blocks:
+  with C_j the product of the gate correlations of block j's layers,
+  <phi, phi'> = <x, x'> C_0 C_{b+1} prod_{j=1..b} (1 + C_j).
 * For the conv family the bundle-level <phi, phi'> (whose activities carry
   the 1/d_in pooling factor twice) equals the rotation sum with
   integer-count overlaps divided by d_in**2. The Monte-Carlo NTK target is
@@ -35,51 +39,12 @@ from .arch import (
     init_params,
 )
 from .numerics import grad
-from .paths import SubFcnMask, enumerate_subfcns, res_gate_indices
 
 
 def rot(x: np.ndarray, r: int) -> np.ndarray:
     """Circular rotation: rot(x, r)(i) = x(i + r), wrap-around."""
     x = np.asarray(x)
     return np.roll(x, -r)
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """Width-limit constants of the NTK -> NPK theorems."""
-
-    arch: ArchSpec
-    sigma_override: float | None = None
-
-    @property
-    def sigma_fc(self) -> float:
-        if self.sigma_override is not None:
-            return self.sigma_override
-        return self.arch.init_sigma("fc")
-
-    @property
-    def sigma_cv(self) -> float:
-        if self.sigma_override is not None:
-            return self.sigma_override
-        return self.arch.init_sigma("conv")
-
-    @property
-    def fc_factor(self) -> float:
-        """d * sigma^(2(d-1)) for the fully connected family."""
-        d = self.arch.depth
-        return d * self.sigma_fc ** (2 * (d - 1))
-
-    @property
-    def beta_cv(self) -> float:
-        d_cv, d_fc = self.arch.d_cv, self.arch.d_fc
-        s_cv, s_fc = self.sigma_cv, self.sigma_fc
-        return d_cv * s_cv ** (2 * (d_cv - 1)) * s_fc ** (2 * d_fc) + d_fc * s_cv ** (
-            2 * d_cv
-        ) * s_fc ** (2 * (d_fc - 1))
-
-    def beta_res(self, mask: SubFcnMask) -> float:
-        depth = mask.depth_blocks() * self.arch.d_blk
-        return depth * self.sigma_fc ** (2 * (depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +128,22 @@ def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTe
     return total
 
 
-def npk_res_ensemble(
-    arch: ArchSpec,
-    x,
-    x2,
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
-) -> tuple[float, dict[SubFcnMask, float]]:
-    """NPK of the ResNet as the sum of its 2^b sub-FCN product kernels."""
+def _block_correlations(arch: ArchSpec, gates_x: GateTensor, gates_x2: GateTensor) -> np.ndarray:
+    """C_j, the product of <G_l(x), G_l(x')> over block j's layers, j = 0..b+1.
+
+    The network's last layer is ungated and contributes a factor of 1.
+    """
+    corr = np.append(gate_correlations(gates_x, gates_x2), 1.0)
+    return corr.reshape(arch.b + 2, arch.d_blk).prod(axis=1)
+
+
+def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
+    """NPK of the ResNet: the sum of its 2^b sub-FCN product kernels, in O(b)."""
     if arch.family != RES:
         raise ValueError("npk_res_ensemble requires the res family")
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
-    base = float(x @ x2)
-    corr = gate_correlations(gates_x, gates_x2)
-    per_mask: dict[SubFcnMask, float] = {}
-    for mask, _ in enumerate_subfcns(arch):
-        ids = res_gate_indices(arch, mask)
-        per_mask[mask] = base * float(np.prod(corr[ids]))
-    return sum(per_mask.values()), per_mask
+    c = _block_correlations(arch, gates_x, gates_x2)
+    return float(x @ x2) * float(c[0] * c[-1] * np.prod(1.0 + c[1:-1]))
 
 
 def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
@@ -189,7 +152,7 @@ def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> flo
         return npk_fc(x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
         return npk_conv_rotsum(arch, x, x2, gates_x, gates_x2) / arch.d_in**2
-    return npk_res_ensemble(arch, x, x2, gates_x, gates_x2)[0]
+    return npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +204,8 @@ def ntk_expectation_mc(
     """Monte-Carlo mean of the value-weight NTK over Bernoulli +/-sigma draws.
 
     Gates are held fixed (independence of the value init from the gates);
-    per-layer sigmas default to the KernelConstants convention, a float
-    `sigma` overrides every layer.
+    per-layer sigmas default to ``arch.init_sigma``, a float `sigma`
+    overrides every layer.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
@@ -264,14 +227,32 @@ def mc_target(
     sigma: float | None = None,
     gates_provider=None,  # unused: conv rolls the gates of x'; kept for callers passing it
 ) -> float:
-    """Closed-form limit the MC mean is checked against, per family."""
-    consts = KernelConstants(arch, sigma_override=sigma)
+    """Closed-form limit the MC mean is checked against, per family.
+
+    A depth-d FCN scales its NPK by d * sigma^(2(d-1)); the res family
+    weights each sub-FCN that way, which groups its 2^b terms by the number
+    k of included blocks into elementary symmetric polynomials e_k of
+    C_1..C_b.
+    """
+    s_fc = arch.init_sigma("fc") if sigma is None else sigma
     if arch.family == FC:
-        return consts.fc_factor * npk(arch, x, x2, gates_x, gates_x2)
+        d = arch.depth
+        return d * s_fc ** (2 * (d - 1)) * npk(arch, x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
-        return consts.beta_cv * npk(arch, x, x2, gates_x, gates_x2)
-    _, per_mask = npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
-    return float(sum(consts.beta_res(m) * v for m, v in per_mask.items()))
+        s_cv = arch.init_sigma("conv") if sigma is None else sigma
+        d_cv, d_fc = arch.d_cv, arch.d_fc
+        beta_cv = d_cv * s_cv ** (2 * (d_cv - 1)) * s_fc ** (2 * d_fc) + d_fc * s_cv ** (
+            2 * d_cv
+        ) * s_fc ** (2 * (d_fc - 1))
+        return beta_cv * npk(arch, x, x2, gates_x, gates_x2)
+    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    c = _block_correlations(arch, gates_x, gates_x2)
+    e = np.zeros(arch.b + 1)
+    e[0] = 1.0
+    for c_j in c[1:-1]:
+        e[1:] += c_j * e[:-1]
+    depth = (np.arange(arch.b + 1) + 2) * arch.d_blk
+    return float(x @ x2) * float(c[0] * c[-1] * (e @ (depth * s_fc ** (2.0 * (depth - 1)))))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,11 @@ class ResPathTable:
     def n_paths(self) -> int:
         return sum(t.n_paths for _, t in self.sub_tables)
 
+    def blocks(self) -> list[tuple[SubFcnMask, slice]]:
+        """Each sub-FCN's mask with its slice of the dual vectors."""
+        ends = np.cumsum([t.n_paths for _, t in self.sub_tables])
+        return [(m, slice(e - t.n_paths, e)) for (m, t), e in zip(self.sub_tables, ends)]
+
 
 PathTable = FcPathTable | ConvPathTable | ResPathTable
 

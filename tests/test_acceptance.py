@@ -256,22 +256,23 @@ def test_criterion_6_res_ensemble_kernel():
     gx = forward_relu(arch, params, x).gates
     gx2 = forward_relu(arch, params, x2).gates
     table = enumerate_paths(arch)
-    brute = float(
-        dual_vectors(arch, params, x, gx, table=table).npf
-        @ dual_vectors(arch, params, x2, gx2, table=table).npf
-    )
-    total, per_mask = npk_res_ensemble(arch, x, x2, gx, gx2)
+    phi = dual_vectors(arch, params, x, gx, table=table).npf
+    phi2 = dual_vectors(arch, params, x2, gx2, table=table).npf
+    brute = float(phi @ phi2)
+    total = npk_res_ensemble(arch, x, x2, gx, gx2)
     dev_total = abs(total - brute) / (1.0 + abs(brute))
 
-    # per-J breakdown: each term equals the product kernel of its sub-FCN gates
+    # per-J breakdown: each sub-FCN's block of <phi, phi'> equals the product
+    # kernel of its sub-FCN gates
     corr = gate_correlations(gx, gx2)
     dev_per = 0.0
-    for mask, val in per_mask.items():
+    blocks = table.blocks()
+    for mask, s in blocks:
         expect = float(np.asarray(x) @ np.asarray(x2)) * float(
             np.prod(corr[res_gate_indices(arch, mask)])
         )
-        dev_per = max(dev_per, abs(val - expect))
-    assert len(per_mask) == 2**arch.b
+        dev_per = max(dev_per, abs(float(phi[s] @ phi2[s]) - expect))
+    assert len(blocks) == 2**arch.b
 
     mc_arch = ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=32)
     mp = normal_params(mc_arch, make_rng(11, stream=71))

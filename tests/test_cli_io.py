@@ -18,7 +18,7 @@ from dualview.data import (
     generate_synthetic,
     load_dataset,
 )
-from dualview.kernels import GramMatrix
+from dualview.kernels import GramMatrix, npk
 from dualview.numerics import make_rng
 from dualview.paths import dual_vectors, enumerate_paths
 from dualview.training import TrainConfig
@@ -189,7 +189,12 @@ def test_cli_verify_passes(tmp_path):
                            "mc_ntk"}
     assert all(r["passed"] for r in report.values())
     assert report["npk"]["families"] == ["fc", "conv", "res"]
-    assert set(report["npk"]["per_mask"]) == {"()", "(1,)", "(2,)", "(1, 2)"}
+    per_mask = report["npk"]["per_mask"]
+    assert set(per_mask) == {"()", "(1,)", "(2,)", "(1, 2)"}
+    # the per-sub-FCN blocks of <phi, phi'> add up to the closed-form res NPK
+    arch, params, x, x2 = cli._verify_probes(3)["res"]
+    k = npk(arch, x, x2, forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates)
+    assert abs(sum(per_mask.values()) - k) <= 1e-12 * abs(k)
 
 
 def test_cli_verify_sabotaged_sigma_fails(tmp_path):
@@ -269,6 +274,26 @@ def test_cli_experiment_width_sweep(tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_experiment_usage_errors(tmp_path, capsys):
+    # no seeds or no widths would write an experiment.json without records
+    for bundle, spec, msg in (
+            ("permutation-sweep", "experiment.seeds=0", "experiment.seeds must be >= 1"),
+            ("constant-one", "experiment.seeds=-1", "experiment.seeds must be >= 1"),
+            ("width-sweep", "experiment.widths=[]", "experiment.widths must not be empty")):
+        assert main(["experiment", "--out", str(tmp_path / "e"), "--override",
+                     f"experiment.bundle={bundle}", "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and msg in err
+    assert not (tmp_path / "e").exists()
+    # the configured MC sample count runs as given, so one below 100 is refused
+    assert main(["experiment", "--out", str(tmp_path / "m"), "--override",
+                 "experiment.bundle=width-sweep", "--override", "experiment.widths=[16]",
+                 "--override", "experiment.mc_deviation_samples=99"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_samples must be >= 100, got 99" in err
+    assert not (tmp_path / "m" / "experiment.json").exists()
+
+
 def test_cli_usage_errors(tmp_path):
     assert main(["experiment", "--override", "experiment.bundle=nope",
                  "--out", str(tmp_path / "x")]) == 2
@@ -290,7 +315,8 @@ def test_cli_unknown_config_key(tmp_path, capsys):
 
 def test_cli_config_value_types(tmp_path, capsys):
     for spec in ('dataset.n="abc"', 'arch.width="x"', "kernel.n=true", "train.lr=[1]",
-                 "train.use_schedule=1", "experiment.widths=16", 'seed="0"', "arch.c_scale=null"):
+                 "train.use_schedule=1", "experiment.widths=16", 'experiment.widths=["a"]',
+                 "experiment.widths=[16,true]", 'seed="0"', "arch.c_scale=null"):
         key = spec.split("=")[0]
         assert main(["train", "--out", str(tmp_path / "t"), "--override", spec]) == 2
         err = capsys.readouterr().err

@@ -8,16 +8,16 @@ import pytest
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
 
 from dualview import kernels
-from dualview.arch import ArchSpec, forward_relu
+from dualview.arch import HARD, ArchSpec, GateTensor, forward_relu
 from dualview.kernels import (
     GRAM_CAP,
     GramMatrix,
-    KernelConstants,
     conv_overlap_counts,
     dataset_fingerprint,
     gate_correlations,
     gram,
     mc_target,
+    npk,
     npk_conv_rotsum,
     npk_fc,
     npk_res_ensemble,
@@ -26,7 +26,7 @@ from dualview.kernels import (
     rot,
 )
 from dualview.numerics import make_rng
-from dualview.paths import SubFcnMask, dual_vectors, enumerate_paths, overlap
+from dualview.paths import dual_vectors, enumerate_paths, overlap
 
 
 def _pair(arch, seed, spread=0.4):
@@ -47,21 +47,43 @@ def test_rot_composition():
 
 
 def test_kernel_constants():
+    # the width-limit constants, read as mc_target / npk ratios
+    def ratio(arch, gx, gx2):
+        x = np.arange(1.0, arch.d_in + 1)
+        return mc_target(arch, x, x, gx, gx2) / npk(arch, x, x, gx, gx2)
+
     arch = ArchSpec(family="fc", d_in=3, depth=3, width=16, c_scale=2.0)
-    consts = KernelConstants(arch)
-    assert consts.sigma_fc == 0.5
-    assert consts.fc_factor == 3 * 0.5**4
+    assert arch.init_sigma("fc") == 0.5
+    _, _, _, gx, gx2 = _pair(arch, 0)
+    assert np.isclose(ratio(arch, gx, gx2), 3 * 0.5**4)
     conv = ArchSpec(family="conv_gap", d_in=5, w_cv=4, width=4, d_cv=2, d_fc=1)
-    cc = KernelConstants(conv)
-    assert cc.sigma_cv == 1.0 / 4.0
+    assert conv.init_sigma("conv") == 1.0 / 4.0
+    _, _, _, gx, gx2 = _pair(conv, 0)
     # beta_cv = d_cv s_cv^(2(d_cv-1)) s_fc^(2 d_fc) + d_fc s_cv^(2 d_cv) s_fc^(2(d_fc-1))
-    s_cv, s_fc = cc.sigma_cv, cc.sigma_fc
-    assert np.isclose(cc.beta_cv, 2 * s_cv**2 * s_fc**2 + 1 * s_cv**4)
+    s_cv, s_fc = conv.init_sigma("conv"), conv.init_sigma("fc")
+    assert np.isclose(ratio(conv, gx, gx2), 2 * s_cv**2 * s_fc**2 + 1 * s_cv**4)
+
+    # res: blocks 0 and 3 always on, blocks 1 and 2 on when listed; the mixed
+    # difference over blocks 1 and 2 keeps only the sub-FCN that includes both
     res = ArchSpec(family="res", d_in=3, b=2, d_blk=2, width=4)
-    rc = KernelConstants(res, sigma_override=0.5)
+    x = np.arange(1.0, 4.0)
+
+    def gates(on):
+        layers = [np.full(4, float(l // 2 in (0, 3, *on))) for l in range(res.n_gate_layers())]
+        return GateTensor(arch=res, layers=layers, mode=HARD)
+
+    def mixed(f):
+        return f(gates((1, 2))) - f(gates((1,))) - f(gates((2,))) + f(gates(()))
+
+    def target(g):
+        return mc_target(res, x, x, g, g, sigma=0.5)
+
+    def kernel(g):
+        return npk(res, x, x, g, g)
+
     # depth of mask J is (|J| + 2) d_blk
-    assert np.isclose(rc.beta_res(SubFcnMask(included=())), 4 * 0.5**6)
-    assert np.isclose(rc.beta_res(SubFcnMask(included=(1, 2))), 8 * 0.5**14)
+    assert np.isclose(target(gates(())) / kernel(gates(())), 4 * 0.5**6)
+    assert np.isclose(mixed(target) / mixed(kernel), 8 * 0.5**14)
 
 
 def test_npk_fc_matches_brute_force():
@@ -129,10 +151,8 @@ def test_res_ensemble_matches_brute_force():
         dual_vectors(RES_SMALL, p, x, gx, table=table).npf
         @ dual_vectors(RES_SMALL, p, x2, gx2, table=table).npf
     )
-    total, per_mask = npk_res_ensemble(RES_SMALL, x, x2, gx, gx2)
-    assert len(per_mask) == 2**RES_SMALL.b
+    total = npk_res_ensemble(RES_SMALL, x, x2, gx, gx2)
     assert abs(total - brute) <= 1e-9 * (1 + abs(brute))
-    assert abs(sum(per_mask.values()) - total) <= 1e-12
 
 
 def test_ntk_fixed_gates_symmetric_psd_diag():
@@ -254,4 +274,9 @@ def test_kernels_module_does_not_call_the_path_oracle():
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree)
               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
-    assert not names & {"dual_vectors", "enumerate_paths", "overlap"}
+    assert not names & {"dual_vectors", "enumerate_paths", "overlap", "enumerate_subfcns"}
+    # nor import anything from the oracle module
+    modules = {n.module or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               for a in n.names}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not modules & {"paths", "dualview.paths"}

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
 
-from dualview.arch import ArchSpec, forward_gated, forward_relu
-from dualview.kernels import npk, rot, rotated_gates
+from dualview.arch import HARD, SOFT, ArchSpec, GateTensor, forward_gated, forward_relu
+from dualview.kernels import gate_correlations, mc_target, npk, rot, rotated_gates
 from dualview.numerics import make_rng
-from dualview.paths import dual_vectors, enumerate_paths
+from dualview.paths import dual_vectors, enumerate_paths, enumerate_subfcns, res_gate_indices
 
 
 @st.composite
@@ -96,3 +96,34 @@ def test_npk_matches_path_enumeration(case):
     npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
     terms = float(np.abs(npf) @ np.abs(npf2))
     assert abs(npk(arch, x, x2, gx, gx2) - float(npf @ npf2)) <= 1e-12 * terms
+
+
+@st.composite
+def res_gate_pair(draw):
+    arch = ArchSpec(family="res", d_in=draw(st.integers(1, 3)), b=draw(st.integers(0, 5)),
+                    d_blk=draw(st.integers(1, 3)), width=draw(st.integers(1, 4)))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    mode, density = draw(st.sampled_from((HARD, SOFT))), draw(st.floats(0.3, 1.0))
+
+    def gates():
+        layers = [(rng.random(s) < density) * (1.0 if mode == HARD else rng.random(s))
+                  for s in arch.gate_layer_shapes()]
+        return GateTensor(arch, layers, mode)
+
+    return arch, rng.normal(size=arch.d_in), rng.normal(size=arch.d_in), gates(), gates()
+
+
+@settings(max_examples=100, deadline=None)
+@given(res_gate_pair(), st.one_of(st.none(), st.floats(0.1, 2.0)))
+def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
+    # the NPK sums the 2^b sub-FCN product kernels; the MC target weights
+    # each by D sigma^(2(D-1)) for its depth D
+    arch, x, x2, gx, gx2 = case
+    s = arch.init_sigma("fc") if sigma is None else sigma
+    corr = gate_correlations(gx, gx2)
+    terms = [(fc.depth, float(x @ x2) * float(np.prod(corr[res_gate_indices(arch, mask)])))
+             for mask, fc in enumerate_subfcns(arch)]
+    want_npk = sum(k for _, k in terms)
+    want_mc = sum(d * s ** (2 * (d - 1)) * k for d, k in terms)
+    assert abs(npk(arch, x, x2, gx, gx2) - want_npk) <= 1e-12 * abs(want_npk)
+    assert abs(mc_target(arch, x, x2, gx, gx2, sigma=sigma) - want_mc) <= 1e-12 * abs(want_mc)
