@@ -194,6 +194,8 @@ class ForwardResult:
     y: float | np.ndarray
     gates: GateTensor
     y_node: Node
+    # per weight layer, in forward order: (layer input, pre-activation Node)
+    layers: list[tuple[np.ndarray | Node, Node]]
 
 
 def _ensure_batch(x, d_in: int) -> tuple[np.ndarray, bool]:
@@ -209,78 +211,82 @@ def _ensure_batch(x, d_in: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"input must be 1-D or 2-D, got shape {x.shape}")
 
 
-def _as_nodes(params: Mapping) -> dict[str, Node]:
-    return {k: (v if isinstance(v, Node) else Node(v)) for k, v in params.items()}
+# A gate is a Node when something differentiates through it (soft gates of
+# a trained feature network) and a plain array otherwise.
+Gate = Node | np.ndarray
+GateRule = Callable[[int, Node], Gate]
 
 
-GateRule = Callable[[int, Node], Node]
-
-
-def _relu_gate(idx: int, q: Node) -> Node:
+def _relu_gate(idx: int, q: Node) -> np.ndarray:
     """Hard self-gate 1{q > 0} of a ReLU unit."""
-    return Node(ad.hard_gate_values(q.value, warn=False))
+    return ad.hard_gate_values(q.value, warn=False)
 
 
 def _stack(
     arch: ArchSpec,
-    params: Mapping[str, Node],
+    params: Mapping,
     X: np.ndarray,
     gate_rule: GateRule | None,
-) -> tuple[Node, list[Node], list[Node]]:
+    input_leaf: bool = False,
+) -> tuple[Node, list[tuple[np.ndarray | Node, Node]], list[Gate]]:
     """Run the weight stack, gating each hidden layer via `gate_rule`.
 
-    `gate_rule(idx, q)` returns the gate node for gated layer `idx` given
-    its pre-activation node; None runs the stack fully linear (deep linear
-    feature network). Returns (output, preacts, gates).
+    `params` holds arrays, or Nodes where a caller differentiates.
+    `gate_rule(idx, q)` returns the gate for gated layer `idx` given its
+    pre-activation node; None runs the stack fully linear (deep linear
+    feature network). `input_leaf` makes the network input a leaf Node, so
+    that a backward pass reaches every layer when no parameter is a Node.
+    Returns (output, layers, gates), where layers holds each weight layer's
+    (input, pre-activation) pair in forward order.
     """
-    preacts: list[Node] = []
-    gates: list[Node] = []
+    layers: list[tuple[np.ndarray | Node, Node]] = []
+    gates: list[Gate] = []
 
-    def gated(q: Node, is_gated: bool) -> Node:
-        preacts.append(q)
+    def layer(op, z, name: str, is_gated: bool) -> Node:
+        q = op(z, params[name])
+        layers.append((z, q))
         if not is_gated or gate_rule is None:
             return q
         g = gate_rule(len(gates), q)
         gates.append(g)
         return ad.mul(q, g)
 
+    z = X[:, :, None] if arch.family == CONV_GAP else X
+    if input_leaf:
+        z = Node(z)
+
     if arch.family == FC:
-        z: Node = Node(X)
         for l in range(1, arch.depth + 1):
-            q = ad.matmul(z, params[f"fc{l}"])
-            z = gated(q, is_gated=(l < arch.depth))
-        return z, preacts, gates
+            z = layer(ad.matmul, z, f"fc{l}", is_gated=(l < arch.depth))
+        return z, layers, gates
 
     if arch.family == CONV_GAP:
-        z = Node(X[:, :, None])
         for l in range(1, arch.d_cv + 1):
-            q = ad.conv_circular(z, params[f"cv{l}"])
-            z = gated(q, is_gated=True)
+            z = layer(ad.conv_circular, z, f"cv{l}", is_gated=True)
         z = ad.global_avg_pool(z)
         for l in range(1, arch.d_fc + 1):
-            q = ad.matmul(z, params[f"fc{l}"])
-            z = gated(q, is_gated=(l < arch.d_fc))
-        return z, preacts, gates
+            z = layer(ad.matmul, z, f"fc{l}", is_gated=(l < arch.d_fc))
+        return z, layers, gates
 
     # res
-    z = Node(X)
     total_layers = (arch.b + 2) * arch.d_blk
     layer_no = 0
     for j in range(arch.b + 2):
         block_in = z
         for l in range(1, arch.d_blk + 1):
             layer_no += 1
-            q = ad.matmul(z, params[f"b{j}l{l}"])
-            z = gated(q, is_gated=(layer_no < total_layers))
+            z = layer(ad.matmul, z, f"b{j}l{l}", is_gated=(layer_no < total_layers))
         if 1 <= j <= arch.b:
             z = ad.add(block_in, z)
-    return z, preacts, gates
+    return z, layers, gates
 
 
 def _squeeze_result(
-    arch: ArchSpec, y_node: Node, gates: list[Node], mode: str, squeeze: bool
+    arch: ArchSpec, y_node: Node, layers: list, gates: list[Gate], mode: str, squeeze: bool
 ) -> ForwardResult:
-    gate_vals = [g.value[0] if squeeze else g.value for g in gates]
+    gate_vals = [ad.value_of(g) for g in gates]
+    if squeeze:
+        gate_vals = [g[0] for g in gate_vals]
     y = y_node.value
     if squeeze:
         y = float(y[0, 0]) if arch.n_out == 1 else y[0]
@@ -288,14 +294,14 @@ def _squeeze_result(
         y=y,
         gates=GateTensor(arch=arch, layers=gate_vals, mode=mode),
         y_node=y_node,
+        layers=layers,
     )
 
 
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     """Plain DNN with ReLUs: every hidden unit is q * 1{q > 0}."""
     X, squeeze = _ensure_batch(x, arch.d_in)
-    y, _, gates = _stack(arch, _as_nodes(params), X, _relu_gate)
-    return _squeeze_result(arch, y, gates, HARD, squeeze)
+    return _squeeze_result(arch, *_stack(arch, params, X, _relu_gate), HARD, squeeze)
 
 
 def forward_gated(
@@ -304,6 +310,7 @@ def forward_gated(
     external_gates,
     routing: GateRouting = IDENTITY_ROUTING,
     x_v=None,
+    input_leaf: bool = False,
 ) -> ForwardResult:
     """Value network of GaLUs driven by externally supplied gates.
 
@@ -312,6 +319,7 @@ def forward_gated(
     array of shape `arch.gate_layer_shapes()[i]`, broadcast over the batch,
     or a gate of shape `(n,) + arch.gate_layer_shapes()[i]`, used as is.
     `routing.constant_one_input` replaces the value input by ones.
+    `input_leaf` makes the value input a leaf Node (see :func:`_stack`).
     """
     routing.validate(arch)
     if isinstance(external_gates, GateTensor):
@@ -327,15 +335,16 @@ def forward_gated(
     for i, (g, shape) in enumerate(zip(routing.apply(seq), arch.gate_layer_shapes())):
         if not isinstance(g, Node):
             g = np.asarray(g, dtype=np.float64)
-            g = Node(np.repeat(g[None], len(X), axis=0) if g.shape == shape else g)
+            if g.shape == shape:
+                g = np.repeat(g[None], len(X), axis=0)
         if g.shape != (len(X),) + shape:
             raise ValueError(
                 f"gate shape {g.shape} at gated layer {i} is neither {shape} "
                 f"nor {(len(X),) + shape}"
             )
         routed.append(g)
-    y, _, gates = _stack(arch, _as_nodes(params_v), X, lambda idx, q: routed[idx])
-    return _squeeze_result(arch, y, gates, mode, squeeze)
+    stack = _stack(arch, params_v, X, lambda idx, q: routed[idx], input_leaf)
+    return _squeeze_result(arch, *stack, mode, squeeze)
 
 
 def feature_gates(
@@ -345,36 +354,37 @@ def feature_gates(
     mode: str = HARD,
     linear: bool = False,
     shallow: bool = False,
-) -> list[Node]:
-    """Gate nodes, one per gated layer, produced by the feature network on x_f.
+) -> list[Gate]:
+    """Gates, one per gated layer, produced by the feature network on x_f.
 
     linear=False: ReLU feature network (DGN); linear=True: deep linear
     feature network (DLGN); shallow=True: per-layer independent single maps
-    (DLGN-SF). Gates always carry a batch axis.
+    (DLGN-SF). Gates always carry a batch axis. Soft gates are logistic
+    Nodes, differentiable in whichever of `params_f` are Nodes; hard gates
+    are constant arrays.
     """
     X, _ = _ensure_batch(x_f, arch.d_in)
-    nodes = _as_nodes(params_f)
 
-    def to_gate(q: Node) -> Node:
+    def to_gate(q: Node) -> Gate:
         if mode == SOFT:
             return ad.logistic(q, arch.beta)
-        return Node(ad.hard_gate_values(q.value))
+        return ad.hard_gate_values(q.value)
 
     if shallow:
         gates = []
         for name, _, kind in shallow_layer_specs(arch):
             if kind == "conv":
-                q = ad.conv_circular(Node(X[:, :, None]), nodes[name])
+                q = ad.conv_circular(X[:, :, None], params_f[name])
             else:
-                q = ad.matmul(Node(X), nodes[name])
+                q = ad.matmul(X, params_f[name])
             gates.append(to_gate(q))
         return gates
 
     # A ReLU feature network propagates its hidden units with hard
     # self-gates; either way the exported gates tap the pre-activations of
     # the gated layers (all but the output layer).
-    _, preacts, _ = _stack(arch, nodes, X, None if linear else _relu_gate)
-    return [to_gate(q) for q in preacts[:-1]]
+    _, layers, _ = _stack(arch, params_f, X, None if linear else _relu_gate)
+    return [to_gate(q) for _, q in layers[:-1]]
 
 
 def _value_input(x_f, x_v):

@@ -2,12 +2,18 @@
 
 Only the operations needed by the supported forward graphs are provided:
 dense matmul, elementwise add/mul, circular 1-D convolution, global average
-pooling and the scaled logistic. Hard gates are
-constant 0/1 masks from :func:`hard_gate_values`, so a ReLU is a ``mul`` by
-its gate. Values are float64
-throughout. Nodes are immutable after construction; gradients are returned
-from :func:`backward` rather than stored on shared state, so graphs are safe
-to evaluate concurrently.
+pooling and the scaled logistic. Hard gates are constant 0/1 masks from
+:func:`hard_gate_values`, so a ReLU is a ``mul`` by its gate. Values are
+float64 throughout.
+
+Every op takes float64 arrays or Nodes and returns a Node, but only its Node
+operands become parents and get a VJP. A constant (an input, a fixed gate, a
+parameter nobody differentiates) therefore costs no graph node and no
+backward work. A backward pass reaches every Node between the output and the
+leaf Nodes; with no parameter a Node, a leaf input still gives the cotangent
+of every layer. Nodes are immutable after construction; gradients are
+returned from :func:`backward` rather than stored on shared state, so graphs
+are safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -40,37 +46,40 @@ class Node:
         return self.value.shape
 
 
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
+def value_of(x) -> np.ndarray:
+    """The value of a Node, or the array `x` itself."""
+    return x.value if isinstance(x, Node) else x
+
+
+def _op(value, a, vjp_a, b=None, vjp_b=None) -> Node:
+    """A Node over `value` whose parents are those of `a`, `b` that are Nodes."""
+    if isinstance(a, Node):
+        if isinstance(b, Node):
+            return Node(value, (a, b), (vjp_a, vjp_b))
+        return Node(value, (a,), (vjp_a,))
+    if isinstance(b, Node):
+        return Node(value, (b,), (vjp_b,))
+    return Node(value)
 
 
 def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = a.value @ b.value
-    return Node(
-        out,
-        parents=(a, b),
-        vjps=(lambda g: g @ b.value.T, lambda g: a.value.T @ g),
-    )
+    av, bv = value_of(a), value_of(b)
+    return _op(av @ bv, a, lambda g: g @ bv.T, b, lambda g: av.T @ g)
 
 
 def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return Node(a.value + b.value, parents=(a, b), vjps=(lambda g: g, lambda g: g))
+    av, bv = value_of(a), value_of(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"add shape mismatch: {av.shape} vs {bv.shape}")
+    return _op(av + bv, a, lambda g: g, b, lambda g: g)
 
 
 def mul(a, b) -> Node:
     """Elementwise product, shapes must match exactly (no broadcasting)."""
-    a, b = as_node(a), as_node(b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return Node(
-        a.value * b.value,
-        parents=(a, b),
-        vjps=(lambda g: g * b.value, lambda g: g * a.value),
-    )
+    av, bv = value_of(a), value_of(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
+    return _op(av * bv, a, lambda g: g * bv, b, lambda g: g * av)
 
 
 def conv_circular(z, theta) -> Node:
@@ -82,8 +91,7 @@ def conv_circular(z, theta) -> Node:
     one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. The VJPs
     recompute the rolled z of each tap instead of keeping w_cv copies alive.
     """
-    z, theta = as_node(z), as_node(theta)
-    zv, tv = z.value, theta.value
+    zv, tv = value_of(z), value_of(theta)
     w_cv, c_in, c_out = tv.shape
 
     def tap(c):  # tap(c)[n * d_in + p] = z[n, (p + c) % d_in]
@@ -103,22 +111,20 @@ def conv_circular(z, theta) -> Node:
     def vjp_theta(g):
         return np.stack([tap(c).T @ g.reshape(-1, c_out) for c in range(w_cv)])
 
-    return Node(q.reshape(*zv.shape[:2], c_out), parents=(z, theta), vjps=(vjp_z, vjp_theta))
+    return _op(q.reshape(*zv.shape[:2], c_out), z, vjp_z, theta, vjp_theta)
 
 
 def global_avg_pool(z) -> Node:
     """Mean over the spatial axis: (n, d_in, w) -> (n, w)."""
-    z = as_node(z)
-    d_in = z.value.shape[1]
-    return Node(z.value.mean(axis=1), parents=(z,),
-                vjps=(lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1),))
+    zv = value_of(z)
+    d_in = zv.shape[1]
+    return _op(zv.mean(axis=1), z, lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1))
 
 
 def logistic(q, beta: float) -> Node:
     """Scaled logistic 1 / (1 + exp(-beta * q)), differentiable gate."""
-    q = as_node(q)
-    s = 1.0 / (1.0 + np.exp(-beta * q.value))
-    return Node(s, parents=(q,), vjps=(lambda g: g * beta * s * (1.0 - s),))
+    s = 1.0 / (1.0 + np.exp(-beta * value_of(q)))
+    return _op(s, q, lambda g: g * beta * s * (1.0 - s))
 
 
 def hard_gate_values(q: np.ndarray, warn: bool = True) -> np.ndarray:

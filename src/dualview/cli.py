@@ -470,6 +470,12 @@ def cmd_experiment(config: ExperimentConfig) -> int:
         raise ValueError(f"experiment.seeds must be >= 1, got {ex['seeds']}")
     if not ex["widths"]:
         raise ValueError("experiment.widths must not be empty")
+    # checked here so that a bad value exits before the out directory exists
+    if min(ex["widths"]) < 1:
+        raise ValueError(f"experiment.widths entries must be >= 1, got {ex['widths']}")
+    if ex["mc_deviation_samples"] < 100:
+        raise ValueError(
+            f"experiment.mc_deviation_samples must be >= 100, got {ex['mc_deviation_samples']}")
     out = _ensure_out(config.doc["out"])
     result = BUNDLES[bundle](config, out)
     with open(os.path.join(out, "experiment.json"), "w") as fh:

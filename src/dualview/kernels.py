@@ -17,6 +17,12 @@ never calls that oracle. Conventions:
   the 1/d_in pooling factor twice) equals the rotation sum with
   integer-count overlaps divided by d_in**2. The Monte-Carlo NTK target is
   therefore beta_cv * <phi, phi'>.
+* ``ntk_fixed_gates`` contracts per-layer cotangents instead of taking the
+  inner product of two flat weight gradients: one forward and one backward
+  pass per input give each weight layer's input z and the cotangent delta
+  at its pre-activation, and the NTK is sum_l <z_{l-1}, z'_{l-1}> *
+  <delta_l, delta'_l> (conv layers sum this over filter taps and position
+  pairs).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .arch import (
     forward_gated,
     init_params,
 )
-from .numerics import grad
+from .autodiff import backward
 
 
 def rot(x: np.ndarray, r: int) -> np.ndarray:
@@ -160,6 +166,18 @@ def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> flo
 # ---------------------------------------------------------------------------
 
 
+def _layer_cotangents(arch: ArchSpec, params_v, gates: GateTensor, x) -> list:
+    """Per weight layer of the value network on one input x: (z, delta).
+
+    z is the layer's input and delta the cotangent of y at its
+    pre-activation. One forward pass and one backward pass from y, in which
+    the input is the only leaf Node, so no weight gradient is formed.
+    """
+    out = forward_gated(arch, params_v, gates, x_v=x, input_leaf=True)
+    cot = backward(out.y_node)
+    return [(z.value[0], cot[id(q)][0]) for z, q in out.layers]
+
+
 def ntk_fixed_gates(
     arch: ArchSpec,
     params_v: Mapping[str, np.ndarray],
@@ -168,17 +186,28 @@ def ntk_fixed_gates(
     x,
     x2,
 ) -> float:
-    """<grad y(x), grad y(x')> w.r.t. the value-network weights, gates fixed."""
+    """<grad y(x), grad y(x')> w.r.t. the value-network weights, gates fixed.
 
-    def fwd(gates, xx):
-        def closure(nodes):
-            return forward_gated(arch, nodes, gates, x_v=xx).y_node
+    The weight gradient of a layer is an outer product of its input z and
+    the cotangent delta at its pre-activation, so the inner product
+    contracts per layer without forming either gradient:
 
-        return closure
-
-    g1 = grad(fwd(gates_x, x), params_v)
-    g2 = grad(fwd(gates_x2, x2), params_v)
-    return float(g1 @ g2)
+    * dense and res layers: <z, z'> <delta, delta'>;
+    * conv layers, where tap c of the filter saw z at p + c for output
+      position p: sum_c sum_{p, p'} <z_{p+c}, z'_{p'+c}> <delta_p, delta'_{p'}>.
+    """
+    if arch.n_out != 1:
+        raise ValueError(f"the NTK needs a scalar output, got n_out={arch.n_out}")
+    total = 0.0
+    for (z, d), (z2, d2) in zip(_layer_cotangents(arch, params_v, gates_x, x),
+                                _layer_cotangents(arch, params_v, gates_x2, x2)):
+        if z.ndim == 1:  # dense: z (fan_in,), delta (fan_out,)
+            total += float(z @ z2) * float(d @ d2)
+        else:  # conv: z (d_in, c_in), delta (d_in, c_out)
+            zz = z @ z2.T
+            taps = sum(np.roll(zz, (-c, -c), axis=(0, 1)) for c in range(arch.w_cv))
+            total += float(np.sum(taps * (d @ d2.T)))
+    return total
 
 
 @dataclass

@@ -31,8 +31,14 @@ def init_bernoulli(shape: Sequence[int], sigma: float, rng: np.random.Generator)
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise ValueError("shape must be nonempty")
-    signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    return signs * sigma
+    # uint32 draws take the same bounded 32-bit path as the default int64
+    # ones, so the values and the generator state are those of
+    # (rng.integers(0, 2, shape) * 2 - 1) * sigma; 0 or 1 times 2 sigma,
+    # minus sigma, is exact.
+    out = rng.integers(0, 2, size=shape, dtype=np.uint32).astype(np.float64)
+    out *= 2.0 * sigma
+    out -= sigma
+    return out
 
 
 def grad(

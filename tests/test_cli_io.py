@@ -285,13 +285,17 @@ def test_cli_experiment_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and msg in err
     assert not (tmp_path / "e").exists()
-    # the configured MC sample count runs as given, so one below 100 is refused
-    assert main(["experiment", "--out", str(tmp_path / "m"), "--override",
-                 "experiment.bundle=width-sweep", "--override", "experiment.widths=[16]",
-                 "--override", "experiment.mc_deviation_samples=99"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "n_samples must be >= 100, got 99" in err
-    assert not (tmp_path / "m" / "experiment.json").exists()
+    # the configured MC sample count runs as given, so one below 100 is
+    # refused, as is a width below 1, both naming the config key
+    for spec, msg in (("experiment.mc_deviation_samples=99",
+                       "experiment.mc_deviation_samples must be >= 100, got 99"),
+                      ("experiment.widths=[16,0]", "experiment.widths entries must be >= 1")):
+        assert main(["experiment", "--out", str(tmp_path / "m"), "--override",
+                     "experiment.bundle=width-sweep", "--override", "experiment.widths=[16]",
+                     "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and msg in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_cli_usage_errors(tmp_path):

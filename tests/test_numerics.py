@@ -49,6 +49,19 @@ def test_init_bernoulli_magnitude_property(seed):
     assert np.all(np.abs(w) == 0.7)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+                                           min_size=1, max_size=4),
+       st.floats(1e-3, 10.0))
+def test_init_bernoulli_matches_int64_sign_draws(seed, shapes, sigma):
+    # consecutive calls on one generator, odd sizes included: the uint32
+    # draws leave the values and the generator state of the int64 ones
+    rng, ref = make_rng(seed), make_rng(seed)
+    for shape in shapes:
+        want = (ref.integers(0, 2, shape).astype(float) * 2 - 1) * sigma
+        assert init_bernoulli(shape, sigma, rng).tobytes() == want.tobytes()
+
+
 # -- autodiff ops against finite differences -------------------------------
 
 
@@ -81,6 +94,23 @@ def test_mul_add_scale_grad(rng):
 def test_mul_rejects_broadcasting():
     with pytest.raises(ValueError):
         ad.mul(Node(np.ones((2, 3))), Node(np.ones(3)))
+
+
+def test_only_node_operands_become_parents(rng):
+    a, w = rng.normal(size=(2, 3)), Node(rng.normal(size=(3, 4)))
+    assert ad.matmul(a, w).parents == (w,)
+    x = Node(a)
+    assert ad.matmul(x, w.value).parents == (x,)
+    assert ad.add(x, a).parents == (x,)
+    assert ad.mul(a, a).parents == ()
+    assert ad.logistic(a, 2.0).parents == ()
+    z, theta = rng.normal(size=(2, 5, 3)), Node(rng.normal(size=(2, 3, 4)))
+    assert ad.conv_circular(z, theta).parents == (theta,)
+    # a constant operand changes neither the value nor the other's cotangent
+    for op, const, node in ((ad.matmul, a, w), (ad.conv_circular, z, theta)):
+        mixed, wrapped = op(const, node), op(Node(const), node)
+        assert mixed.value.tobytes() == wrapped.value.tobytes()
+        assert backward(mixed)[id(node)].tobytes() == backward(wrapped)[id(node)].tobytes()
 
 
 def _conv_loop(z, theta, g):

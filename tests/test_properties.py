@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import normal_params
 
 from dualview.arch import HARD, SOFT, ArchSpec, GateTensor, forward_gated, forward_relu
-from dualview.kernels import gate_correlations, mc_target, npk, rot, rotated_gates
-from dualview.numerics import make_rng
+from dualview.kernels import (gate_correlations, mc_target, npk, ntk_fixed_gates, rot,
+                              rotated_gates)
+from dualview.numerics import grad, make_rng
 from dualview.paths import dual_vectors, enumerate_paths, enumerate_subfcns, res_gate_indices
 
 
@@ -127,3 +128,32 @@ def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
     want_mc = sum(d * s ** (2 * (d - 1)) * k for d, k in terms)
     assert abs(npk(arch, x, x2, gx, gx2) - want_npk) <= 1e-12 * abs(want_npk)
     assert abs(mc_target(arch, x, x2, gx, gx2, sigma=sigma) - want_mc) <= 1e-12 * abs(want_mc)
+
+
+@st.composite
+def ntk_case(draw):
+    arch = replace(draw(small_arch()), n_out=1)  # the NTK of a scalar output
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    p = normal_params(arch, rng)
+    x, x2 = rng.normal(size=arch.d_in), rng.normal(size=arch.d_in)
+    if draw(st.booleans()):
+        gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    else:
+        gx, gx2 = (GateTensor(arch, [rng.random(s) for s in arch.gate_layer_shapes()], SOFT)
+                   for _ in range(2))
+    return arch, p, gx, gx2, x, x2
+
+
+@settings(max_examples=150, deadline=None)
+@given(ntk_case())
+def test_ntk_contraction_matches_weight_gradients(case):
+    # the per-layer cotangent contraction against the inner product of the
+    # two flat weight gradients from autodiff
+    arch, p, gx, gx2, x, x2 = case
+
+    def weight_grad(gates, xx):
+        return grad(lambda nodes: forward_gated(arch, nodes, gates, x_v=xx).y_node, p)
+
+    g, g2 = weight_grad(gx, x), weight_grad(gx2, x2)
+    terms = float(np.abs(g) @ np.abs(g2))
+    assert abs(ntk_fixed_gates(arch, p, gx, gx2, x, x2) - float(g @ g2)) <= 1e-12 * terms

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import normal_params
 
 from dualview.arch import ArchSpec
+from dualview.autodiff import Node
 from dualview.data import generate_synthetic
 from dualview.numerics import make_rng
 from dualview.training import (
@@ -210,6 +211,44 @@ def test_regime_freezing_bit_identical():
                           pretrain_epochs=3)
         report, model = train(ARCH, tr, cfg, test=te)  # train() asserts freezing
         assert model.params_f is not None
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monkeypatch):
+    # only Node operands join the autodiff graph; wrapping the input and the
+    # fixed gates in Nodes, as every operand once was, changes no bit
+    from dualview import autodiff as ad
+    from dualview.arch import GateRouting
+    from dualview.training import REGIME_TABLE, _batch_grads, _init_net
+
+    source = REGIME_TABLE[regime][0]
+    rng = make_rng(11, stream=46)
+    cases = []
+    for arch in (ARCH, ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2,
+                                n_out=2),
+                 ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
+        role = "shallow" if source == "shallow" else "dense"
+        params_f = None if source == "self" else _init_net(arch, rng, "normal", role)
+        model = Model(arch=arch, regime=regime, params_f=params_f,
+                      params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+        cases.append((model, rng.normal(size=(8, arch.d_in)), rng.integers(0, 2, size=8)))
+    plain = [_batch_grads(*case) for case in cases]
+
+    constants = []
+
+    def wrapping(op):
+        def wrapped(*args):
+            constants.extend(a for a in args if isinstance(a, np.ndarray))
+            return op(*(Node(a) if isinstance(a, np.ndarray) else a for a in args))
+        return wrapped
+
+    for name in ("matmul", "add", "mul", "conv_circular", "global_avg_pool", "logistic"):
+        monkeypatch.setattr(ad, name, wrapping(getattr(ad, name)))
+    for (loss, grads), case in zip(plain, cases):
+        loss_n, grads_n = _batch_grads(*case)
+        assert loss == loss_n and grads.keys() == grads_n.keys()
+        assert all(grads[k].tobytes() == grads_n[k].tobytes() for k in grads)
+    assert constants
 
 
 def test_determinism():
