@@ -88,28 +88,38 @@ def conv_circular(z, theta) -> Node:
     z: (n, d_in, c_in) layer input, theta: (w_cv, c_in, c_out).
     Output q: (n, d_in, c_out) with
     q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i],
-    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. The VJPs
-    recompute the rolled z of each tap instead of keeping w_cv copies alive.
+    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. Each tap
+    shifts z into one buffer with two slice copies, and the VJPs recompute
+    the shifted z of each tap instead of keeping w_cv copies alive.
     """
     zv, tv = value_of(z), value_of(theta)
     w_cv, c_in, c_out = tv.shape
+    d_in = zv.shape[1]
 
-    def tap(c):  # tap(c)[n * d_in + p] = z[n, (p + c) % d_in]
-        return (np.roll(zv, -c, axis=1) if c else zv).reshape(-1, c_in)
+    def tap(c, out):  # rows n * d_in + p hold z[n, (p + c) % d_in]
+        if not c:
+            return zv.reshape(-1, c_in)
+        out[:, :d_in - c] = zv[:, c:]
+        out[:, d_in - c:] = zv[:, :c]
+        return out.reshape(-1, c_in)
 
-    q = tap(0) @ tv[0]
+    shifted = np.empty(zv.shape)
+    q = tap(0, shifted) @ tv[0]
     for c in range(1, w_cv):
-        q += tap(c) @ tv[c]
+        q += tap(c, shifted) @ tv[c]
 
     def vjp_z(g):  # q[n, p] received z[n, (p + c) % d_in] @ theta[c]
         g2 = g.reshape(-1, c_out)
         dz = (g2 @ tv[0].T).reshape(zv.shape)
         for c in range(1, w_cv):
-            dz += np.roll((g2 @ tv[c].T).reshape(zv.shape), c, axis=1)
+            dc = (g2 @ tv[c].T).reshape(zv.shape)
+            dz[:, c:] += dc[:, :-c]
+            dz[:, :c] += dc[:, -c:]
         return dz
 
     def vjp_theta(g):
-        return np.stack([tap(c).T @ g.reshape(-1, c_out) for c in range(w_cv)])
+        g2, out = g.reshape(-1, c_out), np.empty(zv.shape)
+        return np.stack([tap(c, out).T @ g2 for c in range(w_cv)])
 
     return _op(q.reshape(*zv.shape[:2], c_out), z, vjp_z, theta, vjp_theta)
 

@@ -22,12 +22,21 @@ generator keyword's default. The ``train`` section's defaults are those of
 :class:`dualview.training.TrainConfig`.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
+
+Heap policy: :func:`main` sets glibc's trim threshold to 64 MiB and its mmap
+threshold to 32 MiB, so that memory a run frees stays in the process heap
+for its next arrays instead of going back to the kernel and being
+page-faulted in anew on every batch. ``Model.logits`` runs in row blocks so
+that inference reuses arrays of a bounded size. Where glibc's ``mallopt`` is
+unavailable this does nothing; the library modules never change the
+process's allocator.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import itertools
 import json
 import os
@@ -489,6 +498,35 @@ def cmd_experiment(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# glibc <malloc.h> mallopt parameters: how much free memory at the top of the
+# heap free() keeps before it returns the rest to the kernel, and the size
+# from which malloc maps a request on its own instead of using the heap
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_TRIM_THRESHOLD = 64 << 20
+HEAP_MMAP_THRESHOLD = 32 << 20  # mallopt(3)'s upper limit on 64-bit hosts
+
+
+def _retain_heap() -> None:
+    """Keep freed memory in glibc's heap for reuse; a repeat is harmless.
+
+    Setting either threshold stops glibc from adapting the other, so both
+    are set: with the trim threshold alone, a request above the mmap
+    threshold where it stopped (128 KiB by default) that the free heap
+    cannot hold is mapped and unmapped afresh every time.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    # OSError: no handle for the process; AttributeError: a C library without
+    # mallopt (not glibc); TypeError: Windows' CDLL takes no None
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualview",
@@ -515,6 +553,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _retain_heap()
     try:
         config = ExperimentConfig.load(args.config, args.override)
         if args.seed is not None:

@@ -73,11 +73,15 @@ class Dataset:
         return Dataset(self.X[idx], self.y[idx], self.k, self.provenance)
 
     def split(self, train_fraction: float, rng: np.random.Generator):
-        """Shuffled (train, test) split."""
+        """Shuffled (train, test) split; neither side may be empty."""
         if not 0.0 < train_fraction < 1.0:
             raise DatasetError(f"train_fraction must be in (0,1), got {train_fraction}")
-        perm = rng.permutation(self.n)
         cut = int(round(train_fraction * self.n))
+        if not 0 < cut < self.n:
+            side = "train" if cut == 0 else "test"
+            raise DatasetError(f"train_fraction {train_fraction} of n={self.n} samples "
+                               f"leaves the {side} set empty")
+        perm = rng.permutation(self.n)
         return self.subset(perm[:cut]), self.subset(perm[cut:])
 
 

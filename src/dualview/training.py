@@ -17,6 +17,11 @@ The value net always trains. A frozen feature net is checked to be
 bit-identical after training; soft gates are the logistic gate with the
 architecture's beta. The gate routing permutation and the constant-1 value
 input are applied identically during training and evaluation.
+
+Training steps run the differentiable ``Model.logits_node`` on one batch;
+inference (``Model.logits``, ``predict``, ``evaluate``) runs it over blocks
+of ``LOGITS_BLOCK_ROWS`` rows. The report records the time spent in
+``evaluate`` as ``eval_s``.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ REGIME_TABLE = {
     DLGN_SF: ("shallow", SOFT, True),
 }
 REGIMES = tuple(REGIME_TABLE)
+
+# Model.logits runs the forward pass over blocks of this many rows, so that
+# inference on a large dataset reuses arrays of a bounded size.
+LOGITS_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +247,7 @@ class TrainReport:
     test_accuracy: list[float] = field(default_factory=list)
     final_test_accuracy: float | None = None
     wall_clock_s: float = 0.0
+    eval_s: float = 0.0  # the part of wall_clock_s spent in evaluate()
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -274,7 +284,13 @@ class Model:
                             shallow_features=(source == "shallow")).y_node
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.logits_node(np.asarray(X, dtype=np.float64)).value
+        """Logits of a batch (n, d_in), one forward pass per LOGITS_BLOCK_ROWS
+        rows, or of one sample (d_in,)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1 or len(X) <= LOGITS_BLOCK_ROWS:
+            return self.logits_node(X).value
+        return np.concatenate([self.logits_node(X[i:i + LOGITS_BLOCK_ROWS]).value
+                               for i in range(0, len(X), LOGITS_BLOCK_ROWS)])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(X), axis=1)
@@ -283,6 +299,14 @@ class Model:
 def evaluate(model: Model, dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     return float(np.mean(model.predict(dataset.X) == dataset.y))
+
+
+def _timed_evaluate(report: TrainReport, model: Model, dataset) -> float:
+    """evaluate(), with its time added to report.eval_s."""
+    t0 = time.perf_counter()
+    accuracy = evaluate(model, dataset)
+    report.eval_s += time.perf_counter() - t0
+    return accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +366,9 @@ def _run_epochs(model: Model, dataset, opt: Optimizer, epochs, batch_size, rng,
             losses.append(loss)
         if report is not None:
             report.train_loss.append(float(np.mean(losses)))
-            report.train_accuracy.append(evaluate(model, dataset))
+            report.train_accuracy.append(_timed_evaluate(report, model, dataset))
             if test is not None:
-                report.test_accuracy.append(evaluate(model, test))
+                report.test_accuracy.append(_timed_evaluate(report, model, test))
 
 
 # Overflow shows up as a non-finite gradient, which the optimizer reports by name.
@@ -399,6 +423,6 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
                 raise AssertionError(f"frozen feature parameter {k!r} changed during training")
 
     if test is not None:
-        report.final_test_accuracy = evaluate(model, test)
+        report.final_test_accuracy = _timed_evaluate(report, model, test)
     report.wall_clock_s = time.perf_counter() - t0
     return report, model

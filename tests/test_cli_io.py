@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +93,9 @@ def test_split():
     assert tr.n == 80 and te.n == 20
     with pytest.raises(DatasetError):
         ds.split(1.5, make_rng(0))
+    for fraction, side in ((0.996, "test"), (0.004, "train")):
+        with pytest.raises(DatasetError, match=f"n=100 samples leaves the {side} set empty"):
+            ds.split(fraction, make_rng(0))
 
 
 def test_load_csv(tmp_path):
@@ -216,6 +221,7 @@ def test_cli_train_artifacts(tmp_path):
     report = json.loads((out / "train_report.json").read_text())
     assert report["regime"] == "DNN"
     assert len(report["train_loss"]) == 5
+    assert 0.0 < report["eval_s"] < report["wall_clock_s"]
     params = np.load(out / "params.npz")
     assert any(k.startswith("v.") for k in params.files)
 
@@ -398,6 +404,59 @@ def test_cli_train_non_finite_gradient(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "non-finite gradient for parameter 'v." in err
+
+
+@pytest.mark.parametrize("fraction,side", [(0.999, "test"), (0.001, "train")])
+def test_cli_train_empty_split(tmp_path, capsys, fraction, side):
+    # an empty side once trained or evaluated on nothing and wrote NaN
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), "--override", "dataset.n=50",
+                 "--override", f"dataset.train_fraction={fraction}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"train_fraction {fraction} of n=50 samples leaves the {side} set empty" in err
+    assert not out.exists()
+
+
+def test_cli_heap_policy_is_optional(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._retain_heap()
+    cli._retain_heap()
+    assert calls == [(cli.M_TRIM_THRESHOLD, cli.HEAP_TRIM_THRESHOLD),
+                     (cli.M_MMAP_THRESHOLD, cli.HEAP_MMAP_THRESHOLD)] * 2
+    monkeypatch.undo()
+    cli._retain_heap()  # the process's own C library, twice
+    cli._retain_heap()
+
+    def no_library(name):
+        calls.append(name)
+        raise OSError("no C library handle")
+
+    def no_mallopt(name):
+        calls.append(name)
+        return SimpleNamespace()
+
+    def outputs(name):
+        report = json.loads((tmp_path / name / "train_report.json").read_text())
+        del report["wall_clock_s"], report["eval_s"]
+        return report, (tmp_path / name / "params.npz").read_bytes()
+
+    # 400 samples put 320 in the train set: evaluate runs two row blocks
+    argv = ["train", "--override", "train.epochs=2", "--override", "dataset.n=400"]
+    assert main(argv + ["--out", str(tmp_path / "glibc")]) == 0
+    for name, fake in (("oserror", no_library), ("no-mallopt", no_mallopt)):
+        calls.clear()
+        monkeypatch.setattr(ctypes, "CDLL", fake)
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        monkeypatch.undo()
+        assert calls == [None]  # main asked for the process's own C library
+        assert outputs(name) == outputs("glibc")
 
 
 def test_cli_verify_skips_path_identity_per_family(tmp_path):

@@ -137,8 +137,10 @@ def test_conv_circular_values(rng):
 @st.composite
 def conv_case(draw):
     d_in = draw(st.integers(2, 9))
-    n, w_cv = draw(st.integers(1, 4)), draw(st.integers(1, d_in - 1))
-    c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    w_cv = draw(st.one_of(st.just(d_in - 1), st.integers(1, d_in - 1)))  # widest filter
+    c_in = draw(st.one_of(st.just(1), st.integers(1, 5)))  # the input layer's channels
+    c_out = draw(st.integers(1, 5))
     rng = make_rng(draw(st.integers(0, 2**16)))
     return (rng.normal(size=(n, d_in, c_in)), rng.normal(size=(w_cv, c_in, c_out)),
             rng.normal(size=(n, d_in, c_out)))
@@ -155,6 +157,32 @@ def test_conv_circular_matches_loop_reference(case):
     for value, expect, scale in zip(got, _conv_loop(z, theta, g), scales):
         assert value.shape == expect.shape
         assert np.all(np.abs(value - expect) <= 1e-12 * scale)
+
+
+def _conv_roll(z, theta, g):
+    """conv_circular's per-tap matmuls with the taps shifted by np.roll: the
+    value and both VJPs for the output cotangent g."""
+    w_cv, c_in, c_out = theta.shape
+    taps = [(np.roll(z, -c, axis=1) if c else z).reshape(-1, c_in) for c in range(w_cv)]
+    q = taps[0] @ theta[0]
+    for c in range(1, w_cv):
+        q += taps[c] @ theta[c]
+    g2 = g.reshape(-1, c_out)
+    dz = (g2 @ theta[0].T).reshape(z.shape)
+    for c in range(1, w_cv):
+        dz += np.roll((g2 @ theta[c].T).reshape(z.shape), c, axis=1)
+    dtheta = np.stack([t.T @ g2 for t in taps])
+    return q.reshape(*z.shape[:2], c_out), dz, dtheta
+
+
+@settings(max_examples=100, deadline=None)
+@given(conv_case())
+def test_conv_circular_matches_roll_reference_bit_for_bit(case):
+    z, theta, g = case
+    out = ad.conv_circular(Node(z), Node(theta))
+    got = (out.value, out.vjps[0](g), out.vjps[1](g))
+    for value, expect in zip(got, _conv_roll(z, theta, g)):
+        assert value.shape == expect.shape and value.tobytes() == expect.tobytes()
 
 
 def test_conv_circular_grad(rng):

@@ -3,15 +3,19 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
 
-from dualview.arch import HARD, SOFT, ArchSpec, GateTensor, forward_gated, forward_relu
+from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, GateTensor, forward_gated,
+                           forward_relu)
+from dualview.data import Dataset
 from dualview.kernels import (gate_correlations, mc_target, npk, ntk_fixed_gates, rot,
                               rotated_gates)
 from dualview.numerics import grad, make_rng
 from dualview.paths import dual_vectors, enumerate_paths, enumerate_subfcns, res_gate_indices
+from dualview.training import REGIME_TABLE, REGIMES, Model, _init_net, evaluate
 
 
 @st.composite
@@ -157,3 +161,36 @@ def test_ntk_contraction_matches_weight_gradients(case):
     g, g2 = weight_grad(gx, x), weight_grad(gx2, x2)
     terms = float(np.abs(g) @ np.abs(g2))
     assert abs(ntk_fixed_gates(arch, p, gx, gx2, x, x2) - float(g @ g2)) <= 1e-12 * terms
+
+
+@st.composite
+def model_batch(draw):
+    arch, regime = draw(small_arch()), draw(st.sampled_from(REGIMES))
+    # one row, and row counts on both sides of one and two blocks of 256
+    n = draw(st.sampled_from((1, 255, 256, 257, 519)))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    source = REGIME_TABLE[regime][0]
+    role = "shallow" if source == "shallow" else "dense"
+    params_f = None if source == "self" else _init_net(arch, rng, "normal", role)
+    model = Model(arch=arch, regime=regime, params_f=params_f,
+                  params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+    k = max(2, arch.n_out)
+    return model, Dataset(rng.normal(size=(n, arch.d_in)), rng.integers(0, k, size=n), k, "rows")
+
+
+# a width-1 layer whose one unit is gated off feeds exact zeros to the next
+@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
+@settings(max_examples=60, deadline=None)
+@given(model_batch())
+def test_blocked_logits_match_one_forward_pass(case):
+    # BLAS may round a block's rows differently from the whole batch's
+    # (by ~1e-16 for wide layers), so blocks are not bit-equal in general
+    model, ds = case
+    one_pass = model.logits_node(ds.X).value
+    blocked = model.logits(ds.X)
+    assert blocked.shape == one_pass.shape
+    scale = np.abs(one_pass).max()
+    assert np.all(np.abs(blocked - one_pass) <= 1e-12 * np.maximum(np.abs(one_pass), scale))
+    assert evaluate(model, ds) == float(np.mean(np.argmax(one_pass, axis=1) == ds.y))
+    x = ds.X[0]  # one sample runs unblocked, as one forward pass
+    assert model.logits(x).tobytes() == model.logits_node(x).value.tobytes()

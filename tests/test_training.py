@@ -154,6 +154,7 @@ def test_train_dnn_separable_blobs():
     report, model = train(arch, tr, cfg, test=te)
     assert report.final_test_accuracy >= 0.99
     assert len(report.train_loss) == cfg.epochs
+    assert 0.0 < report.eval_s < report.wall_clock_s
     assert all(0.0 <= a <= 1.0 for a in report.train_accuracy)
 
 
