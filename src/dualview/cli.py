@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .arch import RES, ArchSpec, forward_relu, init_params, weight_layer_specs
+from .arch import RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, npk_fc, ntk_expectation_mc, rot
 from .numerics import make_rng
@@ -308,6 +308,10 @@ def cmd_verify(config: ExperimentConfig) -> int:
     for key in ("eq1_samples", "max_paths"):
         if v[key] < 1:
             raise ValueError(f"verify.{key} must be >= 1, got {v[key]}")
+    if v["mc_samples"] < 100:
+        raise ValueError(f"verify.mc_samples must be >= 100, got {v['mc_samples']}")
+    if v["mc_sigma_scale"] <= 0:
+        raise ValueError(f"verify.mc_sigma_scale must be positive, got {v['mc_sigma_scale']}")
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
     report = {**_structure_checks(probes),
@@ -394,14 +398,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
-def _train_sweep(config: ExperimentConfig, out: str, name: str, fixed: dict, grid: dict) -> dict:
+def _train_sweep(config: ExperimentConfig, fixed: dict, grid: dict) -> tuple[list, list, list]:
     """Final test accuracy per grid point (last key fastest) and seed, with
     `fixed`, the point and the seed patched into the `train` section."""
     arch = config.arch()
@@ -415,25 +412,26 @@ def _train_sweep(config: ExperimentConfig, out: str, name: str, fixed: dict, gri
             report, _ = train(arch, tr, TrainConfig(**{**config.doc["train"], **fixed, **point}),
                               test=te)
             records.append({**point, "test_accuracy": report.final_test_accuracy})
-    _write_csv(os.path.join(out, name.replace("-", "_") + ".csv"),
-               [*grid, "seed", "test_accuracy"],
-               [["-".join(map(str, v)) if isinstance(v, list) else v for v in r.values()]
-                for r in records])
-    return {"bundle": name, "records": records}
+    rows = [["-".join(map(str, v)) if isinstance(v, list) else v for v in r.values()]
+            for r in records]
+    return records, [*grid, "seed", "test_accuracy"], rows
 
 
-def _bundle_permutation_sweep(config: ExperimentConfig, out: str) -> dict:
-    perms = itertools.permutations(range(config.arch().n_gate_layers()))
-    return _train_sweep(config, out, "permutation-sweep", {"regime": "DLGN"},
+def _bundle_permutation_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
+    arch = config.arch()
+    perms = list(itertools.permutations(range(arch.n_gate_layers())))
+    for perm in perms:  # an arch that cannot route every permutation fails before training
+        GateRouting(perm=perm).validate(arch)
+    return _train_sweep(config, {"regime": "DLGN"},
                         {"perm": [list(p) for p in perms]})
 
 
-def _bundle_constant_one(config: ExperimentConfig, out: str) -> dict:
-    return _train_sweep(config, out, "constant-one", {},
+def _bundle_constant_one(config: ExperimentConfig) -> tuple[list, list, list]:
+    return _train_sweep(config, {},
                         {"regime": ["DGN_STANDALONE", "DLGN"], "x_v": ["data", "ones"]})
 
 
-def _bundle_width_sweep(config: ExperimentConfig, out: str) -> dict:
+def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
     """Single-sample NTK relative deviation from its closed-form mean vs width."""
     ex = config.doc["experiment"]
     seed = config.doc["seed"]
@@ -457,9 +455,7 @@ def _bundle_width_sweep(config: ExperimentConfig, out: str) -> dict:
         rows.append([w, med, stderr])
         records.append({"width": w, "median_rel_dev": med, "stderr": stderr,
                         "target": target, "mc_mean": res.mean})
-    _write_csv(os.path.join(out, "width_sweep.csv"),
-               ["width", "median_rel_dev", "stderr"], rows)
-    return {"bundle": "width-sweep", "records": records}
+    return records, ["width", "median_rel_dev", "stderr"], rows
 
 
 BUNDLES = {
@@ -479,17 +475,22 @@ def cmd_experiment(config: ExperimentConfig) -> int:
         raise ValueError(f"experiment.seeds must be >= 1, got {ex['seeds']}")
     if not ex["widths"]:
         raise ValueError("experiment.widths must not be empty")
-    # checked here so that a bad value exits before the out directory exists
+    # checked here so that the error names the config key
     if min(ex["widths"]) < 1:
         raise ValueError(f"experiment.widths entries must be >= 1, got {ex['widths']}")
     if ex["mc_deviation_samples"] < 100:
         raise ValueError(
             f"experiment.mc_deviation_samples must be >= 100, got {ex['mc_deviation_samples']}")
+    # a bundle returns (records, csv header, csv rows); the out directory is
+    # created only once there are results to write
+    records, header, rows = BUNDLES[bundle](config)
     out = _ensure_out(config.doc["out"])
-    result = BUNDLES[bundle](config, out)
+    with open(os.path.join(out, bundle.replace("-", "_") + ".csv"), "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(str(v) for v in row) + "\n")
     with open(os.path.join(out, "experiment.json"), "w") as fh:
-        json.dump(result, fh, indent=2)
-    print(f"experiment: bundle {bundle} wrote {len(result['records'])} records -> {out}")
+        json.dump({"bundle": bundle, "records": records}, fh, indent=2)
+    print(f"experiment: bundle {bundle} wrote {len(records)} records -> {out}")
     return 0
 
 

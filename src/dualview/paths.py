@@ -1,14 +1,33 @@
 """Brute-force path enumeration and the exact dual objects.
 
 Everything here is the oracle side: neural path features / values are built
-by explicit enumeration (paths, weight-sharing bundles for the conv family,
-sub-FCNs for the residual family) and checked against the closed-form
-kernels elsewhere. Enumeration is exponential, so a hard budget applies;
+by explicit enumeration and checked against the closed-form kernels
+elsewhere. Enumeration is exponential, so a hard budget applies;
 production-scale kernels must use the closed forms.
 
+Every family enumerates into one :class:`PathTable`. Each path stores its
+input node and, per gated step, the flat index of the gate it passes in the
+concatenated gate layers. Each weight-sharing bundle stores, per weight
+layer, the flat index of the weight it traverses in the concatenated weight
+layers. Both concatenations end in a constant 1 that pads the rows of
+shorter paths (the res sub-FCNs). A bundle is a single path for fc and res;
+for conv_gap it is the d_in paths, one per input node, that share their
+weights, and every activity carries the 1/d_in pooling scale. Activities,
+values, dual vectors and overlaps are gathers, products and per-bundle or
+per-node sums with no family branch; only :func:`enumerate_paths` knows the
+families.
+
 Path ordering is lexicographic in (input node, layer-1 index, layer-2
-index, ...) so dual vectors align across calls. Conv paths are ordered
-bundle-major with the d_in member paths (one per input node) contiguous.
+index, ...) so dual vectors align across calls. Res paths are grouped by
+sub-FCN in the mask order of :func:`enumerate_subfcns`. Conv paths are
+ordered bundle-major, lexicographic in (window offset, filter) per conv
+layer then the hidden fc units, with the d_in member paths (one per input
+node) contiguous.
+
+:func:`iter_paths` walks the same paths from the architecture alone, and
+:func:`path_activity` / :func:`path_value` evaluate one path from the gate
+and weight arrays, so a table that drops, duplicates or misindexes paths
+does not pass its own reference.
 """
 
 from __future__ import annotations
@@ -20,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arch import ArchSpec, GateTensor, CONV_GAP, FC, HARD, RES
+from .arch import ArchSpec, GateTensor, CONV_GAP, FC, RES, weight_layer_specs
 
 DEFAULT_BUDGET = 10**6
 
@@ -78,80 +97,48 @@ def enumerate_subfcns(arch: ArchSpec) -> list[tuple[SubFcnMask, ArchSpec]]:
     return out
 
 
-def _res_block_sequence(arch: ArchSpec, mask: SubFcnMask) -> list[int]:
-    return [0, *mask.included, arch.b + 1]
-
-
 def res_gate_indices(arch: ArchSpec, mask: SubFcnMask) -> list[int]:
     """Global gated-layer indices (into the ResNet gate list) for one sub-FCN.
 
     The sub-FCN's own final layer is ungated, so the last traversed layer is
     dropped; every other traversed layer maps to block_id * d_blk + layer.
     """
-    seq = _res_block_sequence(arch, mask)
-    idxs = [j * arch.d_blk + l for j in seq for l in range(arch.d_blk)]
+    idxs = [j * arch.d_blk + l for j in (0, *mask.included, arch.b + 1) for l in range(arch.d_blk)]
     return idxs[:-1]
 
 
-def res_weight_names(arch: ArchSpec, mask: SubFcnMask) -> list[str]:
-    seq = _res_block_sequence(arch, mask)
-    return [f"b{j}l{l}" for j in seq for l in range(1, arch.d_blk + 1)]
-
-
-def _fc_index_grid(d_in: int, width: int, n_hidden: int) -> np.ndarray:
-    """(P, 1 + n_hidden) lexicographic index table: input node then hidden units."""
-    dims = [d_in] + [width] * n_hidden
-    grids = np.indices(dims)
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 @dataclass
-class FcPathTable:
-    arch: ArchSpec  # an FC spec
-    idx: np.ndarray  # (P, depth): column 0 input node, columns 1..d-1 hidden units
+class PathTable:
+    """Every path of `arch` as flat indices into its gates and weights."""
+
+    arch: ArchSpec
+    node: np.ndarray  # (P,) input node of each path
+    gate_idx: np.ndarray  # (L, P) flat gate index per gated step
+    weight_idx: np.ndarray  # (M, B) flat weight index per weight layer, per bundle
+    bundle_start: np.ndarray  # (B,) first path of each bundle; its paths are contiguous
+    pool: float = 1.0  # pooling scale of every activity
+    sub_blocks: list = field(default_factory=list)  # (sub-FCN mask or None, path slice)
 
     @property
     def n_paths(self) -> int:
-        return self.idx.shape[0]
-
-
-@dataclass
-class ConvPathTable:
-    arch: ArchSpec
-    cv_c: np.ndarray  # (B, d_cv) window offsets, 0-based
-    cv_j: np.ndarray  # (B, d_cv) filter indices
-    fc_k: np.ndarray  # (B, d_fc - 1) hidden fc indices
+        return self.node.size
 
     @property
     def n_bundles(self) -> int:
-        return self.cv_c.shape[0]
+        return self.bundle_start.size
 
-    @property
-    def n_paths(self) -> int:
-        return self.n_bundles * self.arch.d_in
-
-    def positions(self, input_node: int) -> np.ndarray:
-        """(B, d_cv) spatial position of each bundle's path from `input_node`."""
-        shifts = np.cumsum(self.cv_c, axis=1)
-        return (input_node - shifts) % self.arch.d_in
+    def blocks(self) -> list[tuple[SubFcnMask | None, slice]]:
+        """Each sub-FCN's mask with its slice of the dual vectors (fc: one block, mask None)."""
+        return self.sub_blocks
 
 
-@dataclass
-class ResPathTable:
-    arch: ArchSpec
-    sub_tables: list[tuple[SubFcnMask, FcPathTable]]
-
-    @property
-    def n_paths(self) -> int:
-        return sum(t.n_paths for _, t in self.sub_tables)
-
-    def blocks(self) -> list[tuple[SubFcnMask, slice]]:
-        """Each sub-FCN's mask with its slice of the dual vectors."""
-        ends = np.cumsum([t.n_paths for _, t in self.sub_tables])
-        return [(m, slice(e - t.n_paths, e)) for (m, t), e in zip(self.sub_tables, ends)]
+def _offsets(shapes) -> list[int]:
+    """Start of each array in a flat concatenation; the last entry indexes the trailing 1."""
+    return np.cumsum([0, *(math.prod(s) for s in shapes)]).tolist()
 
 
-PathTable = FcPathTable | ConvPathTable | ResPathTable
+def _flat(arrays) -> np.ndarray:
+    return np.concatenate([*(np.ravel(a) for a in arrays), [1.0]])
 
 
 def enumerate_paths(arch: ArchSpec, budget: int = DEFAULT_BUDGET) -> PathTable:
@@ -159,109 +146,58 @@ def enumerate_paths(arch: ArchSpec, budget: int = DEFAULT_BUDGET) -> PathTable:
     n = count_paths(arch)
     if n > budget:
         raise PathBudgetError(n, budget)
-    if arch.family == FC:
-        return FcPathTable(arch, _fc_index_grid(arch.d_in, arch.width, arch.depth - 1))
+    shapes = [s for _, s, _ in weight_layer_specs(arch)]
+    g_off, w_off = _offsets(arch.gate_layer_shapes()), _offsets(shapes)
     if arch.family == CONV_GAP:
-        w, w_cv = arch.width, arch.w_cv
-        dims = []
-        for _ in range(arch.d_cv):
-            dims.extend([w_cv, w])
-        dims.extend([w] * (arch.d_fc - 1))
-        grids = np.indices(dims) if dims else np.zeros((0, 1), dtype=int)
-        cols = [g.ravel() for g in grids]
-        n_b = cols[0].size if cols else 1
-        cv_c = np.stack(cols[0 : 2 * arch.d_cv : 2], axis=1)
-        cv_j = np.stack(cols[1 : 2 * arch.d_cv : 2], axis=1)
-        if arch.d_fc > 1:
-            fc_k = np.stack(cols[2 * arch.d_cv :], axis=1)
-        else:
-            fc_k = np.zeros((n_b, 0), dtype=int)
-        return ConvPathTable(arch, cv_c, cv_j, fc_k)
-    subs = []
-    for mask, fc_spec in enumerate_subfcns(arch):
-        subs.append(
-            (mask, FcPathTable(fc_spec, _fc_index_grid(arch.d_in, arch.width, fc_spec.depth - 1)))
-        )
-    return ResPathTable(arch, subs)
+        return _conv_table(arch, shapes, g_off, w_off)
+    if arch.family == FC:
+        chains = [(None, list(range(arch.depth)))]
+    else:
+        chains = [(m, [*res_gate_indices(arch, m), len(shapes) - 1])
+                  for m, _ in enumerate_subfcns(arch)]
+    # fc and every res sub-FCN: a chain of weight layers where gate layer k
+    # gates weight layer k, except the chain's last layer
+    node = np.empty(n, np.int32)
+    gate_idx = np.full((arch.n_gate_layers(), n), g_off[-1], np.int32)
+    weight_idx = np.full((len(shapes), n), w_off[-1], np.int32)
+    blocks, stop = [], 0
+    for mask, layers in chains:
+        units = np.indices((arch.d_in,) + (arch.width,) * (len(layers) - 1), dtype=np.int32)
+        units = [*units.reshape(len(layers), -1), 0]
+        s = slice(stop, stop + units[0].size)
+        node[s], stop = units[0], s.stop
+        for r, k in enumerate(layers):
+            weight_idx[r, s] = w_off[k] + units[r] * shapes[k][-1] + units[r + 1]
+        for r, k in enumerate(layers[:-1]):
+            gate_idx[r, s] = g_off[k] + units[r + 1]
+        blocks.append((mask, s))
+    return PathTable(arch, node, gate_idx, weight_idx, np.arange(n, dtype=np.int32),
+                     sub_blocks=blocks)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized activities / values
-# ---------------------------------------------------------------------------
-
-
-def _fc_activities(table: FcPathTable, gate_layers: list[np.ndarray]) -> np.ndarray:
-    act = np.ones(table.n_paths)
-    for l, g in enumerate(gate_layers, start=1):
-        act = act * np.asarray(g)[table.idx[:, l]]
-    return act
-
-
-def _fc_values(table: FcPathTable, weights: list[np.ndarray]) -> np.ndarray:
-    idx = table.idx
-    depth = len(weights)
-    v = weights[0][idx[:, 0], idx[:, 1] if depth > 1 else 0]
-    for l in range(2, depth + 1):
-        col_out = idx[:, l] if l < depth else np.zeros(table.n_paths, dtype=int)
-        v = v * weights[l - 1][idx[:, l - 1], col_out]
-    return v
-
-
-def conv_activity_matrix(
-    table: ConvPathTable, gates: GateTensor, include_pool: bool = True
-) -> np.ndarray:
-    """(d_in, B) activity of each bundle's path from each input node.
-
-    `include_pool=False` drops the 1/d_in pooling factor; used when the
-    activity product should count gates only (overlap counting).
-    """
-    arch = table.arch
-    conv_gates = gates.layers[: arch.d_cv]
-    fc_gates = gates.layers[arch.d_cv :]
-    out = np.empty((arch.d_in, table.n_bundles))
-    fc_act = np.ones(table.n_bundles)
-    for m, g in enumerate(fc_gates):
-        fc_act = fc_act * np.asarray(g)[table.fc_k[:, m]]
-    for i in range(arch.d_in):
-        pos = table.positions(i)
-        act = np.ones(table.n_bundles)
-        for l in range(arch.d_cv):
-            act = act * np.asarray(conv_gates[l])[pos[:, l], table.cv_j[:, l]]
-        out[i] = act * fc_act
-    if include_pool:
-        out = out / arch.d_in
-    return out
-
-
-def conv_bundle_values(table: ConvPathTable, params: Mapping[str, np.ndarray]) -> np.ndarray:
-    arch = table.arch
-    v = np.ones(table.n_bundles)
-    j_prev = np.zeros(table.n_bundles, dtype=int)  # single input channel
+def _conv_table(arch: ArchSpec, shapes, g_off, w_off) -> PathTable:
+    d_in, n_cv = arch.d_in, 2 * arch.d_cv
+    dims = (arch.w_cv, arch.width) * arch.d_cv + (arch.width,) * (arch.d_fc - 1) + (d_in,)
+    grid = np.indices(dims, dtype=np.int32).reshape(len(dims), -1)
+    node, windows, filters, hidden = grid[-1], grid[0:n_cv:2], grid[1:n_cv:2], grid[n_cv:-1]
+    gate_idx = np.empty((arch.n_gate_layers(), node.size), np.int32)
+    pos = node
     for l in range(arch.d_cv):
-        theta = np.asarray(params[f"cv{l + 1}"])
-        v = v * theta[table.cv_c[:, l], j_prev, table.cv_j[:, l]]
-        j_prev = table.cv_j[:, l]
-    k_prev = j_prev
-    for m in range(arch.d_fc):
-        w_mat = np.asarray(params[f"fc{m + 1}"])
-        k_next = table.fc_k[:, m] if m < arch.d_fc - 1 else np.zeros(table.n_bundles, dtype=int)
-        v = v * w_mat[k_prev, k_next]
-        k_prev = k_next
-    return v
-
-
-def _res_sub_activities(
-    table: ResPathTable, mask: SubFcnMask, sub: FcPathTable, gates: GateTensor
-) -> np.ndarray:
-    gate_ids = res_gate_indices(table.arch, mask)
-    return _fc_activities(sub, [gates.layers[g] for g in gate_ids])
-
-
-def _res_sub_values(
-    table: ResPathTable, mask: SubFcnMask, sub: FcPathTable, params: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    names = res_weight_names(table.arch, mask)
-    return _fc_values(sub, [np.asarray(params[n]) for n in names])
+        pos = (pos - windows[l]) % d_in
+        gate_idx[l] = g_off[l] + pos * arch.width + filters[l]
+    for m in range(arch.d_fc - 1):
+        gate_idx[arch.d_cv + m] = g_off[arch.d_cv + m] + hidden[m]
+    # a bundle's weights are those of its path from input node 0; weight
+    # layer r maps channel chain[r] to chain[r + 1]
+    first = grid[:, ::d_in]
+    chain = [0, *first[1:n_cv:2], *first[n_cv:-1], 0]
+    weight_idx = np.empty((len(shapes), first.shape[1]), np.int32)
+    for r, shape in enumerate(shapes):
+        weight_idx[r] = w_off[r] + chain[r] * shape[-1] + chain[r + 1]
+    for l in range(arch.d_cv):
+        weight_idx[l] += first[2 * l] * (shapes[l][1] * shapes[l][2])
+    return PathTable(arch, node, gate_idx, weight_idx,
+                     np.arange(0, node.size, d_in, dtype=np.int32), pool=1.0 / d_in)
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +218,20 @@ class Path:
 
 
 def iter_paths(table: PathTable):
-    """Paths in table order (oracle scale only)."""
-    if isinstance(table, FcPathTable):
-        for row in table.idx:
-            yield Path(table.arch, int(row[0]), hidden=tuple(int(v) for v in row[1:]))
-    elif isinstance(table, ConvPathTable):
-        for b in range(table.n_bundles):
-            for i in range(table.arch.d_in):
-                yield Path(
-                    table.arch,
-                    i,
-                    hidden=tuple(int(v) for v in table.fc_k[b]),
-                    windows=tuple(int(v) for v in table.cv_c[b]),
-                    filters=tuple(int(v) for v in table.cv_j[b]),
-                )
-    else:
-        for mask, sub in table.sub_tables:
-            for row in sub.idx:
-                yield Path(
-                    table.arch,
-                    int(row[0]),
-                    hidden=tuple(int(v) for v in row[1:]),
-                    subfcn=mask,
-                )
+    """Paths in table order, walked from `table.arch` alone (oracle scale only)."""
+    arch = table.arch
+    units = [range(arch.width)]
+    if arch.family == CONV_GAP:
+        n_cv = 2 * arch.d_cv
+        cv = [range(arch.w_cv), range(arch.width)] * arch.d_cv
+        for *idx, i in itertools.product(*cv, *units * (arch.d_fc - 1), range(arch.d_in)):
+            yield Path(arch, i, hidden=tuple(idx[n_cv:]), windows=tuple(idx[0:n_cv:2]),
+                       filters=tuple(idx[1:n_cv:2]))
+        return
+    chains = enumerate_subfcns(arch) if arch.family == RES else [(None, arch)]
+    for mask, fc in chains:
+        for i, *hidden in itertools.product(range(arch.d_in), *units * (fc.depth - 1)):
+            yield Path(arch, i, hidden=tuple(hidden), subfcn=mask)
 
 
 def path_activity(gates: GateTensor, p: Path) -> float:
@@ -343,7 +270,8 @@ def path_value(params: Mapping[str, np.ndarray], p: Path) -> float:
         for m in range(arch.d_fc):
             v *= float(params[f"fc{m + 1}"][chain[m], chain[m + 1]])
         return v
-    names = res_weight_names(arch, p.subfcn)
+    blocks = (0, *p.subfcn.included, arch.b + 1)
+    names = [f"b{j}l{l}" for j in blocks for l in range(1, arch.d_blk + 1)]
     chain = (p.input_node, *p.hidden, 0)
     return float(np.prod([params[n][chain[l], chain[l + 1]] for l, n in enumerate(names)]))
 
@@ -362,6 +290,24 @@ class DualVectors:
         return float(self.npf @ self.npv)
 
 
+def _products(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Product of `flat` gathered at each row of `idx`, taken in row order."""
+    out = flat[idx[0]]
+    for row in idx[1:]:
+        out *= flat[row]
+    return out
+
+
+def _activities(table: PathTable, gates: GateTensor) -> np.ndarray:
+    """Gate product of every path, without the pooling scale."""
+    return _products(_flat(gates.layers), table.gate_idx)
+
+
+def _path_npf(table: PathTable, x, gates: GateTensor) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x[table.node] * _activities(table, gates) * table.pool
+
+
 def dual_vectors(
     arch: ArchSpec,
     params: Mapping[str, np.ndarray],
@@ -371,32 +317,19 @@ def dual_vectors(
     budget: int = DEFAULT_BUDGET,
 ) -> DualVectors:
     """Neural path feature / value vectors; conv entries are per bundle."""
-    x = np.asarray(x, dtype=np.float64)
     if table is None:
         table = enumerate_paths(arch, budget=budget)
-    if arch.family == FC:
-        act = _fc_activities(table, gates.layers)
-        npf = x[table.idx[:, 0]] * act
-        npv = _fc_values(table, [np.asarray(params[f"fc{l}"]) for l in range(1, arch.depth + 1)])
-        return DualVectors(npf, npv)
-    if arch.family == CONV_GAP:
-        act = conv_activity_matrix(table, gates, include_pool=True)  # (d_in, B)
-        npf = x @ act
-        npv = conv_bundle_values(table, params)
-        return DualVectors(npf, npv)
-    npfs, npvs = [], []
-    for mask, sub in table.sub_tables:
-        act = _res_sub_activities(table, mask, sub, gates)
-        npfs.append(x[sub.idx[:, 0]] * act)
-        npvs.append(_res_sub_values(table, mask, sub, params))
-    return DualVectors(np.concatenate(npfs), np.concatenate(npvs))
+    weights = _flat(params[name] for name, _, _ in weight_layer_specs(table.arch))
+    return DualVectors(np.add.reduceat(_path_npf(table, x, gates), table.bundle_start),
+                       _products(weights, table.weight_idx))
 
 
-def conv_path_npf(table: ConvPathTable, x, gates: GateTensor) -> np.ndarray:
-    """Unbundled per-path NPF for the conv family, shape (d_in, B)."""
-    x = np.asarray(x, dtype=np.float64)
-    act = conv_activity_matrix(table, gates, include_pool=True)
-    return x[:, None] * act
+def conv_path_npf(table: PathTable, x, gates: GateTensor) -> np.ndarray:
+    """Unbundled per-path NPF, shape (d_in, B): bundle b's path from input node i at (i, b)."""
+    sizes = np.diff(table.bundle_start, append=table.n_paths)
+    out = np.zeros((table.arch.d_in, table.n_bundles))
+    out[table.node, np.repeat(np.arange(table.n_bundles), sizes)] = _path_npf(table, x, gates)
+    return out
 
 
 def _require_hard(gates: GateTensor) -> None:
@@ -419,24 +352,7 @@ def overlap(
     Conv activities are counted gates-only (the constant pooling mask is
     excluded so the result stays an integer count).
     """
-    _require_hard(gates_x)
-    _require_hard(gates_x2)
-    if table is None:
-        table = enumerate_paths(arch, budget=budget)
-    if arch.family == FC:
-        joint = _fc_activities(table, gates_x.layers) * _fc_activities(table, gates_x2.layers)
-        return int(round(joint[table.idx[:, 0] == i].sum()))
-    if arch.family == CONV_GAP:
-        a = conv_activity_matrix(table, gates_x, include_pool=False)
-        a2 = conv_activity_matrix(table, gates_x2, include_pool=False)
-        return int(round((a[i] * a2[i]).sum()))
-    total = 0.0
-    for mask, sub in table.sub_tables:
-        joint = _res_sub_activities(table, mask, sub, gates_x) * _res_sub_activities(
-            table, mask, sub, gates_x2
-        )
-        total += joint[sub.idx[:, 0] == i].sum()
-    return int(round(total))
+    return int(overlap_vector(gates_x, gates_x2, arch, table=table, budget=budget)[i])
 
 
 def overlap_vector(
@@ -446,10 +362,10 @@ def overlap_vector(
     table: PathTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
+    """`overlap(i, ...)` for every input node i, as floats."""
+    _require_hard(gates_x)
+    _require_hard(gates_x2)
     if table is None:
         table = enumerate_paths(arch, budget=budget)
-    return np.array(
-        [overlap(i, gates_x, gates_x2, arch, table=table) for i in range(arch.d_in)],
-        dtype=np.float64,
-    )
-
+    joint = _activities(table, gates_x) * _activities(table, gates_x2)
+    return np.bincount(table.node, weights=joint, minlength=arch.d_in)

@@ -226,6 +226,8 @@ class TrainConfig:
             raise ValueError(f"init must be 'normal' or 'bernoulli', got {self.init!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.pretrain_epochs < 0:
+            raise ValueError(f"train.pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.perm is not None:
             if not isinstance(self.perm, (list, tuple)) or not all(
                     isinstance(p, (int, np.integer)) and not isinstance(p, bool)

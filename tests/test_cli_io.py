@@ -280,7 +280,7 @@ def test_cli_experiment_width_sweep(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_experiment_usage_errors(tmp_path, capsys):
+def test_cli_experiment_usage_errors(tmp_path, capsys, monkeypatch):
     # no seeds or no widths would write an experiment.json without records
     for bundle, spec, msg in (
             ("permutation-sweep", "experiment.seeds=0", "experiment.seeds must be >= 1"),
@@ -302,6 +302,28 @@ def test_cli_experiment_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and msg in err
     assert not (tmp_path / "m").exists()
+    # errors raised inside a bundle leave no out directory either
+    for specs, msg in (
+            (["dataset.n=50", "dataset.train_fraction=0.999"], "leaves the test set empty"),
+            (["dataset.n=50", "arch.n_out=3"], "arch.n_out=3 != dataset classes k=2")):
+        argv = ["experiment", "--out", str(tmp_path / "b"), "--override",
+                "experiment.bundle=constant-one"]
+        assert main(argv + [a for spec in specs for a in ("--override", spec)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before every permutation was checked")
+
+    # only the identity permutes a conv layer with the fc layer of equal index
+    monkeypatch.setattr(cli, "train", refuse)
+    conv = {"family": "conv_gap", "d_in": 8, "w_cv": 3, "width": 4, "d_cv": 1, "d_fc": 2,
+            "n_out": 2}
+    assert main(["experiment", "--out", str(tmp_path / "p"), "--override",
+                 f"arch={json.dumps(conv)}", "--override", "dataset.kind=shifted_pulses",
+                 "--override", "dataset.n=40"]) == 2
+    assert "routing permutes layers of unequal gate shape" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_cli_usage_errors(tmp_path):
@@ -359,13 +381,26 @@ def test_cli_kernel_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "k").exists()
 
 
-def test_cli_verify_usage_errors(tmp_path, capsys):
+def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a check before the usage error")
+
+    # every value below is refused before any check runs
+    monkeypatch.setattr(cli, "_structure_checks", refuse)
     # a sample count or path budget below 1 would check nothing and pass
     for spec in ("verify.eq1_samples=0", "verify.eq1_samples=-1", "verify.max_paths=0",
                  "verify.max_paths=-1"):
         assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{spec.split('=')[0]} must be >= 1" in err
+    assert not (tmp_path / "v").exists()
+    # the MC check's own limits, named by their config keys
+    for spec, msg in (("verify.mc_samples=99", "verify.mc_samples must be >= 100, got 99"),
+                      ("verify.mc_sigma_scale=0",
+                       "verify.mc_sigma_scale must be positive, got 0")):
+        assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and msg in err
     assert not (tmp_path / "v").exists()
 
 

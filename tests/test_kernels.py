@@ -280,3 +280,20 @@ def test_kernels_module_does_not_call_the_path_oracle():
                for a in n.names}
     modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     assert not modules & {"paths", "dualview.paths"}
+
+
+def test_only_the_cli_and_the_package_import_the_path_oracle():
+    # path enumeration is the test oracle: `dualview verify` (in cli) runs it
+    # and the package re-exports it, but no library module may build on it
+    importers = set()
+    for source in Path(kernels.__file__).parent.glob("*.py"):
+        for n in ast.walk(ast.parse(source.read_text())):
+            if isinstance(n, ast.ImportFrom):
+                names = [n.module or "", *(f"{n.module or ''}.{a.name}" for a in n.names)]
+            elif isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            else:
+                continue
+            if any("paths" in name.split(".") for name in names):
+                importers.add(source.stem)
+    assert importers == {"cli", "__init__"}

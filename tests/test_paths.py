@@ -50,9 +50,9 @@ def test_budget_refusal():
 def test_conv_bundles_have_d_in_paths():
     table = enumerate_paths(CONV_SMALL)
     assert table.n_paths == table.n_bundles * CONV_SMALL.d_in
-    # every bundle traverses one spatial position per conv layer
-    for i in range(CONV_SMALL.d_in):
-        assert table.positions(i).shape == (table.n_bundles, CONV_SMALL.d_cv)
+    # each bundle holds one contiguous path from every input node
+    members = table.node.reshape(table.n_bundles, CONV_SMALL.d_in)
+    assert np.array_equal(members, np.tile(np.arange(CONV_SMALL.d_in), (table.n_bundles, 1)))
 
 
 def test_subfcn_enumeration():

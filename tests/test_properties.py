@@ -14,7 +14,9 @@ from dualview.data import Dataset
 from dualview.kernels import (gate_correlations, mc_target, npk, ntk_fixed_gates, rot,
                               rotated_gates)
 from dualview.numerics import grad, make_rng
-from dualview.paths import dual_vectors, enumerate_paths, enumerate_subfcns, res_gate_indices
+from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
+                            iter_paths, overlap_vector, path_activity, path_value,
+                            res_gate_indices)
 from dualview.training import REGIME_TABLE, REGIMES, Model, _init_net, evaluate
 
 
@@ -101,6 +103,35 @@ def test_npk_matches_path_enumeration(case):
     npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
     terms = float(np.abs(npf) @ np.abs(npf2))
     assert abs(npk(arch, x, x2, gx, gx2) - float(npf @ npf2)) <= 1e-12 * terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_arch(), st.integers(0, 2**16))
+def test_path_table_matches_the_independent_walk(arch, seed):
+    # iter_paths walks the architecture without reading the table's indices
+    arch = replace(arch, n_out=1)
+    rng = make_rng(seed)
+    p, x, x2 = normal_params(arch, rng), rng.normal(size=arch.d_in), rng.normal(size=arch.d_in)
+    gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    table = enumerate_paths(arch)
+    walk = list(iter_paths(table))
+    assert len(walk) == table.n_paths == count_paths(arch)
+    conv = arch.family == "conv_gap"
+
+    def bundle(q):  # a conv bundle's paths differ only in their input node
+        return q.windows, q.filters, q.hidden, q.subfcn, None if conv else q.input_node
+
+    ids = np.cumsum([i == 0 or bundle(q) != bundle(walk[i - 1]) for i, q in enumerate(walk)]) - 1
+    dv = dual_vectors(arch, p, x, gx, table=table)
+    assert ids[-1] + 1 == table.n_bundles
+    npf = np.bincount(ids, [x[q.input_node] * path_activity(gx, q) for q in walk])
+    assert np.allclose(npf, dv.npf, rtol=0, atol=1e-12)
+    assert np.allclose([path_value(p, q) for q in walk], dv.npv[ids], rtol=1e-12, atol=0)
+    pool = 1.0 / arch.d_in if conv else 1.0
+    joint = [path_activity(gx, q) * path_activity(gx2, q) / pool**2 for q in walk]
+    nodes = [q.input_node for q in walk]
+    assert np.allclose(np.bincount(nodes, joint, minlength=arch.d_in),
+                       overlap_vector(gx, gx2, arch, table=table), rtol=1e-12, atol=1e-12)
 
 
 @st.composite

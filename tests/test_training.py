@@ -10,6 +10,7 @@ from conftest import normal_params
 
 from dualview.arch import ArchSpec
 from dualview.autodiff import Node
+from dualview.cli import main
 from dualview.data import generate_synthetic
 from dualview.numerics import make_rng
 from dualview.training import (
@@ -312,13 +313,20 @@ def test_train_report_json_roundtrip():
     assert doc["regime"] == "DNN" and len(doc["train_loss"]) == 2
 
 
-def test_train_config_validation():
+def test_train_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         TrainConfig(regime="SVM")
     with pytest.raises(ValueError):
         TrainConfig(x_v="zeros")
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    TrainConfig(pretrain_epochs=0)
+    # a negative count would skip DGN_FL pre-training and report the value
+    assert main(["train", "--out", str(tmp_path / "t"), "--override", "train.regime=DGN_FL",
+                 "--override", "train.pretrain_epochs=-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "train.pretrain_epochs must be >= 0, got -5" in err
+    assert not (tmp_path / "t").exists()
 
 
 def test_arch_dataset_mismatch():
