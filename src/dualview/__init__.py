@@ -10,9 +10,7 @@ from .arch import (
     ArchSpec,
     ForwardResult,
     GateRouting,
-    GateTensor,
     IDENTITY_ROUTING,
-    forward_dgn,
     forward_dlgn,
     forward_gated,
     forward_relu,
@@ -30,7 +28,6 @@ from .kernels import (
     ntk_expectation_mc,
     ntk_fixed_gates,
     rot,
-    rotated_gates,
 )
 from .data import Dataset, generate_synthetic, load_dataset
 from .numerics import finite_diff_grad, grad, init_bernoulli, make_rng

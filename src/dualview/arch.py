@@ -9,6 +9,11 @@ Three families are supported:
 No bias terms exist anywhere: biases would break the path-product
 decomposition the whole package is built around. The hard gate at a
 pre-activation of exactly 0 evaluates to 0 (strict inequality).
+
+Gates are a plain list with one array (or Node) per gated layer, in forward
+order: ``forward_relu`` returns a ReLU network's own hard gates,
+``feature_gates`` the gates of a ``relu``, ``linear`` or ``shallow`` feature
+network, and ``forward_gated`` runs a GaLU value network on any such list.
 """
 
 from __future__ import annotations
@@ -135,30 +140,16 @@ def init_params(
     arch: ArchSpec,
     rng: np.random.Generator,
     sigma: float | None = None,
-    role: str = "dense",
 ) -> dict[str, np.ndarray]:
-    """Bernoulli +/-sigma ParamSet; default sigma is `arch.init_sigma(kind)` per layer.
+    """Bernoulli +/-sigma weights of the value network; default sigma is
+    `arch.init_sigma(kind)` per layer.
 
     A float `sigma` overrides every layer.
     """
     from .numerics import init_bernoulli
 
-    specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
     return {name: init_bernoulli(shape, arch.init_sigma(kind) if sigma is None else sigma, rng)
-            for name, shape, kind in specs}
-
-
-@dataclass
-class GateTensor:
-    """Per-layer gating values in [0, 1]."""
-
-    arch: ArchSpec
-    layers: list[np.ndarray]
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in (HARD, SOFT):
-            raise ValueError(f"gate mode must be hard or soft, got {self.mode!r}")
+            for name, shape, kind in weight_layer_specs(arch)}
 
 
 @dataclass(frozen=True)
@@ -189,10 +180,14 @@ class GateRouting:
 IDENTITY_ROUTING = GateRouting()
 
 
+# Hard or soft gate values, one array per gated layer in forward order.
+Gates = Sequence[np.ndarray]
+
+
 @dataclass
 class ForwardResult:
     y: float | np.ndarray
-    gates: GateTensor
+    gates: list[np.ndarray]  # one array per gated layer, in forward order
     y_node: Node
     # per weight layer, in forward order: (layer input, pre-activation Node)
     layers: list[tuple[np.ndarray | Node, Node]]
@@ -282,7 +277,7 @@ def _stack(
 
 
 def _squeeze_result(
-    arch: ArchSpec, y_node: Node, layers: list, gates: list[Gate], mode: str, squeeze: bool
+    arch: ArchSpec, y_node: Node, layers: list, gates: list[Gate], squeeze: bool
 ) -> ForwardResult:
     gate_vals = [ad.value_of(g) for g in gates]
     if squeeze:
@@ -290,42 +285,34 @@ def _squeeze_result(
     y = y_node.value
     if squeeze:
         y = float(y[0, 0]) if arch.n_out == 1 else y[0]
-    return ForwardResult(
-        y=y,
-        gates=GateTensor(arch=arch, layers=gate_vals, mode=mode),
-        y_node=y_node,
-        layers=layers,
-    )
+    return ForwardResult(y=y, gates=gate_vals, y_node=y_node, layers=layers)
 
 
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     """Plain DNN with ReLUs: every hidden unit is q * 1{q > 0}."""
     X, squeeze = _ensure_batch(x, arch.d_in)
-    return _squeeze_result(arch, *_stack(arch, params, X, _relu_gate), HARD, squeeze)
+    return _squeeze_result(arch, *_stack(arch, params, X, _relu_gate), squeeze)
 
 
 def forward_gated(
     arch: ArchSpec,
     params_v: Mapping,
-    external_gates,
+    external_gates: Sequence[Gate],
     routing: GateRouting = IDENTITY_ROUTING,
     x_v=None,
     input_leaf: bool = False,
 ) -> ForwardResult:
     """Value network of GaLUs driven by externally supplied gates.
 
-    `external_gates` is a GateTensor or a list of per-layer gate arrays/nodes
-    (unrouted; `routing.perm` is applied here). Gated layer i takes a gate
+    `external_gates` holds one gate array or Node per gated layer (unrouted;
+    `routing.perm` is applied here). Gated layer i takes a gate
     array of shape `arch.gate_layer_shapes()[i]`, broadcast over the batch,
     or a gate of shape `(n,) + arch.gate_layer_shapes()[i]`, used as is.
     `routing.constant_one_input` replaces the value input by ones.
     `input_leaf` makes the value input a leaf Node (see :func:`_stack`).
     """
     routing.validate(arch)
-    if isinstance(external_gates, GateTensor):
-        seq, mode = external_gates.layers, external_gates.mode
-    else:
-        seq, mode = list(external_gates), HARD
+    seq = list(external_gates)
     if len(seq) != arch.n_gate_layers():
         raise ValueError(f"expected {arch.n_gate_layers()} gate layers, got {len(seq)}")
     X, squeeze = _ensure_batch(x_v, arch.d_in)
@@ -344,25 +331,20 @@ def forward_gated(
             )
         routed.append(g)
     stack = _stack(arch, params_v, X, lambda idx, q: routed[idx], input_leaf)
-    return _squeeze_result(arch, *stack, mode, squeeze)
+    return _squeeze_result(arch, *stack, squeeze)
 
 
-def feature_gates(
-    arch: ArchSpec,
-    params_f: Mapping,
-    x_f,
-    mode: str = HARD,
-    linear: bool = False,
-    shallow: bool = False,
-) -> list[Gate]:
-    """Gates, one per gated layer, produced by the feature network on x_f.
+def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str) -> list[Gate]:
+    """Gates, one per gated layer, produced by the `source` feature network on x_f.
 
-    linear=False: ReLU feature network (DGN); linear=True: deep linear
-    feature network (DLGN); shallow=True: per-layer independent single maps
-    (DLGN-SF). Gates always carry a batch axis. Soft gates are logistic
-    Nodes, differentiable in whichever of `params_f` are Nodes; hard gates
-    are constant arrays.
+    source "relu": a ReLU feature network (DGN); "linear": a deep linear
+    feature network (DLGN); "shallow": per-layer independent single maps of
+    the input (DLGN-SF). Gates always carry a batch axis. Soft gates are
+    logistic Nodes, differentiable in whichever of `params_f` are Nodes;
+    hard gates are constant arrays.
     """
+    if mode not in (HARD, SOFT):
+        raise ValueError(f"gate mode must be hard or soft, got {mode!r}")
     X, _ = _ensure_batch(x_f, arch.d_in)
 
     def to_gate(q: Node) -> Gate:
@@ -370,7 +352,7 @@ def feature_gates(
             return ad.logistic(q, arch.beta)
         return ad.hard_gate_values(q.value)
 
-    if shallow:
+    if source == "shallow":
         gates = []
         for name, _, kind in shallow_layer_specs(arch):
             if kind == "conv":
@@ -379,11 +361,13 @@ def feature_gates(
                 q = ad.matmul(X, params_f[name])
             gates.append(to_gate(q))
         return gates
+    if source not in ("relu", "linear"):
+        raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
 
     # A ReLU feature network propagates its hidden units with hard
     # self-gates; either way the exported gates tap the pre-activations of
     # the gated layers (all but the output layer).
-    _, layers, _ = _stack(arch, params_f, X, None if linear else _relu_gate)
+    _, layers, _ = _stack(arch, params_f, X, _relu_gate if source == "relu" else None)
     return [to_gate(q) for _, q in layers[:-1]]
 
 
@@ -396,20 +380,6 @@ def _value_input(x_f, x_v):
     return x_v
 
 
-def forward_dgn(
-    arch: ArchSpec,
-    params_f: Mapping,
-    params_v: Mapping,
-    x_f,
-    x_v=None,
-    mode: str = HARD,
-    routing: GateRouting = IDENTITY_ROUTING,
-) -> ForwardResult:
-    """DGN: ReLU feature network gates a GaLU value network."""
-    gates = GateTensor(arch, feature_gates(arch, params_f, x_f, mode=mode), mode)
-    return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))
-
-
 def forward_dlgn(
     arch: ArchSpec,
     params_f: Mapping,
@@ -418,10 +388,9 @@ def forward_dlgn(
     x_v=None,
     mode: str = SOFT,
     routing: GateRouting = IDENTITY_ROUTING,
-    shallow_features: bool = False,
+    source: str = "linear",
 ) -> ForwardResult:
-    """DLGN: deep linear (or per-layer shallow) feature network gates a GaLU net."""
-    layers = feature_gates(arch, params_f, x_f, mode=mode,
-                           linear=not shallow_features, shallow=shallow_features)
-    return forward_gated(arch, params_v, GateTensor(arch, layers, mode), routing,
-                         _value_input(x_f, x_v))
+    """DGN or DLGN: the `source` feature network (see :func:`feature_gates`)
+    on x_f gates a GaLU value network on x_v."""
+    gates = feature_gates(arch, params_f, x_f, source, mode)
+    return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))

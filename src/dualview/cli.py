@@ -125,7 +125,7 @@ class ExperimentConfig:
         doc = copy.deepcopy(DEFAULT_CONFIG)
         if path is not None:
             with open(path) as fh:
-                _merge(doc, json.load(fh))
+                _merge(doc, _as_object(json.load(fh), path))
         for ov in overrides:
             _apply_override(doc, ov)
         return cls(doc=doc)
@@ -136,7 +136,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = copy.deepcopy(DEFAULT_CONFIG)
-        _merge(doc, json.loads(text))
+        _merge(doc, _as_object(json.loads(text), "config text"))
         return cls(doc=doc)
 
     def arch(self) -> ArchSpec:
@@ -165,6 +165,14 @@ def _check_type(key: str, value, default) -> None:
     else:
         noun = f"of type {type(default).__name__}"
     raise ValueError(f"config key {key} must be {noun}, got {value!r}")
+
+
+def _as_object(value, origin) -> dict:
+    """A config document's top level, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{origin}: a config must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def _merge(base: dict, patch: dict) -> None:

@@ -87,6 +87,8 @@ class Dataset:
 
 def _gen_blobs(n, rng, k=2, d_in=2, spread=1.0, separation=8.0):
     """Gaussian clusters whose means sit `separation` stds apart."""
+    if k < 2:
+        raise DatasetError(f"blobs parameter 'k' must be >= 2, got {k}")
     means = rng.normal(size=(k, d_in))
     means *= separation * spread / max(1e-12, np.min(
         [np.linalg.norm(means[i] - means[j]) for i in range(k) for j in range(i + 1, k)]
@@ -111,6 +113,10 @@ def _gen_circles(n, rng, radii=(1.0, 2.0), noise=0.1, append_one=True):
 
 def _gen_shifted_pulses(n, rng, d_in=8, k=2, noise=0.05):
     """Class c = a fixed pulse shape, circularly shifted by a random offset."""
+    # class c's pulse covers width 2 + c, which must fit in d_in
+    if not 2 <= k <= d_in - 1:
+        raise DatasetError(f"shifted_pulses parameter 'k' must satisfy 2 <= k <= d_in - 1 "
+                           f"= {d_in - 1}, got {k}")
     shapes = np.zeros((k, d_in))
     for c in range(k):
         width = 1 + c  # distinct pulse widths distinguish the classes

@@ -4,6 +4,8 @@ The closed forms here are checked against the enumeration oracle in
 :mod:`dualview.paths` by ``dualview verify`` and the tests; this module
 never calls that oracle. Conventions:
 
+* Gates are plain lists with one array per gated layer, as
+  ``ForwardResult.gates`` holds them.
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
   of x and x'; ``mc_target`` is its width limit, the NPK scaled by the
   family's constant (per sub-FCN depth for the res family).
@@ -15,8 +17,8 @@ never calls that oracle. Conventions:
   <phi, phi'> = <x, x'> C_0 C_{b+1} prod_{j=1..b} (1 + C_j).
 * For the conv family the bundle-level <phi, phi'> (whose activities carry
   the 1/d_in pooling factor twice) equals the rotation sum with
-  integer-count overlaps divided by d_in**2. The Monte-Carlo NTK target is
-  therefore beta_cv * <phi, phi'>.
+  integer-count overlaps divided by d_in**2, counted for all d_in rotations
+  in one pass. The Monte-Carlo NTK target is therefore beta_cv * <phi, phi'>.
 * ``ntk_fixed_gates`` contracts per-layer cotangents instead of taking the
   inner product of two flat weight gradients: one forward and one backward
   pass per input give each weight layer's input z and the cotangent delta
@@ -35,15 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arch import (
-    ArchSpec,
-    GateTensor,
-    CONV_GAP,
-    FC,
-    RES,
-    forward_gated,
-    init_params,
-)
+from .arch import ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params
 from .autodiff import backward
 
 
@@ -58,12 +52,12 @@ def rot(x: np.ndarray, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gate_correlations(gates_x: GateTensor, gates_x2: GateTensor) -> np.ndarray:
+def gate_correlations(gates_x: Gates, gates_x2: Gates) -> np.ndarray:
     """Per-layer <G_l(x), G_l(x')>."""
-    if len(gates_x.layers) != len(gates_x2.layers):
-        raise ValueError("gate tensors have different layer counts")
+    if len(gates_x) != len(gates_x2):
+        raise ValueError("gate lists have different layer counts")
     out = []
-    for g, g2 in zip(gates_x.layers, gates_x2.layers):
+    for g, g2 in zip(gates_x, gates_x2):
         g, g2 = np.asarray(g), np.asarray(g2)
         if g.shape != g2.shape:
             raise ValueError(f"gate shape mismatch {g.shape} vs {g2.shape}")
@@ -71,70 +65,60 @@ def gate_correlations(gates_x: GateTensor, gates_x2: GateTensor) -> np.ndarray:
     return np.array(out)
 
 
-def npk_fc(x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
+def npk_fc(x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """<x, x'> * prod_l <G_l(x), G_l(x')> (unnormalized product kernel)."""
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     return float(x @ x2) * float(np.prod(gate_correlations(gates_x, gates_x2)))
 
 
-def conv_overlap_counts(arch: ArchSpec, gates_x: GateTensor, gates_x2: GateTensor) -> np.ndarray:
+def conv_overlap_counts(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> np.ndarray:
     """overlap(i, x, x') for every input node, by layerwise path counting.
 
     Joint gate H = G(x)*G(x') per unit; the count of jointly active paths
     from each node i is propagated through the conv layers (each window
     offset reaches exactly one upstream position) and the FC head, for all
     nodes at once. The pooling mask is excluded so the result is an integer
-    count.
+    count. Conv-layer gates (..., d_in, w) may carry leading axes, which
+    broadcast and which the counts (..., d_in) keep.
     """
     if arch.family != CONV_GAP:
         raise ValueError("conv_overlap_counts requires the conv_gap family")
-    h = [np.asarray(g) * np.asarray(g2) for g, g2 in zip(gates_x.layers, gates_x2.layers)]
+    h = [np.asarray(g) * np.asarray(g2) for g, g2 in zip(gates_x, gates_x2)]
     conv_h, fc_h = h[: arch.d_cv], h[arch.d_cv :]
     pos = np.arange(arch.d_in)
     # reach[q, p] = 1 when the window at position p covers position q
     reach = ((pos[:, None] - pos[None, :]) % arch.d_in < arch.w_cv).astype(np.float64)
-    paths = reach  # paths[i, p]: paths from node i entering the window at p
+    paths = reach  # paths[..., i, p]: paths from node i entering the window at p
     for hl in conv_h[:-1]:
-        paths = (paths * hl.sum(axis=1)) @ reach
-    m = paths @ conv_h[-1]  # (node, channel), summed over the last conv layer's positions
+        paths = (paths * hl.sum(axis=-1)[..., None, :]) @ reach
+    m = paths @ conv_h[-1]  # (..., node, channel), summed over the last conv layer's positions
     for hl in fc_h:
-        m = hl * m.sum(axis=1, keepdims=True)
-    return m.sum(axis=1)
+        m = hl * m.sum(axis=-1, keepdims=True)
+    return m.sum(axis=-1)
 
 
-def rotated_gates(arch: ArchSpec, gates: GateTensor, r: int) -> GateTensor:
-    """The hard gates of rot(x, r), given the gates of x (conv_gap family).
+def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
+    """sum_r <x, rot(x', r)>_overlap(., x, rot(x', r)), all rotations r at once.
 
     Circular convolution is shift-equivariant and global average pooling
-    removes the shift, so the conv-layer gates roll with the input and the
-    FC-head gates stay as they are.
-    """
-    if arch.family != CONV_GAP:
-        raise ValueError("rotated_gates requires the conv_gap family")
-    layers = [np.roll(g, -r, axis=-2) if l < arch.d_cv else g
-              for l, g in enumerate(gates.layers)]
-    return GateTensor(arch=arch, layers=layers, mode=gates.mode)
-
-
-def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
-    """sum_r <x, rot(x', r)>_overlap(., x, rot(x', r)).
-
-    The gates of rot(x', r) come from :func:`rotated_gates`, so no forward
-    pass runs here. The bundle-level <phi, phi'> equals this sum divided by
-    d_in**2.
+    removes the shift, so the gates of rot(x', r) are the conv-layer gates
+    of x' read at position (p + r) mod d_in, with the FC-head gates
+    unchanged; no forward pass runs here. Those conv-layer gates get a
+    leading rotation axis, so one overlap count covers every r. The
+    bundle-level <phi, phi'> equals this sum divided by d_in**2.
     """
     if arch.family != CONV_GAP:
         raise ValueError("npk_conv_rotsum requires the conv_gap family")
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    total = 0.0
-    for r in range(arch.d_in):
-        counts = conv_overlap_counts(arch, gates_x, rotated_gates(arch, gates_x2, r))
-        total += float((x * rot(x2, r)) @ counts)
-    return total
+    pos = np.arange(arch.d_in)
+    shifted = (pos[None, :] + pos[:, None]) % arch.d_in  # shifted[r, p] = (p + r) mod d_in
+    rotated = [np.asarray(g)[shifted] if l < arch.d_cv else g for l, g in enumerate(gates_x2)]
+    counts = conv_overlap_counts(arch, gates_x, rotated)  # (rotation, node)
+    return float(np.sum(x * x2[shifted] * counts))
 
 
-def _block_correlations(arch: ArchSpec, gates_x: GateTensor, gates_x2: GateTensor) -> np.ndarray:
+def _block_correlations(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> np.ndarray:
     """C_j, the product of <G_l(x), G_l(x')> over block j's layers, j = 0..b+1.
 
     The network's last layer is ungated and contributes a factor of 1.
@@ -143,7 +127,7 @@ def _block_correlations(arch: ArchSpec, gates_x: GateTensor, gates_x2: GateTenso
     return corr.reshape(arch.b + 2, arch.d_blk).prod(axis=1)
 
 
-def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
+def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """NPK of the ResNet: the sum of its 2^b sub-FCN product kernels, in O(b)."""
     if arch.family != RES:
         raise ValueError("npk_res_ensemble requires the res family")
@@ -152,7 +136,7 @@ def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateT
     return float(x @ x2) * float(c[0] * c[-1] * np.prod(1.0 + c[1:-1]))
 
 
-def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> float:
+def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """<phi(x), phi(x')> for any family, from the hard gates of x and x'."""
     if arch.family == FC:
         return npk_fc(x, x2, gates_x, gates_x2)
@@ -166,7 +150,7 @@ def npk(arch: ArchSpec, x, x2, gates_x: GateTensor, gates_x2: GateTensor) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _layer_cotangents(arch: ArchSpec, params_v, gates: GateTensor, x) -> list:
+def _layer_cotangents(arch: ArchSpec, params_v, gates: Gates, x) -> list:
     """Per weight layer of the value network on one input x: (z, delta).
 
     z is the layer's input and delta the cotangent of y at its
@@ -181,8 +165,8 @@ def _layer_cotangents(arch: ArchSpec, params_v, gates: GateTensor, x) -> list:
 def ntk_fixed_gates(
     arch: ArchSpec,
     params_v: Mapping[str, np.ndarray],
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
+    gates_x: Gates,
+    gates_x2: Gates,
     x,
     x2,
 ) -> float:
@@ -222,8 +206,8 @@ class McResult:
 
 def ntk_expectation_mc(
     arch: ArchSpec,
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
+    gates_x: Gates,
+    gates_x2: Gates,
     x,
     x2,
     n_samples: int,
@@ -251,8 +235,8 @@ def mc_target(
     arch: ArchSpec,
     x,
     x2,
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
+    gates_x: Gates,
+    gates_x2: Gates,
     sigma: float | None = None,
     gates_provider=None,  # unused: conv rolls the gates of x'; kept for callers passing it
 ) -> float:

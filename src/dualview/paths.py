@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arch import ArchSpec, GateTensor, CONV_GAP, FC, RES, weight_layer_specs
+from .arch import ArchSpec, CONV_GAP, FC, RES, Gates, weight_layer_specs
 
 DEFAULT_BUDGET = 10**6
 
@@ -234,23 +234,23 @@ def iter_paths(table: PathTable):
             yield Path(arch, i, hidden=tuple(hidden), subfcn=mask)
 
 
-def path_activity(gates: GateTensor, p: Path) -> float:
+def path_activity(gates: Gates, p: Path) -> float:
     """Product of the path's gate values; conv includes the 1/d_in pool factor."""
     arch = p.arch
     if arch.family == FC:
-        return float(np.prod([gates.layers[l][j] for l, j in enumerate(p.hidden)]))
+        return float(np.prod([gates[l][j] for l, j in enumerate(p.hidden)]))
     if arch.family == CONV_GAP:
         act = 1.0
         pos = p.input_node
         for l, (c, j) in enumerate(zip(p.windows, p.filters)):
             pos = (pos - c) % arch.d_in
-            act *= float(gates.layers[l][pos, j])
+            act *= float(gates[l][pos, j])
         act *= 1.0 / arch.d_in
         for m, k in enumerate(p.hidden):
-            act *= float(gates.layers[arch.d_cv + m][k])
+            act *= float(gates[arch.d_cv + m][k])
         return act
     gate_ids = res_gate_indices(arch, p.subfcn)
-    return float(np.prod([gates.layers[g][j] for g, j in zip(gate_ids, p.hidden)]))
+    return float(np.prod([gates[g][j] for g, j in zip(gate_ids, p.hidden)]))
 
 
 def path_value(params: Mapping[str, np.ndarray], p: Path) -> float:
@@ -298,12 +298,12 @@ def _products(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activities(table: PathTable, gates: GateTensor) -> np.ndarray:
+def _activities(table: PathTable, gates: Gates) -> np.ndarray:
     """Gate product of every path, without the pooling scale."""
-    return _products(_flat(gates.layers), table.gate_idx)
+    return _products(_flat(gates), table.gate_idx)
 
 
-def _path_npf(table: PathTable, x, gates: GateTensor) -> np.ndarray:
+def _path_npf(table: PathTable, x, gates: Gates) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[table.node] * _activities(table, gates) * table.pool
 
@@ -312,7 +312,7 @@ def dual_vectors(
     arch: ArchSpec,
     params: Mapping[str, np.ndarray],
     x,
-    gates: GateTensor,
+    gates: Gates,
     table: PathTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> DualVectors:
@@ -324,7 +324,7 @@ def dual_vectors(
                        _products(weights, table.weight_idx))
 
 
-def conv_path_npf(table: PathTable, x, gates: GateTensor) -> np.ndarray:
+def conv_path_npf(table: PathTable, x, gates: Gates) -> np.ndarray:
     """Unbundled per-path NPF, shape (d_in, B): bundle b's path from input node i at (i, b)."""
     sizes = np.diff(table.bundle_start, append=table.n_paths)
     out = np.zeros((table.arch.d_in, table.n_bundles))
@@ -332,8 +332,8 @@ def conv_path_npf(table: PathTable, x, gates: GateTensor) -> np.ndarray:
     return out
 
 
-def _require_hard(gates: GateTensor) -> None:
-    for g in gates.layers:
+def _require_hard(gates: Gates) -> None:
+    for g in gates:
         g = np.asarray(g)
         if not np.all((g == 0.0) | (g == 1.0)):
             raise ValueError("overlap counts require hard gates")
@@ -341,8 +341,8 @@ def _require_hard(gates: GateTensor) -> None:
 
 def overlap(
     i: int,
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
+    gates_x: Gates,
+    gates_x2: Gates,
     arch: ArchSpec,
     table: PathTable | None = None,
     budget: int = DEFAULT_BUDGET,
@@ -356,8 +356,8 @@ def overlap(
 
 
 def overlap_vector(
-    gates_x: GateTensor,
-    gates_x2: GateTensor,
+    gates_x: Gates,
+    gates_x2: Gates,
     arch: ArchSpec,
     table: PathTable | None = None,
     budget: int = DEFAULT_BUDGET,

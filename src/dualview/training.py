@@ -18,6 +18,13 @@ bit-identical after training; soft gates are the logistic gate with the
 architecture's beta. The gate routing permutation and the constant-1 value
 input are applied identically during training and evaluation.
 
+``Model.gates`` returns the gates the value network uses, one per gated
+layer: a DNN's own ReLU gates, or ``arch.feature_gates`` of the regime's
+feature source. ``Model.logits_node`` is ``forward_relu`` for DNN and
+``forward_gated`` on ``Model.gates`` for every other regime. A DNN reads
+neither the routing nor a separate value input, so ``train()`` rejects
+``x_v="ones"`` and a ``perm`` for it.
+
 Training steps run the differentiable ``Model.logits_node`` on one batch;
 inference (``Model.logits``, ``predict``, ``evaluate``) runs it over blocks
 of ``LOGITS_BLOCK_ROWS`` rows. The report records the time spent in
@@ -38,15 +45,14 @@ from .arch import (
     GateRouting,
     HARD,
     SOFT,
-    forward_dgn,
-    forward_dlgn,
+    feature_gates,
+    forward_gated,
     forward_relu,
-    init_params,
     shallow_layer_specs,
     weight_layer_specs,
 )
 from .autodiff import Node, backward
-from .numerics import make_rng
+from .numerics import init_bernoulli, make_rng
 
 DNN = "DNN"
 DGN_FR = "DGN_FR"
@@ -274,16 +280,21 @@ class Model:
     params_v: dict[str, np.ndarray]
     routing: GateRouting
 
-    def logits_node(self, X: np.ndarray, nodes_f=None, nodes_v=None) -> Node:
-        pf = self.params_f if nodes_f is None else nodes_f
-        pv = self.params_v if nodes_v is None else nodes_v
+    def gates(self, X: np.ndarray, nodes_f=None) -> list:
+        """The gates the value network uses on X, one per gated layer, before
+        routing: a DNN's own ReLU gates, or those of the regime's feature
+        network (run on `nodes_f` in place of `params_f` when given)."""
         source, mode, _ = REGIME_TABLE[self.regime]
         if source == "self":
+            return forward_relu(self.arch, self.params_v, X).gates
+        pf = self.params_f if nodes_f is None else nodes_f
+        return feature_gates(self.arch, pf, X, source, mode)
+
+    def logits_node(self, X: np.ndarray, nodes_f=None, nodes_v=None) -> Node:
+        pv = self.params_v if nodes_v is None else nodes_v
+        if REGIME_TABLE[self.regime][0] == "self":
             return forward_relu(self.arch, pv, X).y_node
-        if source == "relu":
-            return forward_dgn(self.arch, pf, pv, X, mode=mode, routing=self.routing).y_node
-        return forward_dlgn(self.arch, pf, pv, X, mode=mode, routing=self.routing,
-                            shallow_features=(source == "shallow")).y_node
+        return forward_gated(self.arch, pv, self.gates(X, nodes_f), self.routing, X).y_node
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         """Logits of a batch (n, d_in), one forward pass per LOGITS_BLOCK_ROWS
@@ -316,10 +327,14 @@ def _timed_evaluate(report: TrainReport, model: Model, dataset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _init_net(arch: ArchSpec, rng, how: str, role: str = "dense") -> dict[str, np.ndarray]:
+def _init_net(arch: ArchSpec, rng, how: str, source: str | None = None) -> dict[str, np.ndarray]:
+    """Normal or Bernoulli +/-sigma parameters at the fan-in scale: the
+    per-layer shallow maps for feature source "shallow", else the weight
+    layers (the value network and the other feature networks)."""
+    specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
     if how == "bernoulli":
-        return init_params(arch, rng, role=role)
-    specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
+        return {name: init_bernoulli(shape, arch.init_sigma(kind), rng)
+                for name, shape, kind in specs}
     return {name: rng.normal(scale=arch.init_sigma(kind), size=shape)
             for name, shape, kind in specs}
 
@@ -381,6 +396,13 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         raise ValueError(f"arch.n_out={arch.n_out} != dataset classes k={dataset.k}")
     if arch.d_in != dataset.d_in:
         raise ValueError(f"arch.d_in={arch.d_in} != dataset d_in={dataset.d_in}")
+    source, _, trains_features = REGIME_TABLE[config.regime]
+    if source == "self":
+        # a DNN gates itself, so nothing reads the value input or the routing
+        for key, value, default in (("x_v", config.x_v, "data"), ("perm", config.perm, None)):
+            if value != default:
+                raise ValueError(f"train.{key}={value!r} needs a gated regime; "
+                                 f"{config.regime} uses its own ReLU gates")
     routing = config.routing()
     routing.validate(arch)
 
@@ -389,9 +411,7 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
     rng_v = make_rng(config.seed, stream=2)
     rng_batch = make_rng(config.seed, stream=3)
 
-    source, _, trains_features = REGIME_TABLE[config.regime]
-    role_f = "shallow" if source == "shallow" else "dense"
-    params_f = None if source == "self" else _init_net(arch, rng_f, config.init, role_f)
+    params_f = None if source == "self" else _init_net(arch, rng_f, config.init, source)
     params_v = _init_net(arch, rng_v, config.init)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
                   params_v=params_v, routing=routing)

@@ -16,7 +16,6 @@ from conftest import normal_params
 from dualview.arch import (
     ArchSpec,
     GateRouting,
-    forward_dgn,
     forward_dlgn,
     forward_relu,
     init_params,
@@ -323,11 +322,12 @@ def test_criterion_7_gradient_suite():
                     nf = {k[2:]: v for k, v in nodes.items() if k.startswith("f_")}
                     nv = {k[2:]: v for k, v in nodes.items() if k.startswith("v_")}
                     if regime == "dgn_soft":
-                        return forward_dgn(arch, nf, nv, x, x, mode="soft").y_node
+                        return forward_dlgn(arch, nf, nv, x, x, mode="soft",
+                                            source="relu").y_node
                     if regime == "dlgn":
                         return forward_dlgn(arch, nf, nv, x, x, mode="soft").y_node
                     return forward_dlgn(arch, nf, nv, x, x, mode="soft",
-                                        shallow_features=True).y_node
+                                        source="shallow").y_node
 
                 g = grad(fwd, both)
                 fd = finite_diff_grad(fwd, both, step=1e-6)
@@ -399,7 +399,7 @@ def test_criterion_9_self_gating_equivalence():
         params = normal_params(arch, rng)
         X = rng.normal(size=(1000, arch.d_in))
         y_dnn = forward_relu(arch, params, X).y
-        y_dgn = forward_dgn(arch, params, params, X, X, mode="hard").y
+        y_dgn = forward_dlgn(arch, params, params, X, X, mode="hard", source="relu").y
         exact = exact and np.array_equal(y_dnn, y_dgn)
         n_total += X.shape[0]
     _report(9, "self-gating equivalence (DGN == DNN)", exact,

@@ -9,7 +9,6 @@ from dualview.arch import (
     HARD,
     SOFT,
     feature_gates,
-    forward_dgn,
     forward_dlgn,
     forward_gated,
     forward_relu,
@@ -76,7 +75,7 @@ def test_self_gating_equivalence(arch):
     X = rng.normal(size=(20, arch.d_in))
     assert np.array_equal(
         forward_relu(arch, p, X).y,
-        forward_dgn(arch, p, p, X, X, mode=HARD).y,
+        forward_dlgn(arch, p, p, X, X, mode=HARD, source="relu").y,
     )
 
 
@@ -114,7 +113,7 @@ def test_routing_permutes_gates():
     p = normal_params(arch, rng)
     x = rng.normal(size=3)
     gates = forward_relu(arch, p, x).gates
-    direct = forward_gated(arch, p, [gates.layers[2], gates.layers[0], gates.layers[1]], x_v=x).y
+    direct = forward_gated(arch, p, [gates[2], gates[0], gates[1]], x_v=x).y
     routed = forward_gated(arch, p, gates, routing=GateRouting(perm=(2, 0, 1)), x_v=x).y
     assert np.allclose(direct, routed, atol=1e-14)
 
@@ -125,9 +124,9 @@ def test_dlgn_feature_net_is_linear_in_input():
     arch = FC_SMALL
     pf = normal_params(arch, rng)
     x1, x2 = rng.normal(size=3), rng.normal(size=3)
-    g1 = feature_gates(arch, pf, x1, mode=SOFT, linear=True)
-    g2 = feature_gates(arch, pf, x2, mode=SOFT, linear=True)
-    g12 = feature_gates(arch, pf, 0.5 * (x1 + x2), mode=SOFT, linear=True)
+    g1 = feature_gates(arch, pf, x1, "linear", SOFT)
+    g2 = feature_gates(arch, pf, x2, "linear", SOFT)
+    g12 = feature_gates(arch, pf, 0.5 * (x1 + x2), "linear", SOFT)
     for a, b, c in zip(g1, g2, g12):
         # invert the logistic to recover the linear pre-activations
         qa = np.log(a.value / (1 - a.value)) / arch.beta
@@ -142,11 +141,20 @@ def test_dlgn_sf_uses_shallow_maps():
     pf = {n: rng.normal(size=s) for n, s, _ in shallow_layer_specs(arch)}
     pv = normal_params(arch, rng)
     x = rng.normal(size=3)
-    out = forward_dlgn(arch, pf, pv, x, x, shallow_features=True)
+    out = forward_dlgn(arch, pf, pv, x, x, source="shallow")
     # each gate layer is logistic(beta * x @ sf_i)
-    for i, g in enumerate(out.gates.layers):
+    for i, g in enumerate(out.gates):
         q = x @ pf[f"sf{i + 1}"]
         assert np.allclose(g, 1.0 / (1.0 + np.exp(-arch.beta * q)), atol=1e-12)
+
+
+def test_feature_gates_reject_unknown_source_and_mode():
+    pf = normal_params(FC_SMALL, make_rng(15))
+    x = np.ones(3)
+    with pytest.raises(ValueError, match="unknown feature source 'self'"):
+        feature_gates(FC_SMALL, pf, x, "self", HARD)
+    with pytest.raises(ValueError, match="gate mode must be hard or soft"):
+        forward_dlgn(FC_SMALL, pf, pf, x, mode="sof", source="relu")
 
 
 def test_dgn_soft_gates_match_feature_preacts():
@@ -155,10 +163,10 @@ def test_dgn_soft_gates_match_feature_preacts():
     pf = normal_params(arch, rng)
     pv = normal_params(arch, rng)
     x = rng.normal(size=3)
-    out = forward_dgn(arch, pf, pv, x, x, mode=SOFT)
+    out = forward_dlgn(arch, pf, pv, x, x, mode=SOFT, source="relu")
     q1 = x @ pf["fc1"]
     q2 = np.maximum(q1, 0.0) @ pf["fc2"]  # the feature net's hidden ReLU layers
-    for g, q in zip(out.gates.layers, (q1, q2), strict=True):
+    for g, q in zip(out.gates, (q1, q2), strict=True):
         assert np.allclose(g, 1.0 / (1.0 + np.exp(-arch.beta * q)), atol=1e-12)
 
 

@@ -83,6 +83,12 @@ def test_generator_errors():
         generate_synthetic("blobs", 1, seed=0)
     with pytest.raises(DatasetError, match="'bogus'"):
         generate_synthetic("circles", 10, seed=0, bogus=1)
+    # too few classes, or pulses wider than the input, are named by k
+    for kind, params in (("blobs", {"k": 1}), ("shifted_pulses", {"k": 1}),
+                         ("shifted_pulses", {"k": 8}), ("shifted_pulses", {"d_in": 3, "k": 3})):
+        with pytest.raises(DatasetError, match=f"{kind} parameter 'k' must"):
+            generate_synthetic(kind, 10, seed=0, **params)
+    assert generate_synthetic("shifted_pulses", 10, seed=0, d_in=3, k=2).k == 2
 
 
 def test_split():
@@ -333,6 +339,38 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    for text in ("[1, 2]", "3"):
+        path.write_text(text)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: a config must be a JSON object" in err
+        with pytest.raises(ValueError, match="a config must be a JSON object"):
+            ExperimentConfig.from_json(text)
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("spec", ["train.x_v=ones", "train.perm=[1,0,2]"])
+def test_cli_train_dnn_rejects_external_gate_keys(tmp_path, capsys, spec):
+    # a DNN gates itself: it would train on the data, unrouted, and report the key
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), "--override", "train.regime=DNN",
+                 "--override", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{spec.split('=')[0]}=" in err and "DNN" in err
+    assert not out.exists()
+
+
+def test_cli_generator_parameter_ranges(tmp_path, capsys):
+    for kind, params in (("blobs", '{"k":1}'), ("shifted_pulses", '{"k":8}')):
+        assert main(["kernel", "--out", str(tmp_path / "g"), "--override", f"dataset.kind={kind}",
+                     "--override", f"dataset.params={params}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{kind} parameter 'k' must" in err
+    assert not (tmp_path / "g").exists()
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):

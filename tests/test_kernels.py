@@ -8,7 +8,7 @@ import pytest
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
 
 from dualview import kernels
-from dualview.arch import HARD, ArchSpec, GateTensor, forward_relu
+from dualview.arch import ArchSpec, forward_relu
 from dualview.kernels import (
     GRAM_CAP,
     GramMatrix,
@@ -69,8 +69,7 @@ def test_kernel_constants():
     x = np.arange(1.0, 4.0)
 
     def gates(on):
-        layers = [np.full(4, float(l // 2 in (0, 3, *on))) for l in range(res.n_gate_layers())]
-        return GateTensor(arch=res, layers=layers, mode=HARD)
+        return [np.full(4, float(l // 2 in (0, 3, *on))) for l in range(res.n_gate_layers())]
 
     def mixed(f):
         return f(gates((1, 2))) - f(gates((1,))) - f(gates((2,))) + f(gates(()))

@@ -117,7 +117,7 @@ def test_overlap_requires_hard_gates():
     p = normal_params(FC_SMALL, rng)
     x = rng.normal(size=3)
     gates = forward_relu(FC_SMALL, p, x).gates
-    gates.layers[0] = np.full_like(np.asarray(gates.layers[0]), 0.5)
+    gates[0] = np.full_like(np.asarray(gates[0]), 0.5)
     with pytest.raises(ValueError):
         overlap(0, gates, gates, FC_SMALL, table=enumerate_paths(FC_SMALL))
 

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
 
-from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, GateTensor, forward_gated,
-                           forward_relu)
+from dualview.arch import HARD, SOFT, ArchSpec, GateRouting, forward_gated, forward_relu
 from dualview.data import Dataset
-from dualview.kernels import (gate_correlations, mc_target, npk, ntk_fixed_gates, rot,
-                              rotated_gates)
+from dualview.kernels import gate_correlations, mc_target, npk, ntk_fixed_gates, rot
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
                             iter_paths, overlap_vector, path_activity, path_value,
@@ -85,12 +83,19 @@ def arch_params_pair(draw, families=("fc", "conv_gap", "res")):
 @settings(max_examples=60, deadline=None)
 @given(arch_params_pair(families=("conv_gap",)))
 def test_conv_gates_of_a_rotated_input_are_rolled_gates(case):
-    arch, p, x, _ = case
-    gates = forward_relu(arch, p, x).gates
+    # circular convolution rolls the conv-layer gates with the input and
+    # pooling leaves the FC-head gates as they are, so the NPK of a pair
+    # rotated together does not change
+    arch, p, x, x2 = case
+    gates, gates2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    base = npk(arch, x, x2, gates, gates2)
     for r in range(arch.d_in):
-        direct = forward_relu(arch, p, rot(x, r)).gates.layers
-        rolled = rotated_gates(arch, gates, r).layers
-        assert all(np.array_equal(a, b) for a, b in zip(rolled, direct))
+        direct = forward_relu(arch, p, rot(x, r)).gates
+        direct2 = forward_relu(arch, p, rot(x2, r)).gates
+        rolled = [np.roll(g, -r, axis=0) if l < arch.d_cv else g for l, g in enumerate(gates)]
+        assert all(np.array_equal(a, b) for a, b in zip(rolled, direct, strict=True))
+        rotated = npk(arch, rot(x, r), rot(x2, r), direct, direct2)
+        assert abs(rotated - base) <= 1e-12 * max(1.0, abs(base))
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,9 +147,8 @@ def res_gate_pair(draw):
     mode, density = draw(st.sampled_from((HARD, SOFT))), draw(st.floats(0.3, 1.0))
 
     def gates():
-        layers = [(rng.random(s) < density) * (1.0 if mode == HARD else rng.random(s))
-                  for s in arch.gate_layer_shapes()]
-        return GateTensor(arch, layers, mode)
+        return [(rng.random(s) < density) * (1.0 if mode == HARD else rng.random(s))
+                for s in arch.gate_layer_shapes()]
 
     return arch, rng.normal(size=arch.d_in), rng.normal(size=arch.d_in), gates(), gates()
 
@@ -174,8 +178,7 @@ def ntk_case(draw):
     if draw(st.booleans()):
         gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
     else:
-        gx, gx2 = (GateTensor(arch, [rng.random(s) for s in arch.gate_layer_shapes()], SOFT)
-                   for _ in range(2))
+        gx, gx2 = ([rng.random(s) for s in arch.gate_layer_shapes()] for _ in range(2))
     return arch, p, gx, gx2, x, x2
 
 
@@ -201,8 +204,7 @@ def model_batch(draw):
     n = draw(st.sampled_from((1, 255, 256, 257, 519)))
     rng = make_rng(draw(st.integers(0, 2**16)))
     source = REGIME_TABLE[regime][0]
-    role = "shallow" if source == "shallow" else "dense"
-    params_f = None if source == "self" else _init_net(arch, rng, "normal", role)
+    params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
     model = Model(arch=arch, regime=regime, params_f=params_f,
                   params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
     k = max(2, arch.n_out)
@@ -225,3 +227,13 @@ def test_blocked_logits_match_one_forward_pass(case):
     assert evaluate(model, ds) == float(np.mean(np.argmax(one_pass, axis=1) == ds.y))
     x = ds.X[0]  # one sample runs unblocked, as one forward pass
     assert model.logits(x).tobytes() == model.logits_node(x).value.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
+@settings(max_examples=60, deadline=None)
+@given(model_batch())
+def test_model_gates_replay_the_logits(case):
+    # the value network on Model.gates is the model, for DNN's own gates too
+    model, ds = case
+    gated = forward_gated(model.arch, model.params_v, model.gates(ds.X), model.routing, ds.X)
+    assert gated.y.tobytes() == model.logits_node(ds.X).value.tobytes()

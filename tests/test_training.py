@@ -179,14 +179,14 @@ def test_dgn_shared_init_first_loss_matches_dnn():
     assert np.isclose(rep.train_loss[0], rep_dnn.train_loss[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("role", ["dense", "shallow"])
-def test_init_net_bernoulli_draws_fan_in_sigma(role):
+@pytest.mark.parametrize("source", ["relu", "shallow"])
+def test_init_net_bernoulli_draws_fan_in_sigma(source):
     from dualview.arch import shallow_layer_specs, weight_layer_specs
     from dualview.training import _init_net
 
     arch = ArchSpec(family="conv_gap", d_in=6, w_cv=3, width=4, d_cv=2, d_fc=2, c_scale=1.5)
-    specs = shallow_layer_specs(arch) if role == "shallow" else weight_layer_specs(arch)
-    params = _init_net(arch, make_rng(0, stream=1), "bernoulli", role)
+    specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
+    params = _init_net(arch, make_rng(0, stream=1), "bernoulli", source)
     assert list(params) == [name for name, _, _ in specs]
     assert {kind for _, _, kind in specs} == {"conv", "fc"}
     for name, shape, kind in specs:
@@ -229,8 +229,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     for arch in (ARCH, ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2,
                                 n_out=2),
                  ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
-        role = "shallow" if source == "shallow" else "dense"
-        params_f = None if source == "self" else _init_net(arch, rng, "normal", role)
+        params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
         model = Model(arch=arch, regime=regime, params_f=params_f,
                       params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
         cases.append((model, rng.normal(size=(8, arch.d_in)), rng.integers(0, 2, size=8)))
