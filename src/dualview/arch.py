@@ -14,6 +14,13 @@ Gates are a plain list with one array (or Node) per gated layer, in forward
 order: ``forward_relu`` returns a ReLU network's own hard gates,
 ``feature_gates`` the gates of a ``relu``, ``linear`` or ``shallow`` feature
 network, and ``forward_gated`` runs a GaLU value network on any such list.
+
+A ``linear`` (DLGN) or ``shallow`` (DLGN-SF) feature network is linear in
+its input, so it collapses into one hyperplane matrix ``U_l`` per gated
+layer: ``q_l(x) = x @ U_l`` (the paper's "primal linearity").
+``hyperplanes`` computes every ``U_l`` from one pass of the feature maps over
+the identity basis, and ``feature_gates`` gates both sources through them,
+one matmul per gated layer whatever the feature network's depth.
 """
 
 from __future__ import annotations
@@ -334,41 +341,56 @@ def forward_gated(
     return _squeeze_result(arch, *stack, squeeze)
 
 
+def hyperplanes(arch: ArchSpec, params_f: Mapping, source: str) -> list[Node | np.ndarray]:
+    """The hyperplane matrix U_l of each gated layer, of shape
+    (d_in, prod(gate shape)), such that the `source` feature network's
+    pre-activation of gated layer l on a batch X is `X @ U_l`.
+
+    U_l holds the pre-activations of the identity basis, from one pass of the
+    feature maps over eye(d_in): the linear `_stack` for source "linear";
+    for "shallow", each DLGN-SF map, which is the parameter itself for an fc
+    map and the circulant of the filter for a conv map. U_l is a Node
+    differentiable in whichever of `params_f` are Nodes.
+    """
+    eye = np.eye(arch.d_in)
+    if source == "linear":
+        _, layers, _ = _stack(arch, params_f, eye, None)
+        return [ad.reshape(q, (arch.d_in, -1)) for _, q in layers[:-1]]
+    if source == "shallow":
+        return [ad.reshape(ad.conv_circular(eye[:, :, None], params_f[name]), (arch.d_in, -1))
+                if kind == "conv" else params_f[name]
+                for name, _, kind in shallow_layer_specs(arch)]
+    raise ValueError(f"unknown feature source {source!r}; hyperplanes need linear or shallow")
+
+
 def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str) -> list[Gate]:
     """Gates, one per gated layer, produced by the `source` feature network on x_f.
 
     source "relu": a ReLU feature network (DGN); "linear": a deep linear
     feature network (DLGN); "shallow": per-layer independent single maps of
-    the input (DLGN-SF). Gates always carry a batch axis. Soft gates are
-    logistic Nodes, differentiable in whichever of `params_f` are Nodes;
-    hard gates are constant arrays.
+    the input (DLGN-SF). The last two gate through their `hyperplanes`.
+    Gates always carry a batch axis. Soft gates are logistic Nodes,
+    differentiable in whichever of `params_f` are Nodes; hard gates are
+    constant arrays.
     """
     if mode not in (HARD, SOFT):
         raise ValueError(f"gate mode must be hard or soft, got {mode!r}")
+    if source not in ("relu", "linear", "shallow"):
+        raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
     X, _ = _ensure_batch(x_f, arch.d_in)
 
-    def to_gate(q: Node) -> Gate:
-        if mode == SOFT:
-            return ad.logistic(q, arch.beta)
-        return ad.hard_gate_values(q.value)
-
-    if source == "shallow":
-        gates = []
-        for name, _, kind in shallow_layer_specs(arch):
-            if kind == "conv":
-                q = ad.conv_circular(X[:, :, None], params_f[name])
-            else:
-                q = ad.matmul(X, params_f[name])
-            gates.append(to_gate(q))
-        return gates
-    if source not in ("relu", "linear"):
-        raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
-
-    # A ReLU feature network propagates its hidden units with hard
-    # self-gates; either way the exported gates tap the pre-activations of
-    # the gated layers (all but the output layer).
-    _, layers, _ = _stack(arch, params_f, X, _relu_gate if source == "relu" else None)
-    return [to_gate(q) for _, q in layers[:-1]]
+    if source == "relu":
+        # a ReLU feature network propagates its hidden units with hard
+        # self-gates; its gates tap the pre-activations of the gated layers
+        # (all but the output layer)
+        _, layers, _ = _stack(arch, params_f, X, _relu_gate)
+        qs = [q for _, q in layers[:-1]]
+    else:
+        qs = [ad.reshape(ad.matmul(X, U), (len(X), *shape))
+              for U, shape in zip(hyperplanes(arch, params_f, source), arch.gate_layer_shapes())]
+    if mode == SOFT:
+        return [ad.logistic(q, arch.beta) for q in qs]
+    return [ad.hard_gate_values(q.value) for q in qs]
 
 
 def _value_input(x_f, x_v):

@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the operations needed by the supported forward graphs are provided:
-dense matmul, elementwise add/mul, circular 1-D convolution, global average
-pooling and the scaled logistic. Hard gates are constant 0/1 masks from
+dense matmul, elementwise add/mul, reshape, circular 1-D convolution, global
+average pooling and the scaled logistic. Hard gates are constant 0/1 masks from
 :func:`hard_gate_values`, so a ReLU is a ``mul`` by its gate. Values are
 float64 throughout.
 
@@ -80,6 +80,12 @@ def mul(a, b) -> Node:
     if av.shape != bv.shape:
         raise ValueError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
     return _op(av * bv, a, lambda g: g * bv, b, lambda g: g * av)
+
+
+def reshape(a, shape) -> Node:
+    """`a` with a new shape of the same size; the VJP reshapes back."""
+    av = value_of(a)
+    return _op(av.reshape(shape), a, lambda g: g.reshape(av.shape))
 
 
 def conv_circular(z, theta) -> Node:

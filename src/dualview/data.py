@@ -123,9 +123,8 @@ def _gen_shifted_pulses(n, rng, d_in=8, k=2, noise=0.05):
         shapes[c, : width + 1] = np.linspace(1.0, 0.25, width + 1)
     y = rng.integers(0, k, size=n)
     shifts = rng.integers(0, d_in, size=n)
-    X = np.empty((n, d_in))
-    for i in range(n):
-        X[i] = np.roll(shapes[y[i]], shifts[i])
+    # row i is np.roll(shapes[y[i]], shifts[i]), gathered in one index pass
+    X = shapes[y[:, None], (np.arange(d_in) - shifts[:, None]) % d_in]
     X += noise * rng.normal(size=X.shape)
     return X, y, k
 

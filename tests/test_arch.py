@@ -12,6 +12,7 @@ from dualview.arch import (
     forward_dlgn,
     forward_gated,
     forward_relu,
+    hyperplanes,
     init_params,
     shallow_layer_specs,
     weight_layer_specs,
@@ -153,6 +154,8 @@ def test_feature_gates_reject_unknown_source_and_mode():
     x = np.ones(3)
     with pytest.raises(ValueError, match="unknown feature source 'self'"):
         feature_gates(FC_SMALL, pf, x, "self", HARD)
+    with pytest.raises(ValueError, match="unknown feature source 'relu'"):
+        hyperplanes(FC_SMALL, pf, "relu")
     with pytest.raises(ValueError, match="gate mode must be hard or soft"):
         forward_dlgn(FC_SMALL, pf, pf, x, mode="sof", source="relu")
 

@@ -20,7 +20,7 @@ from dualview.data import (
     generate_synthetic,
     load_dataset,
 )
-from dualview.kernels import GramMatrix, npk
+from dualview.kernels import GramMatrix, dataset_fingerprint, npk
 from dualview.numerics import make_rng
 from dualview.paths import dual_vectors, enumerate_paths
 from dualview.training import TrainConfig
@@ -65,6 +65,33 @@ def test_shifted_pulses_rotation_closure():
         rolled = tuple(np.round(np.roll(x, 3), 12))
         # rolled version has the same multiset of values and the class pulse shape
         assert sorted(rolled) == sorted(tuple(np.round(x, 12)))
+
+
+def _pulses_loop(n, seed, d_in=8, k=2, noise=0.05):
+    """The shifted-pulses generator with one np.roll per row."""
+    rng = make_rng(seed, stream=101)
+    shapes = np.zeros((k, d_in))
+    for c in range(k):
+        shapes[c, : c + 2] = np.linspace(1.0, 0.25, c + 2)
+    y = rng.integers(0, k, size=n)
+    shifts = rng.integers(0, d_in, size=n)
+    X = np.empty((n, d_in))
+    for i in range(n):
+        X[i] = np.roll(shapes[y[i]], shifts[i])
+    X += noise * rng.normal(size=X.shape)
+    return X, y
+
+
+@pytest.mark.parametrize("n,seed,params,fingerprint", [
+    (2000, 0, {}, "7772346b1926d99d"),
+    (2000, 7, {}, "c659d8ea01268a7e"),
+    (37, 3, {"d_in": 5, "k": 4}, "9a6c916bccbc3555"),
+])
+def test_shifted_pulses_gather_matches_roll_loop(n, seed, params, fingerprint):
+    ds = generate_synthetic("shifted_pulses", n, seed=seed, **params)
+    X, y = _pulses_loop(n, seed, **params)
+    assert ds.X.tobytes() == X.tobytes() and np.array_equal(ds.y, y)
+    assert dataset_fingerprint(ds.X) == fingerprint
 
 
 def test_generator_determinism():

@@ -91,6 +91,21 @@ def test_mul_add_scale_grad(rng):
     _fd_check(forward, params)
 
 
+def test_reshape_grad(rng):
+    # a (2, 6) parameter read as (3, 4), with a different weight per entry
+    params = {"a": rng.normal(size=(2, 6))}
+    readout = rng.normal(size=(3, 4))
+
+    def forward(nodes):
+        q = ad.mul(ad.reshape(nodes["a"], (3, 4)), Node(readout))
+        return ad.matmul(Node(np.ones((1, 3))), ad.matmul(q, Node(np.ones((4, 1)))))
+
+    _fd_check(forward, params)
+    a = params["a"]
+    assert ad.reshape(a, (3, -1)).parents == ()
+    assert ad.reshape(a, (3, -1)).value.tobytes() == a.tobytes()
+
+
 def test_mul_rejects_broadcasting():
     with pytest.raises(ValueError):
         ad.mul(Node(np.ones((2, 3))), Node(np.ones(3)))

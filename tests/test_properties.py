@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
 
-from dualview.arch import HARD, SOFT, ArchSpec, GateRouting, forward_gated, forward_relu
+from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, forward_gated,
+                           forward_relu, hyperplanes, shallow_layer_specs, weight_layer_specs)
+from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
 from dualview.kernels import gate_correlations, mc_target, npk, ntk_fixed_gates, rot
 from dualview.numerics import grad, make_rng
@@ -99,15 +101,63 @@ def test_conv_gates_of_a_rotated_input_are_rolled_gates(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(arch_params_pair())
-def test_npk_matches_path_enumeration(case):
+@given(arch_params_pair(), st.sampled_from((None, "relu", "linear")))
+def test_npk_matches_path_enumeration(case, soft_source):
+    # the network's own hard gates, or the logistic gates of a relu (DGN) or
+    # linear (DLGN) feature network on the same parameters, as trained
     arch, p, x, x2 = case
     table = enumerate_paths(arch)
-    gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    if soft_source is None:
+        gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    else:
+        gx, gx2 = ([value_of(g)[0] for g in feature_gates(arch, p, xx, soft_source, SOFT)]
+                   for xx in (x, x2))
     npf = dual_vectors(arch, p, x, gx, table=table).npf
     npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
     terms = float(np.abs(npf) @ np.abs(npf2))
     assert abs(npk(arch, x, x2, gx, gx2) - float(npf @ npf2)) <= 1e-12 * terms
+
+
+@st.composite
+def hyperplane_case(draw):
+    arch, source = draw(small_arch()), draw(st.sampled_from(("linear", "shallow")))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
+    params_f = {name: rng.normal(scale=0.8, size=shape) for name, shape, _ in specs}
+    return arch, source, params_f, rng.normal(size=(draw(st.integers(1, 6)), arch.d_in))
+
+
+@settings(max_examples=120, deadline=None)
+@given(hyperplane_case())
+def test_hyperplanes_reproduce_the_feature_preactivations(case):
+    # q_l(X) = X @ U_l against the feature network run on X itself: for
+    # "linear" the value-network stack with every gate 1, for "shallow" each
+    # DLGN-SF map
+    arch, source, pf, X = case
+    n, shapes = len(X), arch.gate_layer_shapes()
+    if source == "linear":
+        layers = forward_gated(arch, pf, [np.ones(s) for s in shapes], x_v=X).layers
+        direct = [q.value for _, q in layers[:-1]]
+    else:
+        direct = [(conv_circular(X[:, :, None], pf[name]) if kind == "conv"
+                   else matmul(X, pf[name])).value for name, _, kind in shallow_layer_specs(arch)]
+    Us = [value_of(U) for U in hyperplanes(arch, pf, source)]
+    assert len(Us) == len(direct) == arch.n_gate_layers()
+    for l, (U, q, shape) in enumerate(zip(Us, direct, shapes)):
+        assert U.shape == (arch.d_in, int(np.prod(shape)))
+        scale = (np.abs(X) @ np.abs(U)).reshape(n, *shape)
+        assert np.all(np.abs((X @ U).reshape(n, *shape) - q) <= 1e-12 * scale)
+        if arch.family != "conv_gap":
+            continue
+        # rolling the input rolls a conv layer's q_l along its positions and
+        # leaves a linear net's FC-head q_l (after pooling) as it is
+        conv = l < arch.d_cv
+        if not conv and source == "shallow":
+            continue
+        for r in range(1, arch.d_in):
+            rolled = (np.roll(X, r, axis=1) @ U).reshape(n, *shape)
+            want, tol = (np.roll(q, r, axis=1), np.roll(scale, r, axis=1)) if conv else (q, scale)
+            assert np.all(np.abs(rolled - want) <= 1e-12 * tol)
 
 
 @settings(max_examples=150, deadline=None)
