@@ -19,8 +19,11 @@ A ``linear`` (DLGN) or ``shallow`` (DLGN-SF) feature network is linear in
 its input, so it collapses into one hyperplane matrix ``U_l`` per gated
 layer: ``q_l(x) = x @ U_l`` (the paper's "primal linearity").
 ``hyperplanes`` computes every ``U_l`` from one pass of the feature maps over
-the identity basis, and ``feature_gates`` gates both sources through them,
-one matmul per gated layer whatever the feature network's depth.
+the identity basis. ``feature_gates`` gates a deep linear conv_gap net
+through them, one matmul per gated layer in place of its circular
+convolutions, wherever that takes fewer multiply-adds than running the net
+on the batch: when the input is narrow next to the batch and to the conv
+channels. Every other case runs the feature maps on the batch.
 """
 
 from __future__ import annotations
@@ -341,26 +344,53 @@ def forward_gated(
     return _squeeze_result(arch, *stack, squeeze)
 
 
-def hyperplanes(arch: ArchSpec, params_f: Mapping, source: str) -> list[Node | np.ndarray]:
+def _feature_preacts(arch: ArchSpec, params_f: Mapping, X: np.ndarray, source: str) -> list[Node]:
+    """Each gated layer's pre-activation of the `source` feature network on the rows X."""
+    if source == "shallow":
+        return [ad.conv_circular(X[:, :, None], params_f[name]) if kind == "conv"
+                else ad.matmul(X, params_f[name]) for name, _, kind in shallow_layer_specs(arch)]
+    # a ReLU feature network propagates its hidden units with hard
+    # self-gates, a linear one runs fully linear; the gates tap the
+    # pre-activations of the gated layers (all but the output layer)
+    _, layers, _ = _stack(arch, params_f, X, _relu_gate if source == "relu" else None)
+    return [q for _, q in layers[:-1]]
+
+
+def hyperplanes(arch: ArchSpec, params_f: Mapping, source: str) -> list[Node]:
     """The hyperplane matrix U_l of each gated layer, of shape
     (d_in, prod(gate shape)), such that the `source` feature network's
     pre-activation of gated layer l on a batch X is `X @ U_l`.
 
     U_l holds the pre-activations of the identity basis, from one pass of the
     feature maps over eye(d_in): the linear `_stack` for source "linear";
-    for "shallow", each DLGN-SF map, which is the parameter itself for an fc
-    map and the circulant of the filter for a conv map. U_l is a Node
+    for "shallow", each DLGN-SF map, which gives the parameter itself for an
+    fc map and the circulant of the filter for a conv map. U_l is a Node
     differentiable in whichever of `params_f` are Nodes.
     """
-    eye = np.eye(arch.d_in)
-    if source == "linear":
-        _, layers, _ = _stack(arch, params_f, eye, None)
-        return [ad.reshape(q, (arch.d_in, -1)) for _, q in layers[:-1]]
-    if source == "shallow":
-        return [ad.reshape(ad.conv_circular(eye[:, :, None], params_f[name]), (arch.d_in, -1))
-                if kind == "conv" else params_f[name]
-                for name, _, kind in shallow_layer_specs(arch)]
-    raise ValueError(f"unknown feature source {source!r}; hyperplanes need linear or shallow")
+    if source not in ("linear", "shallow"):
+        raise ValueError(f"unknown feature source {source!r}; hyperplanes need linear or shallow")
+    return [ad.reshape(q, (arch.d_in, -1))
+            for q in _feature_preacts(arch, params_f, np.eye(arch.d_in), source)]
+
+
+def _collapse_pays(arch: ArchSpec, n: int) -> bool:
+    """Whether gating n rows through the linear feature network's
+    hyperplanes takes fewer multiply-adds than running the network on them.
+
+    The hyperplanes cost one run of the network on d_in rows, and `X @ U_l`
+    costs d_in * prod(gate shape) per row and gated layer, so the collapse
+    pays when the input is narrow next to the batch and to the conv channels
+    (w_cv * width) of two or more conv layers. Only a conv_gap network can
+    gain: an fc or res one already runs one dense matmul per layer, and the
+    collapse's extra graph operations cost more than it saves. The shallow
+    maps never gain either: none of them costs more per row than its matmul.
+    """
+    if arch.family != CONV_GAP:
+        return False
+    run = sum(math.prod(shape) * (arch.d_in if kind == "conv" else 1)
+              for _, shape, kind in weight_layer_specs(arch))
+    matmuls = arch.d_in * sum(math.prod(shape) for shape in arch.gate_layer_shapes())
+    return arch.d_in * run + n * matmuls < n * run
 
 
 def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str) -> list[Gate]:
@@ -368,8 +398,9 @@ def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str
 
     source "relu": a ReLU feature network (DGN); "linear": a deep linear
     feature network (DLGN); "shallow": per-layer independent single maps of
-    the input (DLGN-SF). The last two gate through their `hyperplanes`.
-    Gates always carry a batch axis. Soft gates are logistic Nodes,
+    the input (DLGN-SF). The linear source gates through its `hyperplanes`
+    wherever that saves work (see `_collapse_pays`); otherwise the feature
+    maps run on x_f. Gates always carry a batch axis. Soft gates are logistic Nodes,
     differentiable in whichever of `params_f` are Nodes; hard gates are
     constant arrays.
     """
@@ -378,16 +409,11 @@ def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str
     if source not in ("relu", "linear", "shallow"):
         raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
     X, _ = _ensure_batch(x_f, arch.d_in)
-
-    if source == "relu":
-        # a ReLU feature network propagates its hidden units with hard
-        # self-gates; its gates tap the pre-activations of the gated layers
-        # (all but the output layer)
-        _, layers, _ = _stack(arch, params_f, X, _relu_gate)
-        qs = [q for _, q in layers[:-1]]
-    else:
+    if source == "linear" and _collapse_pays(arch, len(X)):
         qs = [ad.reshape(ad.matmul(X, U), (len(X), *shape))
               for U, shape in zip(hyperplanes(arch, params_f, source), arch.gate_layer_shapes())]
+    else:
+        qs = _feature_preacts(arch, params_f, X, source)
     if mode == SOFT:
         return [ad.logistic(q, arch.beta) for q in qs]
     return [ad.hard_gate_values(q.value) for q in qs]

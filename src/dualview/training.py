@@ -181,29 +181,16 @@ class Adam(Optimizer):
     def step(self, params, grads):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        # m and v update in place, and the step builds in two scratch arrays
-        # in the operation order of lr * m_hat / (sqrt(v_hat) + eps), so the
-        # parameters come out bit for bit as from that expression
         for name, g in grads.items():
             _check_finite(name, g)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(params[name])
-                self.v[name] = np.zeros_like(params[name])
-            m, v = self.m[name], self.v[name]
-            buf = np.multiply(1 - b1, g)
-            m *= b1
-            m += buf
-            np.multiply(1 - b2, g, out=buf)
-            buf *= g
-            v *= b2
-            v += buf
-            np.divide(v, 1 - b2 ** self.t, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += self.eps
-            step = np.divide(m, 1 - b1 ** self.t)
-            step *= self.lr
-            step /= buf
-            params[name] -= step
+            m = self.m.get(name, np.zeros_like(params[name]))
+            v = self.v.get(name, np.zeros_like(params[name]))
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            self.m[name], self.v[name] = m, v
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.9,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dualview.arch import (
     GateRouting,
     HARD,
     SOFT,
+    _collapse_pays,
     feature_gates,
     forward_dlgn,
     forward_gated,
@@ -147,6 +150,23 @@ def test_dlgn_sf_uses_shallow_maps():
     for i, g in enumerate(out.gates):
         q = x @ pf[f"sf{i + 1}"]
         assert np.allclose(g, 1.0 / (1.0 + np.exp(-arch.beta * q)), atol=1e-12)
+
+
+def test_linear_gates_collapse_only_where_it_saves_work():
+    conv = ArchSpec(family="conv_gap", d_in=8, w_cv=3, width=16, d_cv=2, d_fc=2, n_out=2)
+    assert _collapse_pays(conv, 128) and not _collapse_pays(conv, 8)
+    # a wide input makes the per-row matmul dearer than the network itself,
+    # and so does a single conv layer; an fc stack is dense matmuls already
+    assert not _collapse_pays(replace(conv, d_in=3072), 10**6)
+    assert not _collapse_pays(replace(conv, d_cv=1), 10**6)
+    assert not _collapse_pays(ArchSpec(family="fc", d_in=3, depth=4, width=16), 10**6)
+    # the gates of a batch on either side of the choice agree
+    rng = make_rng(16)
+    pf = normal_params(conv, rng)
+    X = rng.normal(size=(128, conv.d_in))
+    for whole, part in zip(feature_gates(conv, pf, X, "linear", SOFT),
+                           feature_gates(conv, pf, X[:4], "linear", SOFT)):
+        assert np.allclose(whole.value[:4], part.value, rtol=0.0, atol=1e-12)
 
 
 def test_feature_gates_reject_unknown_source_and_mode():

@@ -101,17 +101,27 @@ def test_conv_gates_of_a_rotated_input_are_rolled_gates(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(arch_params_pair(), st.sampled_from((None, "relu", "linear")))
-def test_npk_matches_path_enumeration(case, soft_source):
-    # the network's own hard gates, or the logistic gates of a relu (DGN) or
-    # linear (DLGN) feature network on the same parameters, as trained
+@given(arch_params_pair())
+def test_npk_matches_path_enumeration(case):
     arch, p, x, x2 = case
     table = enumerate_paths(arch)
-    if soft_source is None:
-        gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
-    else:
-        gx, gx2 = ([value_of(g)[0] for g in feature_gates(arch, p, xx, soft_source, SOFT)]
-                   for xx in (x, x2))
+    gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
+    npf = dual_vectors(arch, p, x, gx, table=table).npf
+    npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
+    terms = float(np.abs(npf) @ np.abs(npf2))
+    assert abs(npk(arch, x, x2, gx, gx2) - float(npf @ npf2)) <= 1e-12 * terms
+
+
+@pytest.mark.parametrize("source", ["relu", "linear"])
+@settings(max_examples=80, deadline=None)
+@given(case=arch_params_pair())
+def test_npk_matches_path_enumeration_for_soft_gates(source, case):
+    # the logistic gates a relu (DGN) or linear (DLGN) feature network on
+    # the same parameters trains with
+    arch, p, x, x2 = case
+    table = enumerate_paths(arch)
+    gx, gx2 = ([value_of(g)[0] for g in feature_gates(arch, p, xx, source, SOFT)]
+               for xx in (x, x2))
     npf = dual_vectors(arch, p, x, gx, table=table).npf
     npf2 = dual_vectors(arch, p, x2, gx2, table=table).npf
     terms = float(np.abs(npf) @ np.abs(npf2))

@@ -123,28 +123,6 @@ def test_adam_step_bound():
         prev = params["w"].copy()
 
 
-def test_adam_matches_the_out_of_place_expression_bit_for_bit():
-    rng = make_rng(5)
-    shapes = {"w": (3, 4), "b": (2, 5, 3)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    ref = {k: v.copy() for k, v in params.items()}
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
-    opt = Adam(lr=0.01)
-    b1, b2 = opt.beta1, opt.beta2
-    for t in range(1, 6):
-        grads = {k: rng.normal(scale=10.0 ** (t - 3), size=s) for k, s in shapes.items()}
-        opt.step(params, grads)
-        for k, g in grads.items():
-            m[k] = b1 * m[k] + (1 - b1) * g
-            v[k] = b2 * v[k] + (1 - b2) * g * g
-            m_hat = m[k] / (1 - b1 ** t)
-            v_hat = v[k] / (1 - b2 ** t)
-            ref[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-            assert params[k].tobytes() == ref[k].tobytes()
-            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
-
-
 def test_nan_gradient_aborts():
     opt = SGDMomentum(lr=0.1)
     with pytest.raises(FloatingPointError):
@@ -218,22 +196,22 @@ def test_init_net_bernoulli_draws_fan_in_sigma(source):
         assert set(np.unique(params[name])) == {-sigma, sigma}
 
 
-@pytest.mark.parametrize("regime", [DLGN, DLGN_SF])
-def test_conv_batch_loss_gradient_through_hyperplanes(regime):
-    # training differentiates the DLGN and DLGN-SF feature parameters
-    # through their hyperplane matrices; compare with central differences of
-    # the batch loss
-    from dualview.arch import GateRouting
+def test_conv_batch_loss_gradient_through_hyperplanes():
+    # a DLGN batch wide enough for the collapse differentiates the feature
+    # parameters through the hyperplane matrices; compare with central
+    # differences of the batch loss
+    from dualview.arch import GateRouting, _collapse_pays
     from dualview.numerics import finite_diff_grad
-    from dualview.training import REGIME_TABLE, _batch_grads, _init_net
+    from dualview.training import _batch_grads, _init_net
 
-    arch = ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2, n_out=2,
+    arch = ArchSpec(family="conv_gap", d_in=5, w_cv=3, width=6, d_cv=2, d_fc=2, n_out=2,
                     beta=2.0)
+    n = 12
+    assert _collapse_pays(arch, n)
     rng = make_rng(21)
-    model = Model(arch=arch, regime=regime,
-                  params_f=_init_net(arch, rng, "normal", REGIME_TABLE[regime][0]),
+    model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
                   params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
-    X, y = rng.normal(size=(6, arch.d_in)), rng.integers(0, 2, size=6)
+    X, y = rng.normal(size=(n, arch.d_in)), rng.integers(0, 2, size=n)
     _, grads = _batch_grads(model, X, y)
     got = np.concatenate([grads[f"f.{name}"].ravel() for name in model.params_f])
 
