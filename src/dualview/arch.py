@@ -36,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .numerics import check_positive, init_bernoulli
 
 FC = "fc"
 CONV_GAP = "conv_gap"
@@ -71,8 +72,8 @@ class ArchSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.d_in < 1 or self.width < 1 or self.n_out < 1:
             raise ValueError("all dimensions must be >= 1")
-        if self.c_scale <= 0 or self.beta <= 0:
-            raise ValueError("c_scale and beta must be positive")
+        check_positive("c_scale", self.c_scale)
+        check_positive("beta", self.beta)
         if self.family == FC and self.depth < 2:
             raise ValueError("fc family needs depth >= 2")
         if self.family == CONV_GAP:
@@ -154,12 +155,20 @@ def init_params(
     """Bernoulli +/-sigma weights of the value network; default sigma is
     `arch.init_sigma(kind)` per layer.
 
-    A float `sigma` overrides every layer.
+    A float `sigma` overrides every layer. One draw of +/-1 signs covers all
+    layers, in forward order, and each layer scales its slice by its sigma:
+    the same values and generator state as one `init_bernoulli` per layer.
     """
-    from .numerics import init_bernoulli
-
-    return {name: init_bernoulli(shape, arch.init_sigma(kind) if sigma is None else sigma, rng)
-            for name, shape, kind in weight_layer_specs(arch)}
+    specs = weight_layer_specs(arch)
+    if sigma is not None:
+        check_positive("sigma", sigma)
+    sizes = [math.prod(shape) for _, shape, _ in specs]
+    signs = init_bernoulli((sum(sizes),), 1.0, rng)
+    params = {}
+    for (name, shape, kind), w in zip(specs, np.split(signs, np.cumsum(sizes)[:-1])):
+        w *= arch.init_sigma(kind) if sigma is None else sigma
+        params[name] = w.reshape(shape)
+    return params
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ import numpy as np
 from .arch import RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, npk_fc, ntk_expectation_mc, rot
-from .numerics import make_rng
+from .numerics import check_positive, make_rng
 from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
 from .training import TrainConfig, train
 
@@ -318,8 +318,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
             raise ValueError(f"verify.{key} must be >= 1, got {v[key]}")
     if v["mc_samples"] < 100:
         raise ValueError(f"verify.mc_samples must be >= 100, got {v['mc_samples']}")
-    if v["mc_sigma_scale"] <= 0:
-        raise ValueError(f"verify.mc_sigma_scale must be positive, got {v['mc_sigma_scale']}")
+    check_positive("verify.mc_sigma_scale", v["mc_sigma_scale"])
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
     report = {**_structure_checks(probes),

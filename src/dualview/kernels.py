@@ -222,6 +222,9 @@ def ntk_expectation_mc(
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
+    # the batch axis of one input, added once rather than per sample
+    gates_x = [np.asarray(g, dtype=np.float64)[None] for g in gates_x]
+    gates_x2 = [np.asarray(g, dtype=np.float64)[None] for g in gates_x2]
     samples = np.empty(n_samples)
     for s in range(n_samples):
         params_v = init_params(arch, rng, sigma=sigma)

@@ -5,10 +5,18 @@ RNG: numpy's Philox counter-based bit generator, keyed through a
 bit-identical draw sequence across runs and platforms; parallel work uses
 distinct stream indices. This choice is part of the package contract and is
 versioned with it.
+
+Bernoulli draws: each value is bit 31 of one 32-bit half of a raw 64-bit
+Philox word, read little-endian, so the low half comes first. These are the
+values, and the stream position, of ``rng.integers(0, 2, dtype=np.uint32)``:
+with a range of 2, Lemire's bounded method keeps the top bit of
+``next_uint32``, and Philox serves each word's low half, then its high half.
+Only Philox generators are accepted.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,21 +32,45 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is finite and > 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def init_bernoulli(shape: Sequence[int], sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. entries in {-sigma, +sigma}, each with probability 1/2."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    """i.i.d. entries in {-sigma, +sigma}, each with probability 1/2.
+
+    An entry is +sigma where bit 31 of its 32-bit half-word is set: the
+    values, and the generator state after the call, are those of
+    ``rng.integers(0, 2, shape, dtype=np.uint32) * 2 * sigma - sigma``
+    (see the module docstring). `rng` must run on Philox.
+    """
+    check_positive("sigma", sigma)
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise ValueError("shape must be nonempty")
-    # uint32 draws take the same bounded 32-bit path as the default int64
-    # ones, so the values and the generator state are those of
-    # (rng.integers(0, 2, shape) * 2 - 1) * sigma; 0 or 1 times 2 sigma,
-    # minus sigma, is exact.
-    out = rng.integers(0, 2, size=shape, dtype=np.uint32).astype(np.float64)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        raise ValueError(f"init_bernoulli needs a Philox generator, got {type(bitgen).__name__}")
+    n = math.prod(shape)
+    out = np.empty(n)
+    # a half-word left buffered by an earlier uint32 draw comes first, and
+    # an odd tail is drawn through integers, which buffers the unused half
+    head = 1 if n and bitgen.state["has_uint32"] else 0
+    words = (n - head) // 2
+    if head:
+        out[0] = rng.integers(0, 2, 1, dtype=np.uint32)[0]
+    halves = bitgen.random_raw(words).astype("<u8", copy=False).view("<u4")
+    out[head:head + 2 * words] = np.right_shift(halves, 31, out=halves)
+    if head + 2 * words < n:
+        out[-1] = rng.integers(0, 2, 1, dtype=np.uint32)[0]
+    # 0 or 1 times 2 sigma, minus sigma, is exact
     out *= 2.0 * sigma
     out -= sigma
-    return out
+    return out.reshape(shape)
 
 
 def grad(

@@ -34,6 +34,11 @@ def test_archspec_validation():
         ArchSpec(family="res", d_in=3, b=-1, d_blk=1, width=2)
     with pytest.raises(ValueError):
         ArchSpec(family="fc", d_in=3, depth=2, width=2, c_scale=0.0)
+    # NaN and inf passed a `<= 0` check
+    for field in ("c_scale", "beta"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ArchSpec(family="fc", d_in=3, depth=2, width=2, **{field: value})
 
 
 def test_gate_layer_counts():
@@ -59,6 +64,12 @@ def test_init_params_default_sigma():
     arch = ArchSpec(family="fc", d_in=3, depth=2, width=16, c_scale=2.0)
     p = init_params(arch, make_rng(0))
     assert np.all(np.abs(p["fc1"]) == 2.0 / 4.0)
+
+
+def test_init_params_rejects_bad_sigma():
+    for sigma in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sigma must be"):
+            init_params(FC_SMALL, make_rng(0), sigma=sigma)
 
 
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)

@@ -462,7 +462,12 @@ def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
     # the MC check's own limits, named by their config keys
     for spec, msg in (("verify.mc_samples=99", "verify.mc_samples must be >= 100, got 99"),
                       ("verify.mc_sigma_scale=0",
-                       "verify.mc_sigma_scale must be positive, got 0")):
+                       "verify.mc_sigma_scale must be positive, got 0"),
+                      # NaN once ran the check and wrote an mc_mean of NaN
+                      ("verify.mc_sigma_scale=NaN",
+                       "verify.mc_sigma_scale must be finite, got nan"),
+                      ("verify.mc_sigma_scale=Infinity",
+                       "verify.mc_sigma_scale must be finite, got inf")):
         assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and msg in err
@@ -504,6 +509,17 @@ def test_cli_train_non_finite_gradient(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "non-finite gradient for parameter 'v." in err
+
+
+@pytest.mark.parametrize("spec,msg", [("arch.c_scale=NaN", "c_scale must be finite, got nan"),
+                                      ("arch.beta=Infinity", "beta must be finite, got inf")])
+def test_cli_train_non_finite_arch_scale(tmp_path, capsys, spec, msg):
+    # a NaN c_scale once trained into a non-finite gradient and exited 1
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), "--override", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and msg in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction,side", [(0.999, "test"), (0.001, "train")])

@@ -40,6 +40,15 @@ def test_init_bernoulli_rejects_bad_sigma():
         init_bernoulli((3,), 0.0, make_rng(0))
     with pytest.raises(ValueError):
         init_bernoulli((3,), -1.0, make_rng(0))
+    # NaN passed a `sigma <= 0` check and made every weight NaN
+    for sigma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            init_bernoulli((3,), sigma, make_rng(0))
+
+
+def test_init_bernoulli_needs_philox():
+    with pytest.raises(ValueError, match="Philox generator, got PCG64"):
+        init_bernoulli((3,), 1.0, np.random.default_rng(0))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -60,6 +69,26 @@ def test_init_bernoulli_matches_int64_sign_draws(seed, shapes, sigma):
     for shape in shapes:
         want = (ref.integers(0, 2, shape).astype(float) * 2 - 1) * sigma
         assert init_bernoulli(shape, sigma, rng).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.integers(1, 7), min_size=1, max_size=3), min_size=1, max_size=4),
+       st.booleans(), st.floats(1e-3, 10.0))
+def test_init_bernoulli_reads_the_uint32_stream(seed, shapes, buffered, sigma):
+    # sizes odd and even, 1 included, from a generator with or without a
+    # half-word buffered on entry: the same bytes as the former draw of one
+    # bounded uint32 per value, and the same stream afterwards
+    rng, ref = make_rng(seed), make_rng(seed)
+    if buffered:
+        assert rng.integers(0, 2, 1, dtype=np.uint32) == ref.integers(0, 2, 1, dtype=np.uint32)
+    for shape in shapes:
+        want = ref.integers(0, 2, shape, dtype=np.uint32).astype(float) * (2 * sigma) - sigma
+        assert init_bernoulli(shape, sigma, rng).tobytes() == want.tobytes()
+    # a uint32 draw first, to read a half-word either side may hold buffered
+    for args in ((0, 2**32, 3, np.uint32), (0, 2**40, 5, np.int64)):
+        assert np.array_equal(rng.integers(*args), ref.integers(*args))
+    assert rng.random() == ref.random()
 
 
 # -- autodiff ops against finite differences -------------------------------

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import normal_params
 
 from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, forward_gated,
-                           forward_relu, hyperplanes, shallow_layer_specs, weight_layer_specs)
+                           forward_relu, hyperplanes, init_params, shallow_layer_specs,
+                           weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
-from dualview.kernels import gate_correlations, mc_target, npk, ntk_fixed_gates, rot
+from dualview.kernels import (gate_correlations, mc_target, npk, ntk_expectation_mc,
+                              ntk_fixed_gates, rot)
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
                             iter_paths, overlap_vector, path_activity, path_value,
@@ -230,8 +232,8 @@ def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
 
 
 @st.composite
-def ntk_case(draw):
-    arch = replace(draw(small_arch()), n_out=1)  # the NTK of a scalar output
+def ntk_case(draw, families=("fc", "conv_gap", "res")):
+    arch = replace(draw(small_arch(families)), n_out=1)  # the NTK of a scalar output
     rng = make_rng(draw(st.integers(0, 2**16)))
     p = normal_params(arch, rng)
     x, x2 = rng.normal(size=arch.d_in), rng.normal(size=arch.d_in)
@@ -255,6 +257,49 @@ def test_ntk_contraction_matches_weight_gradients(case):
     g, g2 = weight_grad(gx, x), weight_grad(gx2, x2)
     terms = float(np.abs(g) @ np.abs(g2))
     assert abs(ntk_fixed_gates(arch, p, gx, gx2, x, x2) - float(g @ g2)) <= 1e-12 * terms
+
+
+def _layerwise_bernoulli(arch, rng, sigma=None):
+    """The former init_params: one uint32 draw per layer, scaled to +/-sigma."""
+    out = {}
+    for name, shape, kind in weight_layer_specs(arch):
+        s = arch.init_sigma(kind) if sigma is None else sigma
+        out[name] = rng.integers(0, 2, shape, dtype=np.uint32).astype(float) * (2 * s) - s
+    return out
+
+
+FAMILIES = ["fc", "conv_gap", "res"]
+
+
+@pytest.mark.parametrize("sigma", [None, 0.7], ids=["default_sigma", "sigma"])
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_init_params_matches_layerwise_uint32_draws(family, sigma, data, seed):
+    arch = data.draw(small_arch((family,)))
+    rng, ref = make_rng(seed), make_rng(seed)
+    for _ in range(2):  # the second draw may start on a buffered half-word
+        got, want = init_params(arch, rng, sigma=sigma), _layerwise_bernoulli(arch, ref, sigma)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes()
+    assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32),
+                          ref.integers(0, 2**32, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("sigma", [None, 0.7], ids=["default_sigma", "sigma"])
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_mc_samples_match_a_per_sample_reference_loop(family, sigma, data, seed):
+    arch, _, gx, gx2, x, x2 = data.draw(ntk_case((family,)))
+    res = ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=100, rng=make_rng(seed),
+                             sigma=sigma)
+    ref = make_rng(seed)
+    want = [ntk_fixed_gates(arch, _layerwise_bernoulli(arch, ref, sigma), gx, gx2, x, x2)
+            for _ in range(100)]
+    assert res.samples.tobytes() == np.array(want).tobytes()
 
 
 @st.composite
