@@ -93,12 +93,8 @@ class ArchSpec:
 
     def gate_layer_shapes(self) -> list[tuple[int, ...]]:
         """Per gated layer, the shape of one sample's gate array."""
-        if self.family == FC:
-            return [(self.width,)] * (self.depth - 1)
         if self.family == CONV_GAP:
-            conv = [(self.d_in, self.width)] * self.d_cv
-            fc = [(self.width,)] * (self.d_fc - 1)
-            return conv + fc
+            return [(self.d_in, self.width)] * self.d_cv + [(self.width,)] * (self.d_fc - 1)
         return [(self.width,)] * self.n_gate_layers()
 
     def init_sigma(self, kind: str) -> float:
@@ -243,7 +239,7 @@ def _stack(
     gate_rule: GateRule | None,
     input_leaf: bool = False,
 ) -> tuple[Node, list[tuple[np.ndarray | Node, Node]], list[Gate]]:
-    """Run the weight stack, gating each hidden layer via `gate_rule`.
+    """Run the weight stack, gating every weight layer but the last via `gate_rule`.
 
     `params` holds arrays, or Nodes where a caller differentiates.
     `gate_rule(idx, q)` returns the gate for gated layer `idx` given its
@@ -255,11 +251,12 @@ def _stack(
     """
     layers: list[tuple[np.ndarray | Node, Node]] = []
     gates: list[Gate] = []
+    n_gated = arch.n_gate_layers()
 
-    def layer(op, z, name: str, is_gated: bool) -> Node:
+    def layer(op, z, name: str) -> Node:
         q = op(z, params[name])
         layers.append((z, q))
-        if not is_gated or gate_rule is None:
+        if len(layers) > n_gated or gate_rule is None:
             return q
         g = gate_rule(len(gates), q)
         gates.append(g)
@@ -271,25 +268,22 @@ def _stack(
 
     if arch.family == FC:
         for l in range(1, arch.depth + 1):
-            z = layer(ad.matmul, z, f"fc{l}", is_gated=(l < arch.depth))
+            z = layer(ad.matmul, z, f"fc{l}")
         return z, layers, gates
 
     if arch.family == CONV_GAP:
         for l in range(1, arch.d_cv + 1):
-            z = layer(ad.conv_circular, z, f"cv{l}", is_gated=True)
+            z = layer(ad.conv_circular, z, f"cv{l}")
         z = ad.global_avg_pool(z)
         for l in range(1, arch.d_fc + 1):
-            z = layer(ad.matmul, z, f"fc{l}", is_gated=(l < arch.d_fc))
+            z = layer(ad.matmul, z, f"fc{l}")
         return z, layers, gates
 
     # res
-    total_layers = (arch.b + 2) * arch.d_blk
-    layer_no = 0
     for j in range(arch.b + 2):
         block_in = z
         for l in range(1, arch.d_blk + 1):
-            layer_no += 1
-            z = layer(ad.matmul, z, f"b{j}l{l}", is_gated=(layer_no < total_layers))
+            z = layer(ad.matmul, z, f"b{j}l{l}")
         if 1 <= j <= arch.b:
             z = ad.add(block_in, z)
     return z, layers, gates

@@ -99,7 +99,8 @@ class ExperimentConfig:
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
     typed as the field's default. The dataset generator checks the values
-    inside `dataset.params`, and TrainConfig checks `train.perm`.
+    inside `dataset.params`, TrainConfig checks the `train` section, and
+    `seed` and `dataset.seed` must be >= 0.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -119,6 +120,10 @@ class ExperimentConfig:
                 if key not in default:
                     raise ValueError(f"unknown config key {section}.{key}")
                 _check_type(f"{section}.{key}", v, default[key])
+        for key, seed in (("seed", self.doc["seed"]),
+                          ("dataset.seed", self.doc["dataset"]["seed"])):
+            if seed < 0:
+                raise ValueError(f"{key} must be >= 0, got {seed}")
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -563,10 +568,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _retain_heap()
     try:
-        config = ExperimentConfig.load(args.config, args.override)
-        if args.seed is not None:
-            config.doc["seed"] = args.seed
-            config.doc["train"]["seed"] = args.seed
+        # --seed is the last override, so the config checks it too
+        seed = [] if args.seed is None else [f"seed={args.seed}", f"train.seed={args.seed}"]
+        config = ExperimentConfig.load(args.config, [*args.override, *seed])
         if args.out is not None:
             config.doc["out"] = args.out
         return COMMANDS[args.command](config)

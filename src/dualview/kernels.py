@@ -7,8 +7,8 @@ never calls that oracle. Conventions:
 * Gates are plain lists with one array per gated layer, as
   ``ForwardResult.gates`` holds them.
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
-  of x and x'; ``mc_target`` is its width limit, the NPK scaled by the
-  family's constant (per sub-FCN depth for the res family).
+  of x and x'; ``mc_target`` is its width limit: a chain of weight layers
+  scales its NPK by sum_k prod_{j != k} sigma_j^2 (per sub-FCN for res).
 * ``npk_fc`` is the *unnormalized* product form
   <x, x'> * prod_l <G_l(x), G_l(x')>, which equals <phi(x), phi(x')> for
   hard gates.
@@ -18,7 +18,7 @@ never calls that oracle. Conventions:
 * For the conv family the bundle-level <phi, phi'> (whose activities carry
   the 1/d_in pooling factor twice) equals the rotation sum with
   integer-count overlaps divided by d_in**2, counted for all d_in rotations
-  in one pass. The Monte-Carlo NTK target is therefore beta_cv * <phi, phi'>.
+  in one pass.
 * ``ntk_fixed_gates`` contracts per-layer cotangents instead of taking the
   inner product of two flat weight gradients: one forward and one backward
   pass per input give each weight layer's input z and the cotangent delta
@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .arch import ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params
+from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params,
+                   weight_layer_specs)
 from .autodiff import backward
 
 
@@ -234,6 +236,11 @@ def ntk_expectation_mc(
     return McResult(mean=mean, stderr=stderr, samples=samples)
 
 
+def _limit_factor(sigmas) -> float:
+    """sum_k prod_{j != k} sigma_j^2 over a chain of weight layers."""
+    return sum(math.prod(s * s for s in sigmas[:k] + sigmas[k + 1:]) for k in range(len(sigmas)))
+
+
 def mc_target(
     arch: ArchSpec,
     x,
@@ -243,32 +250,25 @@ def mc_target(
     sigma: float | None = None,
     gates_provider=None,  # unused: conv rolls the gates of x'; kept for callers passing it
 ) -> float:
-    """Closed-form limit the MC mean is checked against, per family.
-
-    A depth-d FCN scales its NPK by d * sigma^(2(d-1)); the res family
-    weights each sub-FCN that way, which groups its 2^b terms by the number
-    k of included blocks into elementary symmetric polynomials e_k of
-    C_1..C_b.
+    """Closed-form limit the MC mean is checked against: E[NTK] over
+    Bernoulli +/-sigma_l weights (per layer as `init_params` draws them) with
+    the gates fixed. Each weight-sharing bundle contributes npf(x) npf(x')
+    times `_limit_factor` of its layers' sigmas, so fc and conv_gap scale
+    their NPK by it; a res sub-FCN with k included blocks has (k + 2) d_blk
+    layers of one sigma, and its 2^b terms group by k into e_k of C_1..C_b.
     """
-    s_fc = arch.init_sigma("fc") if sigma is None else sigma
-    if arch.family == FC:
-        d = arch.depth
-        return d * s_fc ** (2 * (d - 1)) * npk(arch, x, x2, gates_x, gates_x2)
-    if arch.family == CONV_GAP:
-        s_cv = arch.init_sigma("conv") if sigma is None else sigma
-        d_cv, d_fc = arch.d_cv, arch.d_fc
-        beta_cv = d_cv * s_cv ** (2 * (d_cv - 1)) * s_fc ** (2 * d_fc) + d_fc * s_cv ** (
-            2 * d_cv
-        ) * s_fc ** (2 * (d_fc - 1))
-        return beta_cv * npk(arch, x, x2, gates_x, gates_x2)
+    sigmas = [arch.init_sigma(kind) if sigma is None else sigma
+              for _, _, kind in weight_layer_specs(arch)]
+    if arch.family != RES:
+        return _limit_factor(sigmas) * npk(arch, x, x2, gates_x, gates_x2)
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     c = _block_correlations(arch, gates_x, gates_x2)
     e = np.zeros(arch.b + 1)
     e[0] = 1.0
     for c_j in c[1:-1]:
         e[1:] += c_j * e[:-1]
-    depth = (np.arange(arch.b + 1) + 2) * arch.d_blk
-    return float(x @ x2) * float(c[0] * c[-1] * (e @ (depth * s_fc ** (2.0 * (depth - 1)))))
+    factors = [_limit_factor(sigmas[:(k + 2) * arch.d_blk]) for k in range(arch.b + 1)]
+    return float(x @ x2) * float(c[0] * c[-1] * (e @ factors))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,10 @@ class GramMatrix:
             header = fh.readline().strip()
             if not header.startswith("# "):
                 raise ValueError(f"{path}: missing gram header")
-            meta = dict(kv.split("=", 1) for kv in header[2:].split())
+            tokens = header[2:].split()
+            meta = dict(token.split("=", 1) for token in tokens if "=" in token)
+            if len(meta) < len(tokens) or not {"tag", "n"} <= meta.keys():
+                raise ValueError(f"{path}: gram header {header!r} needs key=value tokens, tag, n")
             rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
         m = np.array(rows)
         if m.shape != (int(meta["n"]), int(meta["n"])):
@@ -340,10 +343,10 @@ class GramMatrix:
             magic = fh.read(4)
             if magic != NPKG_MAGIC:
                 raise ValueError(f"{path}: bad magic {magic!r}")
-            (n,) = struct.unpack("<I", fh.read(4))
+            n = int.from_bytes(fh.read(4), "little")
+            if os.fstat(fh.fileno()).st_size != 8 + 8 * n * n:
+                raise ValueError(f"{path}: file size does not fit the header's n={n}")
             data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-        if data.size != n * n:
-            raise ValueError(f"{path}: truncated payload")
         return cls(matrix=data.reshape(n, n).copy(), tag=tag, fingerprint="")
 
 

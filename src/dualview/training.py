@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .arch import (
     weight_layer_specs,
 )
 from .autodiff import Node, backward
-from .numerics import init_bernoulli, make_rng
+from .numerics import check_positive, init_bernoulli, make_rng
 
 DNN = "DNN"
 DGN_FR = "DGN_FR"
@@ -134,17 +134,12 @@ def appendix_schedule(total_iters: int) -> Callable[[int], float]:
     return lr
 
 
-class Optimizer:
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-
 def _check_finite(name: str, g: np.ndarray) -> None:
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
 
 
-class SGDMomentum(Optimizer):
+class SGDMomentum:
     """v <- mu v - eta g; theta <- theta + v. Optional per-iteration schedule."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.9,
@@ -168,7 +163,7 @@ class SGDMomentum(Optimizer):
         self.t += 1
 
 
-class Adam(Optimizer):
+class Adam:
     def __init__(self, lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         if lr <= 0:
@@ -194,7 +189,7 @@ class Adam(Optimizer):
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.9,
-                   schedule_iters: int | None = None) -> Optimizer:
+                   schedule_iters: int | None = None) -> SGDMomentum | Adam:
     if name == "adam":
         return Adam(lr=lr)
     if name == "sgd":
@@ -230,10 +225,12 @@ class TrainConfig:
             raise ValueError(f"x_v must be 'data' or 'ones', got {self.x_v!r}")
         if self.init not in ("normal", "bernoulli"):
             raise ValueError(f"init must be 'normal' or 'bernoulli', got {self.init!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.pretrain_epochs < 0:
-            raise ValueError(f"train.pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        for key, low in (("epochs", 1), ("batch_size", 1), ("pretrain_epochs", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"train.{key} must be >= {low}, got {getattr(self, key)}")
+        check_positive("train.lr", self.lr)
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
         if self.perm is not None:
             if not isinstance(self.perm, (list, tuple)) or not all(
                     isinstance(p, (int, np.integer)) and not isinstance(p, bool)
@@ -280,21 +277,20 @@ class Model:
     params_v: dict[str, np.ndarray]
     routing: GateRouting
 
-    def gates(self, X: np.ndarray, nodes_f=None) -> list:
+    def gates(self, X: np.ndarray) -> list:
         """The gates the value network uses on X, one per gated layer, before
         routing: a DNN's own ReLU gates, or those of the regime's feature
-        network (run on `nodes_f` in place of `params_f` when given)."""
+        network."""
         source, mode, _ = REGIME_TABLE[self.regime]
         if source == "self":
             return forward_relu(self.arch, self.params_v, X).gates
-        pf = self.params_f if nodes_f is None else nodes_f
-        return feature_gates(self.arch, pf, X, source, mode)
+        return feature_gates(self.arch, self.params_f, X, source, mode)
 
-    def logits_node(self, X: np.ndarray, nodes_f=None, nodes_v=None) -> Node:
-        pv = self.params_v if nodes_v is None else nodes_v
+    def logits_node(self, X: np.ndarray) -> Node:
+        """Logits of X as a Node, differentiable in any parameter that is a Node."""
         if REGIME_TABLE[self.regime][0] == "self":
-            return forward_relu(self.arch, pv, X).y_node
-        return forward_gated(self.arch, pv, self.gates(X, nodes_f), self.routing, X).y_node
+            return forward_relu(self.arch, self.params_v, X).y_node
+        return forward_gated(self.arch, self.params_v, self.gates(X), self.routing, X).y_node
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         """Logits of a batch (n, d_in), one forward pass per LOGITS_BLOCK_ROWS
@@ -344,7 +340,7 @@ def _batch_grads(model: Model, Xb, yb):
     nodes_f = None
     if model.params_f is not None:
         nodes_f = {k: Node(v) for k, v in model.params_f.items()}
-    out = model.logits_node(Xb, nodes_f=nodes_f, nodes_v=nodes_v)
+    out = replace(model, params_f=nodes_f, params_v=nodes_v).logits_node(Xb)
     loss, dlogits = loss_softmax_ce(out.value, yb)
     cot = backward(out, seed=dlogits)
 
@@ -362,7 +358,7 @@ def _batch_grads(model: Model, Xb, yb):
     return loss, grads
 
 
-def _run_epochs(model: Model, dataset, opt: Optimizer, epochs, batch_size, rng,
+def _run_epochs(model: Model, dataset, opt: SGDMomentum | Adam, epochs, batch_size, rng,
                 report: TrainReport | None, test=None):
     """Train the value net, and the feature net if the regime trains it.
 

@@ -522,6 +522,27 @@ def test_cli_train_non_finite_arch_scale(tmp_path, capsys, spec, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,msg", [
+    # a non-finite lr once trained into a non-finite gradient and exited 1
+    (["--override", "train.lr=NaN"], "train.lr must be finite, got nan"),
+    (["--override", "train.lr=Infinity"], "train.lr must be finite, got inf"),
+    (["--override", "train.lr=-1"], "train.lr must be positive, got -1"),
+    (["--override", "train.momentum=1"], "train.momentum must be in [0, 1), got 1"),
+    (["--override", "train.momentum=NaN"], "train.momentum must be in [0, 1), got nan"),
+    # numpy's error for a negative seed named no key
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--override", "dataset.seed=-1"], "dataset.seed must be >= 0, got -1"),
+    (["--override", "train.seed=-3"], "train.seed must be >= 0, got -3"),
+], ids=["lr_nan", "lr_inf", "lr_negative", "momentum_one", "momentum_nan", "cli_seed",
+        "dataset_seed", "train_seed"])
+def test_cli_train_names_bad_key(tmp_path, capsys, args, msg):
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and msg in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction,side", [(0.999, "test"), (0.001, "train")])
 def test_cli_train_empty_split(tmp_path, capsys, fraction, side):
     # an empty side once trained or evaluated on nothing and wrote NaN

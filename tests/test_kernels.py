@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
 
 from dualview import kernels
-from dualview.arch import ArchSpec, forward_relu
+from dualview.arch import ArchSpec, forward_relu, weight_layer_specs
 from dualview.kernels import (
     GRAM_CAP,
     GramMatrix,
@@ -185,6 +186,39 @@ def test_mc_ntk_matches_target(arch, sigma):
     assert res.within(target, 4.0)  # generous bound for a single smoke trial
 
 
+@pytest.mark.parametrize("sigma", [None, 0.7], ids=["default_sigma", "sigma"])
+@pytest.mark.parametrize("arch", [
+    ArchSpec(family="fc", d_in=2, depth=3, width=2),
+    ArchSpec(family="conv_gap", d_in=3, w_cv=2, width=2, d_cv=1, d_fc=2),
+    ArchSpec(family="conv_gap", d_in=4, w_cv=3, width=1, d_cv=2, d_fc=2),
+    ArchSpec(family="res", d_in=2, b=1, d_blk=1, width=2),
+    ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=1),
+], ids=["fc", "conv_gap-d_cv1", "conv_gap-d_cv2", "res-b1", "res-b2"])
+def test_mc_target_is_the_exact_sign_pattern_mean(arch, sigma):
+    # the NTK averaged over every +/-sigma sign pattern of the weights is
+    # the expectation itself, so it must equal the limit up to round-off
+    specs = [(name, shape, arch.init_sigma(kind) if sigma is None else sigma)
+             for name, shape, kind in weight_layer_specs(arch)]
+    sizes = [math.prod(shape) for _, shape, _ in specs]
+    assert sum(sizes) <= 12
+    rng = make_rng(5, stream=37)
+    x = rng.normal(size=arch.d_in)
+    x2 = x + 0.4 * rng.normal(size=arch.d_in)
+    gx, gx2 = ([(rng.random(shape) < 0.8).astype(float) for shape in arch.gate_layer_shapes()]
+               for _ in range(2))
+    for g in gx + gx2:
+        g.flat[0] = 1.0  # a path active for both inputs keeps the target off 0
+    target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
+    assert abs(target) > 1e-3 * np.linalg.norm(x) * np.linalg.norm(x2)
+    total = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=sum(sizes)):
+        chunks = np.split(np.array(signs), np.cumsum(sizes)[:-1])
+        params = {name: s * c.reshape(shape) for (name, shape, s), c in zip(specs, chunks)}
+        total += ntk_fixed_gates(arch, params, gx, gx2, x, x2)
+    mean = total / 2 ** sum(sizes)
+    assert abs(mean - target) <= 1e-12 * abs(target)
+
+
 def test_mc_requires_enough_samples():
     arch = FC_SMALL
     p, x, x2, gx, gx2 = _pair(arch, 9)
@@ -251,6 +285,28 @@ def test_gram_npkg_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(ValueError):
         GramMatrix.load_npkg(path)
+
+
+@pytest.mark.parametrize("header", ["# tag=t", "# n=1", "# tag=t n=1 stray"],
+                         ids=["no_n", "no_tag", "token_without_equals"])
+def test_gram_csv_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1\n")
+    with pytest.raises(ValueError, match=f"gram header '{header}' needs key=value tokens, tag, n"):
+        GramMatrix.load_csv(path)
+
+
+def test_gram_npkg_payload_length(tmp_path):
+    g, _ = _toy_gram(n=2)
+    path = tmp_path / "g.npkg"
+    g.save_npkg(path)
+    data = path.read_bytes()
+    # the last header claims a matrix of 2^67 bytes: the size check reads none of it
+    for bad, n in ((data + b"\x00", 2), (data[:-1], 2), (b"NPKG\x00\x00", 0),
+                   (b"NPKG\xff\xff\xff\xff", 2**32 - 1)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"file size does not fit the header's n={n}"):
+            GramMatrix.load_npkg(path)
 
 
 def test_npk_gram_psd():

@@ -1,5 +1,6 @@
 """Property tests over randomly drawn small architectures and batch sizes."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,30 @@ def ntk_case(draw, families=("fc", "conv_gap", "res")):
     else:
         gx, gx2 = ([rng.random(s) for s in arch.gate_layer_shapes()] for _ in range(2))
     return arch, p, gx, gx2, x, x2
+
+
+@settings(max_examples=150, deadline=None)
+@given(ntk_case(), st.one_of(st.none(), st.floats(0.1, 2.0)))
+def test_mc_target_matches_the_per_family_constants(case, sigma):
+    # the one per-layer rule against its hand expansion for each family
+    arch, _, gx, gx2, x, x2 = case
+    s_fc = arch.init_sigma("fc") if sigma is None else sigma
+    kernel = npk(arch, x, x2, gx, gx2)
+    if arch.family == "fc":
+        want = arch.depth * s_fc ** (2 * (arch.depth - 1)) * kernel
+    elif arch.family == "conv_gap":
+        s_cv = arch.init_sigma("conv") if sigma is None else sigma
+        d_cv, d_fc = arch.d_cv, arch.d_fc
+        want = kernel * (d_cv * s_cv ** (2 * (d_cv - 1)) * s_fc ** (2 * d_fc)
+                         + d_fc * s_cv ** (2 * d_cv) * s_fc ** (2 * (d_fc - 1)))
+    else:  # each sub-FCN of depth D weighted by D sigma^(2(D-1))
+        c = np.append(gate_correlations(gx, gx2), 1.0).reshape(arch.b + 2, arch.d_blk).prod(1)
+        want = 0.0
+        for mask in itertools.product((0, 1), repeat=arch.b):
+            depth = (sum(mask) + 2) * arch.d_blk
+            blocks = c[0] * c[-1] * np.prod([c_j for c_j, on in zip(c[1:-1], mask) if on])
+            want += depth * s_fc ** (2 * (depth - 1)) * float(x @ x2) * blocks
+    assert abs(mc_target(arch, x, x2, gx, gx2, sigma=sigma) - want) <= 1e-14 * abs(want)
 
 
 @settings(max_examples=150, deadline=None)
