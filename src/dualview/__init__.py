@@ -58,4 +58,4 @@ from .training import (
     train,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

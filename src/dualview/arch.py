@@ -147,23 +147,27 @@ def init_params(
     arch: ArchSpec,
     rng: np.random.Generator,
     sigma: float | None = None,
+    specs: list[tuple[str, tuple[int, ...], str]] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Bernoulli +/-sigma weights of the value network; default sigma is
-    `arch.init_sigma(kind)` per layer.
+    """Bernoulli +/-sigma weights of the value network, or of `specs` when
+    given; default sigma is `arch.init_sigma(kind)` per layer.
 
-    A float `sigma` overrides every layer. One draw of +/-1 signs covers all
-    layers, in forward order, and each layer scales its slice by its sigma:
-    the same values and generator state as one `init_bernoulli` per layer.
+    A float `sigma` overrides every layer. One `init_bernoulli` draw of
+    +/-1 signs covers all layers, in order, and each layer scales its slice
+    of it by its sigma.
     """
-    specs = weight_layer_specs(arch)
+    if specs is None:
+        specs = weight_layer_specs(arch)
     if sigma is not None:
         check_positive("sigma", sigma)
     sizes = [math.prod(shape) for _, shape, _ in specs]
     signs = init_bernoulli((sum(sizes),), 1.0, rng)
-    params = {}
-    for (name, shape, kind), w in zip(specs, np.split(signs, np.cumsum(sizes)[:-1])):
+    params, start = {}, 0
+    for (name, shape, kind), size in zip(specs, sizes):
+        w = signs[start:start + size]
         w *= arch.init_sigma(kind) if sigma is None else sigma
         params[name] = w.reshape(shape)
+        start += size
     return params
 
 

@@ -99,8 +99,8 @@ class ExperimentConfig:
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
     typed as the field's default. The dataset generator checks the values
-    inside `dataset.params`, TrainConfig checks the `train` section, and
-    `seed` and `dataset.seed` must be >= 0.
+    inside `dataset.params`, TrainConfig checks the `train` section for
+    every command, and `seed` and `dataset.seed` must be >= 0.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -124,6 +124,7 @@ class ExperimentConfig:
                           ("dataset.seed", self.doc["dataset"]["seed"])):
             if seed < 0:
                 raise ValueError(f"{key} must be >= 0, got {seed}")
+        self.train_config()  # every command checks the train section
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":

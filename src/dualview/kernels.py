@@ -325,10 +325,23 @@ class GramMatrix:
             meta = dict(token.split("=", 1) for token in tokens if "=" in token)
             if len(meta) < len(tokens) or not {"tag", "n"} <= meta.keys():
                 raise ValueError(f"{path}: gram header {header!r} needs key=value tokens, tag, n")
-            rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
-        m = np.array(rows)
-        if m.shape != (int(meta["n"]), int(meta["n"])):
-            raise ValueError(f"{path}: matrix shape {m.shape} != n={meta['n']}")
+            if not meta["n"].isdecimal():
+                raise ValueError(f"{path}: gram header n={meta['n']!r} is not an integer")
+            n = int(meta["n"])
+            rows = []
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = line.split(",")
+                if len(row) != n:
+                    raise ValueError(f"{path}: line {line_no} has {len(row)} values, not n={n}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        m = np.array(rows).reshape(len(rows), n)
+        if m.shape != (n, n):
+            raise ValueError(f"{path}: matrix shape {m.shape} != n={n}")
         return cls(matrix=m, tag=meta["tag"], fingerprint=meta.get("fingerprint", ""))
 
     def save_npkg(self, path) -> None:

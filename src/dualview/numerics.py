@@ -6,12 +6,13 @@ bit-identical draw sequence across runs and platforms; parallel work uses
 distinct stream indices. This choice is part of the package contract and is
 versioned with it.
 
-Bernoulli draws: each value is bit 31 of one 32-bit half of a raw 64-bit
-Philox word, read little-endian, so the low half comes first. These are the
-values, and the stream position, of ``rng.integers(0, 2, dtype=np.uint32)``:
-with a range of 2, Lemire's bounded method keeps the top bit of
-``next_uint32``, and Philox serves each word's low half, then its high half.
-Only Philox generators are accepted.
+Bernoulli draws (contract v2, 0.2.0): value i of a draw is +sigma where bit
+``i % 64`` of raw Philox word ``i // 64`` is set, least significant bit first;
+the unused high bits of the last word are dropped. ``random_raw`` leaves a
+half-word buffered by an earlier uint32 draw in place. 0.1.0 kept one bit per
+32-bit half-word, so Bernoulli-drawn outputs (MC NTK samples, ``dualview
+kernel``'s ``gram.*``, Bernoulli ``params.npz``, ``verify.json``'s MC fields)
+differ from 0.1.0 for the same seed. Only Philox generators are accepted.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ def check_positive(name: str, value: float) -> None:
 def init_bernoulli(shape: Sequence[int], sigma: float, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. entries in {-sigma, +sigma}, each with probability 1/2.
 
-    An entry is +sigma where bit 31 of its 32-bit half-word is set: the
-    values, and the generator state after the call, are those of
-    ``rng.integers(0, 2, shape, dtype=np.uint32) * 2 * sigma - sigma``
-    (see the module docstring). `rng` must run on Philox.
+    Entry i (C order) is +sigma where bit ``i % 64`` of raw Philox word
+    ``i // 64`` is set (see the module docstring): all 64 bits of every word
+    are used, and a half-word buffered by an earlier uint32 draw stays
+    buffered. `rng` must run on Philox.
     """
     check_positive("sigma", sigma)
     shape = tuple(int(s) for s in shape)
@@ -56,20 +57,13 @@ def init_bernoulli(shape: Sequence[int], sigma: float, rng: np.random.Generator)
     if not isinstance(bitgen, np.random.Philox):
         raise ValueError(f"init_bernoulli needs a Philox generator, got {type(bitgen).__name__}")
     n = math.prod(shape)
-    out = np.empty(n)
-    # a half-word left buffered by an earlier uint32 draw comes first, and
-    # an odd tail is drawn through integers, which buffers the unused half
-    head = 1 if n and bitgen.state["has_uint32"] else 0
-    words = (n - head) // 2
-    if head:
-        out[0] = rng.integers(0, 2, 1, dtype=np.uint32)[0]
-    halves = bitgen.random_raw(words).astype("<u8", copy=False).view("<u4")
-    out[head:head + 2 * words] = np.right_shift(halves, 31, out=halves)
-    if head + 2 * words < n:
-        out[-1] = rng.integers(0, 2, 1, dtype=np.uint32)[0]
-    # 0 or 1 times 2 sigma, minus sigma, is exact
-    out *= 2.0 * sigma
-    out -= sigma
+    words = bitgen.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    signs = np.unpackbits(words.view(np.uint8), bitorder="little", count=n).view(np.int8)
+    # 0/1 to -1/+1 in int8, then +/-1.0 times sigma, which is exact
+    signs *= 2
+    signs -= 1
+    out = signs.astype(np.float64)
+    out *= sigma
     return out.reshape(shape)
 
 

@@ -48,11 +48,12 @@ from .arch import (
     feature_gates,
     forward_gated,
     forward_relu,
+    init_params,
     shallow_layer_specs,
     weight_layer_specs,
 )
 from .autodiff import Node, backward
-from .numerics import check_positive, init_bernoulli, make_rng
+from .numerics import check_positive, make_rng
 
 DNN = "DNN"
 DGN_FR = "DGN_FR"
@@ -220,11 +221,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+            raise ValueError(f"unknown train.regime {self.regime!r}; choose from {REGIMES}")
         if self.x_v not in ("data", "ones"):
-            raise ValueError(f"x_v must be 'data' or 'ones', got {self.x_v!r}")
+            raise ValueError(f"train.x_v must be 'data' or 'ones', got {self.x_v!r}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"train.optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.init not in ("normal", "bernoulli"):
-            raise ValueError(f"init must be 'normal' or 'bernoulli', got {self.init!r}")
+            raise ValueError(f"train.init must be 'normal' or 'bernoulli', got {self.init!r}")
         for key, low in (("epochs", 1), ("batch_size", 1), ("pretrain_epochs", 0), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"train.{key} must be >= {low}, got {getattr(self, key)}")
@@ -329,8 +332,7 @@ def _init_net(arch: ArchSpec, rng, how: str, source: str | None = None) -> dict[
     layers (the value network and the other feature networks)."""
     specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
     if how == "bernoulli":
-        return {name: init_bernoulli(shape, arch.init_sigma(kind), rng)
-                for name, shape, kind in specs}
+        return init_params(arch, rng, specs=specs)
     return {name: rng.normal(scale=arch.init_sigma(kind), size=shape)
             for name, shape, kind in specs}
 

@@ -543,6 +543,21 @@ def test_cli_train_names_bad_key(tmp_path, capsys, args, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,msg", [
+    ("train.regime=SVM", "unknown train.regime 'SVM'"),
+    ("train.lr=NaN", "train.lr must be finite, got nan"),
+    ("train.optimizer=rmsprop", "train.optimizer must be 'adam' or 'sgd', got 'rmsprop'"),
+], ids=["regime", "lr_nan", "optimizer"])
+def test_cli_kernel_checks_the_train_section(tmp_path, capsys, spec, msg):
+    # the train section once went unchecked by commands that do not train
+    out = tmp_path / "k"
+    assert main(["kernel", "--out", str(out), "--override", "kernel.n=4",
+                 "--override", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and msg in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction,side", [(0.999, "test"), (0.001, "train")])
 def test_cli_train_empty_split(tmp_path, capsys, fraction, side):
     # an empty side once trained or evaluated on nothing and wrote NaN

@@ -296,6 +296,27 @@ def test_gram_csv_malformed_header(tmp_path, header):
         GramMatrix.load_csv(path)
 
 
+def test_gram_csv_non_integer_n(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# tag=t n=x\n1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: gram header n='x' is not an integer"):
+        GramMatrix.load_csv(path)
+
+
+def test_gram_csv_ragged_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# tag=t n=2\n1,0\n0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3 has 1 values, not n=2"):
+        GramMatrix.load_csv(path)
+
+
+def test_gram_csv_non_numeric_value(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# tag=t n=2\n1,0\n0,one\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: could not convert string to float"):
+        GramMatrix.load_csv(path)
+
+
 def test_gram_npkg_payload_length(tmp_path):
     g, _ = _toy_gram(n=2)
     path = tmp_path / "g.npkg"

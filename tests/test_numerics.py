@@ -58,37 +58,65 @@ def test_init_bernoulli_magnitude_property(seed):
     assert np.all(np.abs(w) == 0.7)
 
 
+def _raw_word_values(words, n, sigma):
+    """The first n values of a draw from raw Philox `words`: value i is
+    +sigma where bit i % 64 of word i // 64 is set, by integer bit ops."""
+    return np.array([sigma if (int(words[i // 64]) >> (i % 64)) & 1 else -sigma
+                     for i in range(n)])
+
+
+def _n_words(shape):
+    return -(-int(np.prod(shape)) // 64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=3),
                                            min_size=1, max_size=4),
        st.floats(1e-3, 10.0))
-def test_init_bernoulli_matches_int64_sign_draws(seed, shapes, sigma):
-    # consecutive calls on one generator, odd sizes included: the uint32
-    # draws leave the values and the generator state of the int64 ones
-    rng, ref = make_rng(seed), make_rng(seed)
+def test_init_bernoulli_reads_raw_words_lsb_first(seed, shapes, sigma):
+    # consecutive calls on one generator, sizes within one word and across
+    # several: each call starts on a fresh word and drops the unused high
+    # bits of its last one
+    rng = make_rng(seed)
+    words = make_rng(seed).bit_generator.random_raw(sum(_n_words(shape) for shape in shapes))
     for shape in shapes:
-        want = (ref.integers(0, 2, shape).astype(float) * 2 - 1) * sigma
+        want = _raw_word_values(words, int(np.prod(shape)), sigma).reshape(shape)
         assert init_bernoulli(shape, sigma, rng).tobytes() == want.tobytes()
+        words = words[_n_words(shape):]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.lists(st.lists(st.integers(1, 7), min_size=1, max_size=3), min_size=1, max_size=4),
        st.booleans(), st.floats(1e-3, 10.0))
-def test_init_bernoulli_reads_the_uint32_stream(seed, shapes, buffered, sigma):
+def test_init_bernoulli_keeps_the_uint32_stream(seed, shapes, buffered, sigma):
     # sizes odd and even, 1 included, from a generator with or without a
-    # half-word buffered on entry: the same bytes as the former draw of one
-    # bounded uint32 per value, and the same stream afterwards
+    # half-word buffered on entry: the same bytes as the words the reference
+    # reads, and the same stream afterwards
     rng, ref = make_rng(seed), make_rng(seed)
     if buffered:
         assert rng.integers(0, 2, 1, dtype=np.uint32) == ref.integers(0, 2, 1, dtype=np.uint32)
     for shape in shapes:
-        want = ref.integers(0, 2, shape, dtype=np.uint32).astype(float) * (2 * sigma) - sigma
+        want = _raw_word_values(ref.bit_generator.random_raw(_n_words(shape)),
+                                int(np.prod(shape)), sigma).reshape(shape)
         assert init_bernoulli(shape, sigma, rng).tobytes() == want.tobytes()
-    # a uint32 draw first, to read a half-word either side may hold buffered
+    if buffered:
+        # the half-word buffered before the draws comes next: word 0's high half
+        first_word = int(make_rng(seed).bit_generator.random_raw(1)[0])
+        assert rng.integers(0, 2**32, dtype=np.uint32) == first_word >> 32
+        assert ref.integers(0, 2**32, dtype=np.uint32) == first_word >> 32
+    # then odd uint32, int64 and float draws, across a buffered half-word
     for args in ((0, 2**32, 3, np.uint32), (0, 2**40, 5, np.int64)):
         assert np.array_equal(rng.integers(*args), ref.integers(*args))
     assert rng.random() == ref.random()
+
+
+def test_init_bernoulli_uses_every_bit_position():
+    # 4096 words: each of the 64 bit positions is +sigma about half the time,
+    # which fails an unpack that reads only some of each word's bytes
+    w = init_bernoulli((4096, 64), 0.5, make_rng(11))
+    share = np.mean(w > 0, axis=0)
+    assert np.all(np.abs(share - 0.5) <= 0.05), share
 
 
 # -- autodiff ops against finite differences -------------------------------

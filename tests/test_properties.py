@@ -284,12 +284,19 @@ def test_ntk_contraction_matches_weight_gradients(case):
     assert abs(ntk_fixed_gates(arch, p, gx, gx2, x, x2) - float(g @ g2)) <= 1e-12 * terms
 
 
-def _layerwise_bernoulli(arch, rng, sigma=None):
-    """The former init_params: one uint32 draw per layer, scaled to +/-sigma."""
-    out = {}
-    for name, shape, kind in weight_layer_specs(arch):
+def _raw_word_bernoulli(arch, rng, sigma=None):
+    """init_params by hand: one run of raw Philox words for the whole
+    network, value i (layers in forward order, each C order) +sigma where
+    bit i % 64 of word i // 64 is set, by integer bit ops."""
+    specs = weight_layer_specs(arch)
+    sizes = [int(np.prod(shape)) for _, shape, _ in specs]
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-sum(sizes) // 64))]
+    out, start = {}, 0
+    for (name, shape, kind), size in zip(specs, sizes):
         s = arch.init_sigma(kind) if sigma is None else sigma
-        out[name] = rng.integers(0, 2, shape, dtype=np.uint32).astype(float) * (2 * s) - s
+        out[name] = np.array([s if (words[i // 64] >> (i % 64)) & 1 else -s
+                              for i in range(start, start + size)]).reshape(shape)
+        start += size
     return out
 
 
@@ -300,11 +307,11 @@ FAMILIES = ["fc", "conv_gap", "res"]
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_init_params_matches_layerwise_uint32_draws(family, sigma, data, seed):
+def test_init_params_slices_one_raw_word_draw(family, sigma, data, seed):
     arch = data.draw(small_arch((family,)))
     rng, ref = make_rng(seed), make_rng(seed)
-    for _ in range(2):  # the second draw may start on a buffered half-word
-        got, want = init_params(arch, rng, sigma=sigma), _layerwise_bernoulli(arch, ref, sigma)
+    for _ in range(2):  # the second draw starts on the word after the first's last
+        got, want = init_params(arch, rng, sigma=sigma), _raw_word_bernoulli(arch, ref, sigma)
         assert list(got) == list(want)
         for name in want:
             assert got[name].shape == want[name].shape
@@ -322,7 +329,7 @@ def test_mc_samples_match_a_per_sample_reference_loop(family, sigma, data, seed)
     res = ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=100, rng=make_rng(seed),
                              sigma=sigma)
     ref = make_rng(seed)
-    want = [ntk_fixed_gates(arch, _layerwise_bernoulli(arch, ref, sigma), gx, gx2, x, x2)
+    want = [ntk_fixed_gates(arch, _raw_word_bernoulli(arch, ref, sigma), gx, gx2, x, x2)
             for _ in range(100)]
     assert res.samples.tobytes() == np.array(want).tobytes()
 

@@ -197,6 +197,36 @@ def test_init_net_bernoulli_draws_fan_in_sigma(source):
         assert set(np.unique(params[name])) == {-sigma, sigma}
 
 
+@pytest.mark.parametrize("source", ["relu", "shallow"])
+@pytest.mark.parametrize("arch", [
+    ArchSpec(family="fc", d_in=5, depth=3, width=7),
+    ArchSpec(family="conv_gap", d_in=6, w_cv=3, width=4, d_cv=2, d_fc=2, c_scale=1.5),
+    ArchSpec(family="res", d_in=3, b=1, d_blk=2, width=5),
+], ids=["fc", "conv_gap", "res"])
+def test_init_net_draws_one_network_as_init_params(arch, source):
+    # bernoulli: one init_params draw over the layer specs, and the same
+    # stream afterwards; normal: one rng.normal draw per layer, in order
+    from dualview.arch import init_params, shallow_layer_specs, weight_layer_specs
+    from dualview.training import _init_net
+
+    rng, ref = make_rng(4, stream=2), make_rng(4, stream=2)
+    got = _init_net(arch, rng, "bernoulli", source)
+    if source == "shallow":
+        specs = shallow_layer_specs(arch)
+        want = init_params(arch, ref, specs=specs)
+    else:
+        specs = weight_layer_specs(arch)
+        want = init_params(arch, ref)
+    assert list(got) == list(want)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    got = _init_net(arch, rng, "normal", source)
+    want = {name: ref.normal(scale=arch.init_sigma(kind), size=shape)
+            for name, shape, kind in specs}
+    assert list(got) == list(want)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    assert rng.random() == ref.random()
+
+
 def test_conv_batch_loss_gradient_through_hyperplanes():
     # a DLGN batch wide enough for the collapse differentiates the feature
     # parameters through the hyperplane matrices; compare with central
