@@ -70,8 +70,9 @@ class ArchSpec:
     def __post_init__(self):
         if self.family not in (FC, CONV_GAP, RES):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.d_in < 1 or self.width < 1 or self.n_out < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name in ("d_in", "width", "n_out"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_positive("c_scale", self.c_scale)
         check_positive("beta", self.beta)
         if self.family == FC and self.depth < 2:
@@ -152,20 +153,19 @@ def init_params(
     """Bernoulli +/-sigma weights of the value network, or of `specs` when
     given; default sigma is `arch.init_sigma(kind)` per layer.
 
-    A float `sigma` overrides every layer. One `init_bernoulli` draw of
-    +/-1 signs covers all layers, in order, and each layer scales its slice
-    of it by its sigma.
+    One `init_bernoulli` draw covers all layers, in order: of +/-sigma when
+    a float `sigma` overrides every layer, else of +/-1 signs that each
+    layer scales by its own sigma.
     """
     if specs is None:
         specs = weight_layer_specs(arch)
-    if sigma is not None:
-        check_positive("sigma", sigma)
     sizes = [math.prod(shape) for _, shape, _ in specs]
-    signs = init_bernoulli((sum(sizes),), 1.0, rng)
+    values = init_bernoulli((sum(sizes),), 1.0 if sigma is None else sigma, rng)
     params, start = {}, 0
     for (name, shape, kind), size in zip(specs, sizes):
-        w = signs[start:start + size]
-        w *= arch.init_sigma(kind) if sigma is None else sigma
+        w = values[start:start + size]
+        if sigma is None:
+            w *= arch.init_sigma(kind)
         params[name] = w.reshape(shape)
         start += size
     return params

@@ -16,10 +16,10 @@ round-trips losslessly. ``--override key.path=value`` (repeatable) patches
 individual fields; values are parsed as JSON with a plain-string fallback.
 An unknown key, a non-object section or a value whose JSON type differs
 from its default's (for a list, an item whose type differs from the
-default's first item) is a usage error; so is a ``train.perm`` that is not a
-list of ints or a ``dataset.params`` value whose type differs from the
-generator keyword's default. The ``train`` section's defaults are those of
-:class:`dualview.training.TrainConfig`.
+default's first item) or below its ``MINIMUM`` is a usage error; so is a
+``train.perm`` that is not a list of ints or a ``dataset.params`` value
+whose type differs from the generator keyword's default. The ``train``
+section's defaults are those of :class:`dualview.training.TrainConfig`.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage or IO error.
 
@@ -41,7 +41,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +90,15 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# Lower bound of each int config key; a list key also must not be empty.
+MINIMUM: dict = {
+    "seed": 0, "dataset.seed": 0,
+    "verify.eq1_samples": 1, "verify.max_paths": 1, "verify.mc_samples": 100,
+    "kernel.n": 1,
+    "experiment.seeds": 1, "experiment.widths": 1, "experiment.mc_deviation_samples": 100,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative experiment document.
@@ -98,9 +107,10 @@ class ExperimentConfig:
     value must have its default's JSON type (an int passes for a float, a
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
-    typed as the field's default. The dataset generator checks the values
-    inside `dataset.params`, TrainConfig checks the `train` section for
-    every command, and `seed` and `dataset.seed` must be >= 0.
+    typed as the field's default, and a key in MINIMUM must reach its bound.
+    The ArchSpec, TrainConfig and its routing, `verify.mc_sigma_scale`,
+    `experiment.bundle` and a file dataset's path are checked for every
+    command; the dataset generator or loader checks the other dataset values.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -111,20 +121,25 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key}")
         for section, default in DEFAULT_CONFIG.items():
             value = self.doc.get(section)
-            _check_type(section, value, default)
+            _check_value(section, value, default)
             if not isinstance(default, dict):
                 continue
             if section == "arch":
                 default = {**{f.name: f.default for f in fields(ArchSpec)}, **default}
+                for f in fields(ArchSpec):
+                    if f.default is MISSING and f.name not in value:
+                        raise ValueError(f"config key arch.{f.name} is missing")
             for key, v in value.items():
                 if key not in default:
                     raise ValueError(f"unknown config key {section}.{key}")
-                _check_type(f"{section}.{key}", v, default[key])
-        for key, seed in (("seed", self.doc["seed"]),
-                          ("dataset.seed", self.doc["dataset"]["seed"])):
-            if seed < 0:
-                raise ValueError(f"{key} must be >= 0, got {seed}")
-        self.train_config()  # every command checks the train section
+                _check_value(f"{section}.{key}", v, default[key])
+        check_positive("verify.mc_sigma_scale", self.doc["verify"]["mc_sigma_scale"])
+        bundle = self.doc["experiment"]["bundle"]
+        if bundle not in BUNDLES:
+            raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
+        if self.doc["dataset"]["kind"] == "file" and not self.doc["dataset"]["path"]:
+            raise ValueError("dataset.kind == 'file' requires dataset.path")
+        self.train_config().routing().validate(self.arch())
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -154,15 +169,24 @@ class ExperimentConfig:
     def make_dataset(self) -> Dataset:
         d = self.doc["dataset"]
         if d["kind"] == "file":
-            if not d.get("path"):
-                raise ValueError("dataset.kind == 'file' requires dataset.path")
             return load_dataset(d["path"], d.get("format", "csv"))
         return generate_synthetic(d["kind"], d["n"], d["seed"], **d["params"])
 
 
-def _check_type(key: str, value, default) -> None:
-    """Reject a config value whose JSON type is not its default's."""
+def _check_value(key: str, value, default) -> None:
+    """Reject a config value whose JSON type is not its default's, or that
+    is below its MINIMUM (a list: empty, or with an entry below it)."""
     if has_type_of(value, default):
+        low = MINIMUM.get(key)
+        if low is None:
+            return
+        if isinstance(value, list):
+            if not value:
+                raise ValueError(f"{key} must not be empty")
+            if min(value) < low:
+                raise ValueError(f"{key} entries must be >= {low}, got {value}")
+        elif value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
         return
     if isinstance(default, dict):
         noun = "an object"
@@ -319,12 +343,6 @@ def _mc_check(probes, n_samples, sigma_scale, seed):
 
 def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
-    for key in ("eq1_samples", "max_paths"):
-        if v[key] < 1:
-            raise ValueError(f"verify.{key} must be >= 1, got {v[key]}")
-    if v["mc_samples"] < 100:
-        raise ValueError(f"verify.mc_samples must be >= 100, got {v['mc_samples']}")
-    check_positive("verify.mc_sigma_scale", v["mc_sigma_scale"])
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
     report = {**_structure_checks(probes),
@@ -380,8 +398,6 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def cmd_kernel(config: ExperimentConfig) -> int:
     kc = config.doc["kernel"]
-    if kc["n"] < 1:
-        raise ValueError(f"kernel.n must be >= 1, got {kc['n']}")
     arch = config.arch()
     ds = config.make_dataset()
     if ds.d_in != arch.d_in:
@@ -459,6 +475,9 @@ def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
         gx = forward_relu(arch, pf, x).gates
         gx2 = forward_relu(arch, pf, x2).gates
         target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
+        if target == 0:  # the relative deviation below would be NaN
+            raise FloatingPointError(f"width-sweep: width {w} has a closed-form NTK target "
+                                     "of 0 (the inputs share no active path)")
         res = ntk_expectation_mc(arch, gx, gx2, x, x2,
                                  n_samples=ex["mc_deviation_samples"],
                                  rng=make_rng(seed, stream=209 + w), sigma=sigma)
@@ -479,21 +498,7 @@ BUNDLES = {
 
 
 def cmd_experiment(config: ExperimentConfig) -> int:
-    ex = config.doc["experiment"]
-    bundle = ex["bundle"]
-    if bundle not in BUNDLES:
-        raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
-    # either would write an experiment.json with no records
-    if ex["seeds"] < 1:
-        raise ValueError(f"experiment.seeds must be >= 1, got {ex['seeds']}")
-    if not ex["widths"]:
-        raise ValueError("experiment.widths must not be empty")
-    # checked here so that the error names the config key
-    if min(ex["widths"]) < 1:
-        raise ValueError(f"experiment.widths entries must be >= 1, got {ex['widths']}")
-    if ex["mc_deviation_samples"] < 100:
-        raise ValueError(
-            f"experiment.mc_deviation_samples must be >= 100, got {ex['mc_deviation_samples']}")
+    bundle = config.doc["experiment"]["bundle"]
     # a bundle returns (records, csv header, csv rows); the out directory is
     # created only once there are results to write
     records, header, rows = BUNDLES[bundle](config)

@@ -41,6 +41,7 @@ import numpy as np
 from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params,
                    weight_layer_specs)
 from .autodiff import backward
+from .numerics import check_positive
 
 
 def rot(x: np.ndarray, r: int) -> np.ndarray:
@@ -257,6 +258,8 @@ def mc_target(
     their NPK by it; a res sub-FCN with k included blocks has (k + 2) d_blk
     layers of one sigma, and its 2^b terms group by k into e_k of C_1..C_b.
     """
+    if sigma is not None:
+        check_positive("sigma", sigma)
     sigmas = [arch.init_sigma(kind) if sigma is None else sigma
               for _, _, kind in weight_layer_specs(arch)]
     if arch.family != RES:

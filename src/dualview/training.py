@@ -232,6 +232,9 @@ class TrainConfig:
             if getattr(self, key) < low:
                 raise ValueError(f"train.{key} must be >= {low}, got {getattr(self, key)}")
         check_positive("train.lr", self.lr)
+        if self.use_schedule and self.optimizer != "sgd":
+            raise ValueError("train.use_schedule=true needs train.optimizer='sgd', "
+                             f"got {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
         if self.perm is not None:

@@ -41,6 +41,12 @@ def test_archspec_validation():
                 ArchSpec(family="fc", d_in=3, depth=2, width=2, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["d_in", "width", "n_out"])
+def test_archspec_names_the_dimension_below_one(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        ArchSpec(**{"family": "fc", "d_in": 3, "depth": 2, "width": 2, field: 0})
+
+
 def test_gate_layer_counts():
     assert FC_SMALL.n_gate_layers() == 2
     assert CONV_SMALL.n_gate_layers() == 3

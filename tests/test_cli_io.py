@@ -10,6 +10,7 @@ from dualview import cli, paths
 from dualview.arch import forward_relu, init_params
 from dualview.cli import (
     DEFAULT_CONFIG,
+    MINIMUM,
     ExperimentConfig,
     main,
 )
@@ -214,6 +215,21 @@ def test_config_train_defaults_are_train_config():
     assert ExperimentConfig().train_config() == TrainConfig()
 
 
+def _default(key):
+    value = DEFAULT_CONFIG
+    for part in key.split("."):
+        value = value[part]
+    return value
+
+
+def test_minimum_keys_have_int_defaults_that_reach_them():
+    for key, low in MINIMUM.items():
+        default = _default(key)
+        items = default if isinstance(default, list) else [default]
+        assert type(low) is int and items, key
+        assert all(type(v) is int and v >= low for v in items), key
+
+
 # -- CLI commands ------------------------------------------------------------
 
 
@@ -313,6 +329,18 @@ def test_cli_experiment_width_sweep(tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_width_sweep_zero_target_fails(tmp_path, capsys):
+    # at seed 0 the probe inputs share no active path at widths 1 and 2; the
+    # relative deviation from a 0 target once went into the CSV as NaN
+    out = tmp_path / "w"
+    assert main(["experiment", "--seed", "0", "--out", str(out),
+                 "--override", "experiment.bundle=width-sweep",
+                 "--override", "experiment.widths=[1,2]"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "width 1 has a closed-form NTK target of 0" in err
+    assert not out.exists()
+
+
 def test_cli_experiment_usage_errors(tmp_path, capsys, monkeypatch):
     # no seeds or no widths would write an experiment.json without records
     for bundle, spec, msg in (
@@ -408,6 +436,17 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     for key in ("dataset", "verify", "kernel", "experiment", "train", "arch", "dataset.params"):
         assert main(["kernel", "--out", str(tmp_path / "u"), "--override", f"{key}=3"]) == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "experiment"])
+def test_cli_arch_needs_family_and_d_in(tmp_path, capsys, command):
+    # an arch override replaces the whole section; a missing ArchSpec field
+    # once raised a TypeError traceback
+    out = tmp_path / "a"
+    assert main([command, "--out", str(out), "--override", 'arch={"d_in": 3, "width": 8}']) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config key arch.family is missing" in err
+    assert not out.exists()
 
 
 def test_cli_config_value_types(tmp_path, capsys):
@@ -533,13 +572,29 @@ def test_cli_train_non_finite_arch_scale(tmp_path, capsys, spec, msg):
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--override", "dataset.seed=-1"], "dataset.seed must be >= 0, got -1"),
     (["--override", "train.seed=-3"], "train.seed must be >= 0, got -3"),
+    # the schedule is sgd's; adam once ran without it and exited 0
+    (["--override", "train.use_schedule=true"],
+     "train.use_schedule=true needs train.optimizer='sgd', got 'adam'"),
 ], ids=["lr_nan", "lr_inf", "lr_negative", "momentum_one", "momentum_nan", "cli_seed",
-        "dataset_seed", "train_seed"])
+        "dataset_seed", "train_seed", "schedule_adam"])
 def test_cli_train_names_bad_key(tmp_path, capsys, args, msg):
     out = tmp_path / "t"
     assert main(["train", "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and msg in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "train", "kernel", "experiment"])
+@pytest.mark.parametrize("key", list(MINIMUM))
+def test_cli_refuses_a_value_below_its_minimum(tmp_path, capsys, key, command):
+    # each command once checked only the keys it reads itself
+    low = MINIMUM[key]
+    value = [low - 1] if isinstance(_default(key), list) else low - 1
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out), "--override", f"{key}={json.dumps(value)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"dualview {command}: {key} ")
     assert not out.exists()
 
 

@@ -219,6 +219,16 @@ def test_mc_target_is_the_exact_sign_pattern_mean(arch, sigma):
     assert abs(mean - target) <= 1e-12 * abs(target)
 
 
+@pytest.mark.parametrize("sigma,msg", [(float("nan"), "sigma must be finite, got nan"),
+                                       (-0.5, "sigma must be positive, got -0.5")],
+                         ids=["nan", "negative"])
+def test_mc_target_rejects_bad_sigma(sigma, msg):
+    # a negative sigma once gave the target of its absolute value, NaN a NaN
+    _, x, x2, gx, gx2 = _pair(FC_SMALL, 9)
+    with pytest.raises(ValueError, match=msg):
+        mc_target(FC_SMALL, x, x2, gx, gx2, sigma=sigma)
+
+
 def test_mc_requires_enough_samples():
     arch = FC_SMALL
     p, x, x2, gx, gx2 = _pair(arch, 9)
