@@ -40,7 +40,6 @@ from .paths import (
     enumerate_paths,
     enumerate_subfcns,
     iter_paths,
-    overlap,
     overlap_vector,
     path_activity,
     path_value,

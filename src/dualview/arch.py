@@ -10,6 +10,9 @@ No bias terms exist anywhere: biases would break the path-product
 decomposition the whole package is built around. The hard gate at a
 pre-activation of exactly 0 evaluates to 0 (strict inequality).
 
+Each network is one chain of weight layers, :func:`weight_layer_specs`,
+built once per spec; the forward passes run it, and every layer of it but
+the last is gated, by a gate shaped as that layer's output for one sample.
 Gates are a plain list with one array (or Node) per gated layer, in forward
 order: ``forward_relu`` returns a ReLU network's own hard gates,
 ``feature_gates`` the gates of a ``relu``, ``linear`` or ``shallow`` feature
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -85,18 +89,31 @@ class ArchSpec:
         if self.family == RES and (self.b < 0 or self.d_blk < 1):
             raise ValueError("res needs b >= 0 and d_blk >= 1")
 
-    def n_gate_layers(self) -> int:
+    @cached_property
+    def _weight_layers(self) -> tuple[tuple[str, tuple[int, ...], str], ...]:
+        """The weight-layer chain, built once per spec (see :func:`weight_layer_specs`)."""
+        w, conv = self.width, ()
         if self.family == FC:
-            return self.depth - 1
-        if self.family == CONV_GAP:
-            return self.d_cv + (self.d_fc - 1)
-        return (self.b + 2) * self.d_blk - 1
+            dense = [f"fc{l}" for l in range(1, self.depth + 1)]
+        elif self.family == CONV_GAP:
+            conv = tuple((f"cv{l}", (self.w_cv, 1 if l == 1 else w, w), "conv")
+                         for l in range(1, self.d_cv + 1))
+            dense = [f"fc{l}" for l in range(1, self.d_fc + 1)]
+        else:  # res: block j's layer l, for blocks 0..b+1
+            dense = [f"b{j}l{l}" for j in range(self.b + 2) for l in range(1, self.d_blk + 1)]
+        # the dense layers chain from d_in (or the pooled channels) to n_out
+        dims = [w if conv else self.d_in] + [w] * (len(dense) - 1) + [self.n_out]
+        return conv + tuple((name, (dims[i], dims[i + 1]), "fc") for i, name in enumerate(dense))
+
+    def n_gate_layers(self) -> int:
+        """Every weight layer but the last is gated."""
+        return len(self._weight_layers) - 1
 
     def gate_layer_shapes(self) -> list[tuple[int, ...]]:
-        """Per gated layer, the shape of one sample's gate array."""
-        if self.family == CONV_GAP:
-            return [(self.d_in, self.width)] * self.d_cv + [(self.width,)] * (self.d_fc - 1)
-        return [(self.width,)] * self.n_gate_layers()
+        """Per gated layer, the shape of one sample's gate array: the layer's
+        output, (d_in, c_out) for a conv layer and (c_out,) for a dense one."""
+        return [(self.d_in, shape[-1]) if kind == "conv" else (shape[-1],)
+                for _, shape, kind in self._weight_layers[:-1]]
 
     def init_sigma(self, kind: str) -> float:
         """Fan-in weight scale: c/sqrt(w) for dense layers, c/sqrt(w * w_cv) for conv."""
@@ -104,33 +121,13 @@ class ArchSpec:
         return self.c_scale / math.sqrt(fan)
 
 
-def weight_layer_specs(arch: ArchSpec) -> list[tuple[str, tuple[int, ...], str]]:
+def weight_layer_specs(arch: ArchSpec) -> tuple[tuple[str, tuple[int, ...], str], ...]:
     """(name, shape, kind) per weight layer, in forward order.
 
     kind is 'conv' for circular-conv tensors (w_cv, c_in, c_out) and 'fc'
     for dense matrices (in, out).
     """
-    w, k = arch.width, arch.n_out
-    if arch.family == FC:
-        dims = [arch.d_in] + [w] * (arch.depth - 1) + [k]
-        return [(f"fc{l}", (dims[l - 1], dims[l]), "fc") for l in range(1, arch.depth + 1)]
-    if arch.family == CONV_GAP:
-        specs = []
-        for l in range(1, arch.d_cv + 1):
-            c_in = 1 if l == 1 else w
-            specs.append((f"cv{l}", (arch.w_cv, c_in, w), "conv"))
-        dims = [w] * arch.d_fc + [k]
-        for l in range(1, arch.d_fc + 1):
-            specs.append((f"fc{l}", (dims[l - 1], dims[l]), "fc"))
-        return specs
-    # res: block 0 enters from d_in, block b+1 exits to n_out
-    specs = []
-    for j in range(arch.b + 2):
-        for l in range(1, arch.d_blk + 1):
-            ins = arch.d_in if (j == 0 and l == 1) else w
-            outs = k if (j == arch.b + 1 and l == arch.d_blk) else w
-            specs.append((f"b{j}l{l}", (ins, outs), "fc"))
-    return specs
+    return arch._weight_layers
 
 
 def shallow_layer_specs(arch: ArchSpec) -> list[tuple[str, tuple[int, ...], str]]:
@@ -255,41 +252,27 @@ def _stack(
     """
     layers: list[tuple[np.ndarray | Node, Node]] = []
     gates: list[Gate] = []
-    n_gated = arch.n_gate_layers()
-
-    def layer(op, z, name: str) -> Node:
-        q = op(z, params[name])
-        layers.append((z, q))
-        if len(layers) > n_gated or gate_rule is None:
-            return q
-        g = gate_rule(len(gates), q)
-        gates.append(g)
-        return ad.mul(q, g)
-
-    z = X[:, :, None] if arch.family == CONV_GAP else X
+    n_gated = arch.n_gate_layers() if gate_rule is not None else 0
+    conv = arch.family == CONV_GAP
+    pool_at = arch.d_cv if conv else -1  # the fc head reads the pooled channels
+    # res: an identity skip around each of blocks 1..b, from the input of its
+    # first weight layer (by index) to the output of its last
+    d = arch.d_blk
+    skips = {j * d + d - 1: j * d for j in range(1, arch.b + 1)} if arch.family == RES else {}
+    z = X[:, :, None] if conv else X
     if input_leaf:
         z = Node(z)
-
-    if arch.family == FC:
-        for l in range(1, arch.depth + 1):
-            z = layer(ad.matmul, z, f"fc{l}")
-        return z, layers, gates
-
-    if arch.family == CONV_GAP:
-        for l in range(1, arch.d_cv + 1):
-            z = layer(ad.conv_circular, z, f"cv{l}")
-        z = ad.global_avg_pool(z)
-        for l in range(1, arch.d_fc + 1):
-            z = layer(ad.matmul, z, f"fc{l}")
-        return z, layers, gates
-
-    # res
-    for j in range(arch.b + 2):
-        block_in = z
-        for l in range(1, arch.d_blk + 1):
-            z = layer(ad.matmul, z, f"b{j}l{l}")
-        if 1 <= j <= arch.b:
-            z = ad.add(block_in, z)
+    for i, (name, _, kind) in enumerate(weight_layer_specs(arch)):
+        if i == pool_at:
+            z = ad.global_avg_pool(z)
+        q = (ad.conv_circular if kind == "conv" else ad.matmul)(z, params[name])
+        layers.append((z, q))
+        z = q
+        if i < n_gated:
+            gates.append(gate_rule(i, q))
+            z = ad.mul(q, gates[-1])
+        if i in skips:
+            z = ad.add(layers[skips[i]][0], z)
     return z, layers, gates
 
 

@@ -312,7 +312,7 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
         worst_npk = max(worst_npk, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
         if arch.family == RES:
             extra["per_mask"] = {str(m.included): float(phi[s] @ phi2[s])
-                                 for m, s in table.blocks()}
+                                 for m, s in table.sub_blocks}
         checked.append(name)
     scope = {"families": checked, "skipped_families": skipped}
     report = {
@@ -585,6 +585,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, PathBudgetError) as exc:
         print(f"dualview {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"dualview {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         print(f"dualview {args.command}: {exc}", file=sys.stderr)

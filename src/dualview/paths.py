@@ -15,7 +15,8 @@ for conv_gap it is the d_in paths, one per input node, that share their
 weights, and every activity carries the 1/d_in pooling scale. Activities,
 values, dual vectors and overlaps are gathers, products and per-bundle or
 per-node sums with no family branch; only :func:`enumerate_paths` knows the
-families.
+families, and it is the only function that builds a table: every other
+function here takes the table it reads.
 
 Path ordering is lexicographic in (input node, layer-1 index, layer-2
 index, ...) so dual vectors align across calls. Res paths are grouped by
@@ -117,7 +118,9 @@ class PathTable:
     weight_idx: np.ndarray  # (M, B) flat weight index per weight layer, per bundle
     bundle_start: np.ndarray  # (B,) first path of each bundle; its paths are contiguous
     pool: float = 1.0  # pooling scale of every activity
-    sub_blocks: list = field(default_factory=list)  # (sub-FCN mask or None, path slice)
+    # (sub-FCN mask, path slice) per res sub-FCN; fc: one block with mask
+    # None; conv tables leave it empty
+    sub_blocks: list[tuple[SubFcnMask | None, slice]] = field(default_factory=list)
 
     @property
     def n_paths(self) -> int:
@@ -126,10 +129,6 @@ class PathTable:
     @property
     def n_bundles(self) -> int:
         return self.bundle_start.size
-
-    def blocks(self) -> list[tuple[SubFcnMask | None, slice]]:
-        """Each sub-FCN's mask with its slice of the dual vectors (fc: one block, mask None)."""
-        return self.sub_blocks
 
 
 def _offsets(shapes) -> list[int]:
@@ -309,17 +308,13 @@ def _path_npf(table: PathTable, x, gates: Gates) -> np.ndarray:
 
 
 def dual_vectors(
-    arch: ArchSpec,
-    params: Mapping[str, np.ndarray],
-    x,
-    gates: Gates,
-    table: PathTable | None = None,
-    budget: int = DEFAULT_BUDGET,
+    arch: ArchSpec, params: Mapping[str, np.ndarray], x, gates: Gates, table: PathTable
 ) -> DualVectors:
-    """Neural path feature / value vectors; conv entries are per bundle."""
-    if table is None:
-        table = enumerate_paths(arch, budget=budget)
-    weights = _flat(params[name] for name, _, _ in weight_layer_specs(table.arch))
+    """Neural path feature / value vectors over `table`, which must be
+    `arch`'s; conv entries are per bundle."""
+    if table.arch != arch:
+        raise ValueError(f"path table is for {table.arch}, not {arch}")
+    weights = _flat(params[name] for name, _, _ in weight_layer_specs(arch))
     return DualVectors(np.add.reduceat(_path_npf(table, x, gates), table.bundle_start),
                        _products(weights, table.weight_idx))
 
@@ -339,33 +334,14 @@ def _require_hard(gates: Gates) -> None:
             raise ValueError("overlap counts require hard gates")
 
 
-def overlap(
-    i: int,
-    gates_x: Gates,
-    gates_x2: Gates,
-    arch: ArchSpec,
-    table: PathTable | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Number of paths from input node `i` active for both gate patterns.
+def overlap_vector(gates_x: Gates, gates_x2: Gates, table: PathTable) -> np.ndarray:
+    """Per input node i, the number of paths of `table` from i active for
+    both hard gate patterns, as floats.
 
     Conv activities are counted gates-only (the constant pooling mask is
-    excluded so the result stays an integer count).
+    excluded so each entry stays an integer count).
     """
-    return int(overlap_vector(gates_x, gates_x2, arch, table=table, budget=budget)[i])
-
-
-def overlap_vector(
-    gates_x: Gates,
-    gates_x2: Gates,
-    arch: ArchSpec,
-    table: PathTable | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """`overlap(i, ...)` for every input node i, as floats."""
     _require_hard(gates_x)
     _require_hard(gates_x2)
-    if table is None:
-        table = enumerate_paths(arch, budget=budget)
     joint = _activities(table, gates_x) * _activities(table, gates_x2)
-    return np.bincount(table.node, weights=joint, minlength=arch.d_in)
+    return np.bincount(table.node, weights=joint, minlength=table.arch.d_in)

@@ -41,7 +41,6 @@ from dualview.paths import (
     count_paths,
     dual_vectors,
     enumerate_paths,
-    overlap,
     overlap_vector,
     res_gate_indices,
 )
@@ -125,7 +124,7 @@ def test_criterion_2_overlap_identity():
             )
             scale = 1.0
         rhs = scale * float((np.asarray(x) * np.asarray(x2))
-                            @ overlap_vector(gx, gx2, arch, table=table))
+                            @ overlap_vector(gx, gx2, table))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     _report(2, "overlap-weighted inner product identity", worst <= 1e-9,
             f"(max rel dev {worst:.2e})")
@@ -145,7 +144,7 @@ def test_criterion_3_product_structure():
         gx = forward_relu(arch, params, x).gates
         gx2 = forward_relu(arch, params, x2).gates
         corr = gate_correlations(gx, gx2)
-        o = overlap(0, gx, gx2, arch, table=table)
+        o = overlap_vector(gx, gx2, table)[0]
         assert o == int(np.prod(corr))  # exact integer equality
         base = float(np.prod(corr))
         for perm in itertools.permutations(range(len(corr))):
@@ -265,7 +264,7 @@ def test_criterion_6_res_ensemble_kernel():
     # kernel of its sub-FCN gates
     corr = gate_correlations(gx, gx2)
     dev_per = 0.0
-    blocks = table.blocks()
+    blocks = table.sub_blocks
     for mask, s in blocks:
         expect = float(np.asarray(x) @ np.asarray(x2)) * float(
             np.prod(corr[res_gate_indices(arch, mask)])

@@ -585,6 +585,16 @@ def test_cli_train_names_bad_key(tmp_path, capsys, args, msg):
     assert not out.exists()
 
 
+def test_cli_kernel_refuses_an_array_too_large_to_allocate(tmp_path, capsys):
+    # numpy refuses the 2.22 PiB weight draw at once, so nothing is allocated
+    out = tmp_path / "k"
+    assert main(["kernel", "--out", str(out), "--override", "arch.width=100000000",
+                 "--override", "kernel.n=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("dualview kernel: out of memory: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "train", "kernel", "experiment"])
 @pytest.mark.parametrize("key", list(MINIMUM))
 def test_cli_refuses_a_value_below_its_minimum(tmp_path, capsys, key, command):

@@ -27,7 +27,7 @@ from dualview.kernels import (
     rot,
 )
 from dualview.numerics import make_rng
-from dualview.paths import dual_vectors, enumerate_paths, overlap
+from dualview.paths import dual_vectors, enumerate_paths, overlap_vector
 
 
 def _pair(arch, seed, spread=0.4):
@@ -105,7 +105,7 @@ def test_product_structure_and_permutation_invariance():
         _, x, x2, gx, gx2 = _pair(arch, seed)
         corr = gate_correlations(gx, gx2)
         assert np.array_equal(corr, np.round(corr))
-        o = overlap(0, gx, gx2, arch, table=table)
+        o = overlap_vector(gx, gx2, table)[0]
         assert o == int(np.prod(corr))
         base = float(np.prod(corr))
         for perm in itertools.permutations(range(len(corr))):
@@ -117,7 +117,7 @@ def test_conv_overlap_counts_match_enumeration():
     table = enumerate_paths(CONV_SMALL)
     dp = conv_overlap_counts(CONV_SMALL, gx, gx2)
     for i in range(CONV_SMALL.d_in):
-        assert dp[i] == overlap(i, gx, gx2, CONV_SMALL, table=table)
+        assert dp[i] == overlap_vector(gx, gx2, table)[i]
 
 
 def test_conv_rotsum_equals_bundle_brute_force():
@@ -271,6 +271,18 @@ def test_gram_rejects_whitespace_tag_before_any_kernel_call():
     assert calls == []
 
 
+def test_gram_raises_the_kernel_error_itself():
+    # a ValueError reaches the CLI as a usage error, not wrapped in a traceback
+    err = ValueError("bad pair")
+
+    def kernel(a, b):
+        raise err
+
+    with pytest.raises(ValueError) as info:
+        gram(np.ones((2, 2)), kernel, tag="t")
+    assert info.value is err
+
+
 def test_gram_csv_roundtrip(tmp_path):
     g, _ = _toy_gram()
     path = tmp_path / "g.csv"
@@ -360,7 +372,7 @@ def test_kernels_module_does_not_call_the_path_oracle():
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree)
               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
-    assert not names & {"dual_vectors", "enumerate_paths", "overlap", "enumerate_subfcns"}
+    assert not names & {"dual_vectors", "enumerate_paths", "overlap_vector", "enumerate_subfcns"}
     # nor import anything from the oracle module
     modules = {n.module or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                for a in n.names}

@@ -13,7 +13,6 @@ from dualview.paths import (
     enumerate_paths,
     enumerate_subfcns,
     iter_paths,
-    overlap,
     overlap_vector,
     path_activity,
     path_value,
@@ -104,12 +103,12 @@ def test_overlap_is_integer_and_symmetric():
     gx2 = forward_relu(FC_SMALL, p, x2).gates
     table = enumerate_paths(FC_SMALL)
     for i in range(3):
-        o = overlap(i, gx, gx2, FC_SMALL, table=table)
+        o = overlap_vector(gx, gx2, table)[i]
         assert o == int(o) >= 0
-        assert o == overlap(i, gx2, gx, FC_SMALL, table=table)
+        assert o == overlap_vector(gx2, gx, table)[i]
     # self-overlap at i counts the active paths from i
-    o_self = overlap_vector(gx, gx, FC_SMALL, table=table)
-    assert np.all(o_self >= overlap_vector(gx, gx2, FC_SMALL, table=table) * 0)
+    o_self = overlap_vector(gx, gx, table)
+    assert np.all(o_self >= overlap_vector(gx, gx2, table) * 0)
 
 
 def test_overlap_requires_hard_gates():
@@ -119,7 +118,7 @@ def test_overlap_requires_hard_gates():
     gates = forward_relu(FC_SMALL, p, x).gates
     gates[0] = np.full_like(np.asarray(gates[0]), 0.5)
     with pytest.raises(ValueError):
-        overlap(0, gates, gates, FC_SMALL, table=enumerate_paths(FC_SMALL))
+        overlap_vector(gates, gates, enumerate_paths(FC_SMALL))
 
 
 def test_lemma_overlap_identity_all_families():
@@ -142,6 +141,6 @@ def test_lemma_overlap_identity_all_families():
                 @ dual_vectors(arch, p, x2, gx2, table=table).npf
             )
             scale = 1.0
-        ovl = overlap_vector(gx, gx2, arch, table=table)
+        ovl = overlap_vector(gx, gx2, table)
         rhs = scale * float((x * x2) @ ovl)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))

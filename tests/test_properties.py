@@ -48,6 +48,22 @@ def arch_params_batch(draw):
     return arch, normal_params(arch, rng), rng.normal(size=(n, arch.d_in))
 
 
+@settings(max_examples=60, deadline=None)
+@given(arch_params_batch())
+def test_gate_layers_follow_the_weight_layer_chain(case):
+    # one gate per weight layer but the last, shaped as that layer's output
+    arch, p, X = case
+    relu = forward_relu(arch, p, X)
+    assert len(relu.gates) == arch.n_gate_layers()
+    assert len(relu.layers) == len(weight_layer_specs(arch))
+    for g, shape, (_, q) in zip(relu.gates, arch.gate_layer_shapes(), relu.layers):
+        assert g.shape[1:] == shape == q.value.shape[1:]
+    # a table of an architecture that differs only in n_out is refused
+    other = replace(arch, n_out=3 - arch.n_out)
+    with pytest.raises(ValueError, match="path table is for"):
+        dual_vectors(arch, p, X[0], [g[0] for g in relu.gates], enumerate_paths(other))
+
+
 @settings(max_examples=80, deadline=None)
 @given(arch_params_batch())
 def test_relu_gates_replay_the_relu_network(case):
@@ -199,7 +215,7 @@ def test_path_table_matches_the_independent_walk(arch, seed):
     joint = [path_activity(gx, q) * path_activity(gx2, q) / pool**2 for q in walk]
     nodes = [q.input_node for q in walk]
     assert np.allclose(np.bincount(nodes, joint, minlength=arch.d_in),
-                       overlap_vector(gx, gx2, arch, table=table), rtol=1e-12, atol=1e-12)
+                       overlap_vector(gx, gx2, table), rtol=1e-12, atol=1e-12)
 
 
 @st.composite
