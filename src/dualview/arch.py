@@ -229,8 +229,8 @@ GateRule = Callable[[int, Node], Gate]
 
 
 def _relu_gate(idx: int, q: Node) -> np.ndarray:
-    """Hard self-gate 1{q > 0} of a ReLU unit."""
-    return ad.hard_gate_values(q.value, warn=False)
+    """Hard self-gate 1{q > 0} of a ReLU unit: `ad.hard_gate_values` without its tie warning."""
+    return (q.value > 0.0).astype(np.float64)
 
 
 def _stack(
@@ -252,7 +252,8 @@ def _stack(
     """
     layers: list[tuple[np.ndarray | Node, Node]] = []
     gates: list[Gate] = []
-    n_gated = arch.n_gate_layers() if gate_rule is not None else 0
+    chain = arch._weight_layers
+    n_gated = len(chain) - 1 if gate_rule is not None else 0
     conv = arch.family == CONV_GAP
     pool_at = arch.d_cv if conv else -1  # the fc head reads the pooled channels
     # res: an identity skip around each of blocks 1..b, from the input of its
@@ -262,30 +263,30 @@ def _stack(
     z = X[:, :, None] if conv else X
     if input_leaf:
         z = Node(z)
-    for i, (name, _, kind) in enumerate(weight_layer_specs(arch)):
+    for i, (name, _, kind) in enumerate(chain):
         if i == pool_at:
             z = ad.global_avg_pool(z)
         q = (ad.conv_circular if kind == "conv" else ad.matmul)(z, params[name])
         layers.append((z, q))
         z = q
         if i < n_gated:
-            gates.append(gate_rule(i, q))
-            z = ad.mul(q, gates[-1])
+            gate = gate_rule(i, q)
+            gates.append(gate)
+            z = ad.mul(q, gate)
         if i in skips:
             z = ad.add(layers[skips[i]][0], z)
     return z, layers, gates
 
 
 def _squeeze_result(
-    arch: ArchSpec, y_node: Node, layers: list, gates: list[Gate], squeeze: bool
+    arch: ArchSpec, y_node: Node, layers: list, gate_values: list[np.ndarray], squeeze: bool
 ) -> ForwardResult:
-    gate_vals = [ad.value_of(g) for g in gates]
-    if squeeze:
-        gate_vals = [g[0] for g in gate_vals]
+    """The ForwardResult of a `_stack` run; `squeeze` drops a single sample's batch axis."""
     y = y_node.value
     if squeeze:
         y = float(y[0, 0]) if arch.n_out == 1 else y[0]
-    return ForwardResult(y=y, gates=gate_vals, y_node=y_node, layers=layers)
+        gate_values = [g[0] for g in gate_values]
+    return ForwardResult(y=y, gates=gate_values, y_node=y_node, layers=layers)
 
 
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
@@ -330,8 +331,9 @@ def forward_gated(
                 f"nor {(len(X),) + shape}"
             )
         routed.append(g)
-    stack = _stack(arch, params_v, X, lambda idx, q: routed[idx], input_leaf)
-    return _squeeze_result(arch, *stack, squeeze)
+    y_node, layers, gates = _stack(arch, params_v, X, lambda idx, q: routed[idx], input_leaf)
+    # a soft gate is a Node
+    return _squeeze_result(arch, y_node, layers, [ad.value_of(g) for g in gates], squeeze)
 
 
 def _feature_preacts(arch: ArchSpec, params_f: Mapping, X: np.ndarray, source: str) -> list[Node]:

@@ -7,7 +7,8 @@ average pooling and the scaled logistic. Hard gates are constant 0/1 masks from
 float64 throughout.
 
 Every op takes float64 arrays or Nodes and returns a Node, but only its Node
-operands become parents and get a VJP. A constant (an input, a fixed gate, a
+operands become parents and get a VJP; an op tests each operand once and
+builds no VJP closure for a constant. A constant (an input, a fixed gate, a
 parameter nobody differentiates) therefore costs no graph node and no
 backward work. A backward pass reaches every Node between the output and the
 leaf Nodes; with no parameter a Node, a leaf input still gives the cotangent
@@ -21,6 +22,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class NondifferentiablePointWarning(UserWarning):
@@ -36,7 +39,10 @@ class Node:
     __slots__ = ("value", "parents", "vjps")
 
     def __init__(self, value, parents=(), vjps=()):
-        self.value = np.asarray(value, dtype=np.float64)
+        # every op hands over a float64 ndarray, which needs no conversion
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.parents = parents
         # vjps[i](g) maps the output cotangent to parent i's cotangent
         self.vjps = vjps
@@ -52,40 +58,47 @@ def value_of(x) -> np.ndarray:
 
 
 def _op(value, a, vjp_a, b=None, vjp_b=None) -> Node:
-    """A Node over `value` whose parents are those of `a`, `b` that are Nodes."""
-    if isinstance(a, Node):
-        if isinstance(b, Node):
+    """A Node over `value` whose parents are the operands given a VJP.
+
+    An op passes a falsy VJP for an operand that is not a Node.
+    """
+    if vjp_a:
+        if vjp_b:
             return Node(value, (a, b), (vjp_a, vjp_b))
         return Node(value, (a,), (vjp_a,))
-    if isinstance(b, Node):
+    if vjp_b:
         return Node(value, (b,), (vjp_b,))
     return Node(value)
 
 
 def matmul(a, b) -> Node:
-    av, bv = value_of(a), value_of(b)
-    return _op(av @ bv, a, lambda g: g @ bv.T, b, lambda g: av.T @ g)
+    a_node, b_node = isinstance(a, Node), isinstance(b, Node)
+    av, bv = a.value if a_node else a, b.value if b_node else b
+    return _op(av @ bv, a, a_node and (lambda g: g @ bv.T), b, b_node and (lambda g: av.T @ g))
 
 
 def add(a, b) -> Node:
-    av, bv = value_of(a), value_of(b)
+    a_node, b_node = isinstance(a, Node), isinstance(b, Node)
+    av, bv = a.value if a_node else a, b.value if b_node else b
     if av.shape != bv.shape:
         raise ValueError(f"add shape mismatch: {av.shape} vs {bv.shape}")
-    return _op(av + bv, a, lambda g: g, b, lambda g: g)
+    return _op(av + bv, a, a_node and (lambda g: g), b, b_node and (lambda g: g))
 
 
 def mul(a, b) -> Node:
     """Elementwise product, shapes must match exactly (no broadcasting)."""
-    av, bv = value_of(a), value_of(b)
+    a_node, b_node = isinstance(a, Node), isinstance(b, Node)
+    av, bv = a.value if a_node else a, b.value if b_node else b
     if av.shape != bv.shape:
         raise ValueError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
-    return _op(av * bv, a, lambda g: g * bv, b, lambda g: g * av)
+    return _op(av * bv, a, a_node and (lambda g: g * bv), b, b_node and (lambda g: g * av))
 
 
 def reshape(a, shape) -> Node:
     """`a` with a new shape of the same size; the VJP reshapes back."""
-    av = value_of(a)
-    return _op(av.reshape(shape), a, lambda g: g.reshape(av.shape))
+    a_node = isinstance(a, Node)
+    av = a.value if a_node else a
+    return _op(av.reshape(shape), a, a_node and (lambda g: g.reshape(av.shape)))
 
 
 def conv_circular(z, theta) -> Node:
@@ -98,7 +111,8 @@ def conv_circular(z, theta) -> Node:
     shifts z into one buffer with two slice copies, and the VJPs recompute
     the shifted z of each tap instead of keeping w_cv copies alive.
     """
-    zv, tv = value_of(z), value_of(theta)
+    z_node, t_node = isinstance(z, Node), isinstance(theta, Node)
+    zv, tv = z.value if z_node else z, theta.value if t_node else theta
     w_cv, c_in, c_out = tv.shape
     d_in = zv.shape[1]
 
@@ -127,26 +141,29 @@ def conv_circular(z, theta) -> Node:
         g2, out = g.reshape(-1, c_out), np.empty(zv.shape)
         return np.stack([tap(c, out).T @ g2 for c in range(w_cv)])
 
-    return _op(q.reshape(*zv.shape[:2], c_out), z, vjp_z, theta, vjp_theta)
+    return _op(q.reshape(*zv.shape[:2], c_out), z, z_node and vjp_z, theta, t_node and vjp_theta)
 
 
 def global_avg_pool(z) -> Node:
     """Mean over the spatial axis: (n, d_in, w) -> (n, w)."""
-    zv = value_of(z)
+    z_node = isinstance(z, Node)
+    zv = z.value if z_node else z
     d_in = zv.shape[1]
-    return _op(zv.mean(axis=1), z, lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1))
+    return _op(zv.mean(axis=1), z,
+               z_node and (lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1)))
 
 
 def logistic(q, beta: float) -> Node:
     """Scaled logistic 1 / (1 + exp(-beta * q)), differentiable gate."""
-    s = 1.0 / (1.0 + np.exp(-beta * value_of(q)))
-    return _op(s, q, lambda g: g * beta * s * (1.0 - s))
+    q_node = isinstance(q, Node)
+    s = 1.0 / (1.0 + np.exp(-beta * (q.value if q_node else q)))
+    return _op(s, q, q_node and (lambda g: g * beta * s * (1.0 - s)))
 
 
-def hard_gate_values(q: np.ndarray, warn: bool = True) -> np.ndarray:
-    """Indicator 1{q > 0}; exactly-zero pre-activations gate to 0."""
+def hard_gate_values(q: np.ndarray) -> np.ndarray:
+    """Indicator 1{q > 0}; exactly-zero pre-activations gate to 0, with a warning."""
     q = np.asarray(q)
-    if warn and np.any(q == 0.0):
+    if np.any(q == 0.0):
         warnings.warn(
             "hard gate pre-activation exactly 0; using subgradient 0",
             NondifferentiablePointWarning,

@@ -55,23 +55,32 @@ def rot(x: np.ndarray, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gate_correlations(gates_x: Gates, gates_x2: Gates) -> np.ndarray:
-    """Per-layer <G_l(x), G_l(x')>."""
+def _correlations(gates_x: Gates, gates_x2: Gates) -> list[float]:
+    """Per-layer <G_l(x), G_l(x')> of two lists of gate arrays, as floats."""
     if len(gates_x) != len(gates_x2):
         raise ValueError("gate lists have different layer counts")
     out = []
     for g, g2 in zip(gates_x, gates_x2):
-        g, g2 = np.asarray(g), np.asarray(g2)
         if g.shape != g2.shape:
             raise ValueError(f"gate shape mismatch {g.shape} vs {g2.shape}")
         out.append(float(g.ravel() @ g2.ravel()))
-    return np.array(out)
+    return out
+
+
+def gate_correlations(gates_x: Gates, gates_x2: Gates) -> np.ndarray:
+    """Per-layer <G_l(x), G_l(x')>."""
+    return np.array(_correlations([np.asarray(g) for g in gates_x],
+                                  [np.asarray(g) for g in gates_x2]))
 
 
 def npk_fc(x, x2, gates_x: Gates, gates_x2: Gates) -> float:
-    """<x, x'> * prod_l <G_l(x), G_l(x')> (unnormalized product kernel)."""
+    """<x, x'> * prod_l <G_l(x), G_l(x')> (unnormalized product kernel).
+
+    The gates are arrays; the correlations multiply as Python floats, in
+    layer order, as ``np.prod`` multiplies them.
+    """
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
-    return float(x @ x2) * float(np.prod(gate_correlations(gates_x, gates_x2)))
+    return float(x @ x2) * math.prod(_correlations(gates_x, gates_x2))
 
 
 def conv_overlap_counts(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> np.ndarray:
@@ -315,8 +324,11 @@ class GramMatrix:
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"# tag={self.tag} n={self.n} fingerprint={self.fingerprint}\n")
+            # one format string for every row; rows are written one at a
+            # time, so no more than one row is held as Python floats or text
+            row_format = ",".join(["{:.17g}"] * self.n) + "\n"
             for row in self.matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(row_format.format(*row.tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "GramMatrix":

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import os
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualview import cli, paths
-from dualview.arch import forward_relu, init_params
+from dualview.arch import ArchSpec, forward_relu, init_params
 from dualview.cli import (
     DEFAULT_CONFIG,
     MINIMUM,
@@ -21,7 +22,7 @@ from dualview.data import (
     generate_synthetic,
     load_dataset,
 )
-from dualview.kernels import GramMatrix, dataset_fingerprint, npk
+from dualview.kernels import GramMatrix, dataset_fingerprint, npk, ntk_expectation_mc
 from dualview.numerics import make_rng
 from dualview.paths import dual_vectors, enumerate_paths
 from dualview.training import TrainConfig
@@ -534,6 +535,60 @@ def test_cli_kernel_gram_matches_path_oracle(tmp_path, arch, dataset):
     for i, j in [(0, 0), (0, 1), (2, 7), (3, 3), (5, 9), (8, 4), (9, 9)]:
         terms = float(np.abs(npf[i]) @ np.abs(npf[j]))
         assert abs(g.matrix[i, j] - float(npf[i] @ npf[j])) <= 1e-12 * terms
+
+
+# Golden outputs: sha256 digests recorded before the Gram fill and the graph
+# ops were tuned, on x86-64 with numpy 2.4 and its bundled OpenBLAS. A speed-up
+# must leave them unchanged; a BLAS that sums in another order may not.
+GOLDEN_GRAMS = {
+    "fc": ({"family": "fc", "d_in": 3, "depth": 4, "width": 16, "n_out": 2}, "circles",
+           "a8b00462fa098119907bb7099b5dba7c67419e6f6bd13ac93f49b4cd4f790254",
+           "8571ce0015881ce81b2252603eb196fb3dd42c96fc9ce0a860a0b9ca9fc89a8b"),
+    "conv_gap": ({"family": "conv_gap", "d_in": 8, "w_cv": 3, "width": 4, "d_cv": 2, "d_fc": 2},
+                 "shifted_pulses",
+                 "6f706fcbdf9871e97e80ff2bceea6c6f0e33628c46a3c14b8dfa680acee5bdf8",
+                 "4b4e08ec7d003dbed53bddf833fb8cdf8e5f5e424df143c2a213c8bf10ca444d"),
+    "res": ({"family": "res", "d_in": 3, "b": 2, "d_blk": 1, "width": 4}, "circles",
+            "be43bcc99ec2e9289e84b99099ee37f830440b13960fc5f7223a5b056c3b6757",
+            "e9d4449add0ecd7aee18d94ca9c0707fc8e3465d0d09dca0628426d7a68d16e2"),
+}
+GOLDEN_MC = {
+    "fc": ({"family": "fc", "d_in": 3, "depth": 3, "width": 16}, 0.5,
+           "602ebab2f21afaae76fe16fd84691f78c88695bf09b427c74c0b49b5eca7f237"),
+    "conv_gap": ({"family": "conv_gap", "d_in": 5, "w_cv": 2, "width": 8, "d_cv": 1, "d_fc": 2},
+                 0.3, "2c82689b972c71b61da8c330fb580557f7c1dda28ba5b0f5e1c0c4bdacef8bd4"),
+    "res": ({"family": "res", "d_in": 3, "b": 2, "d_blk": 1, "width": 8}, 0.4,
+            "2de2228ebd93a3b9daf96047420e1324408dbf0cf95e9aa3e93010098f94cfb2"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("family", list(GOLDEN_GRAMS))
+def test_cli_kernel_gram_files_match_their_golden_digests(tmp_path, family):
+    arch, dataset, npkg, csv = GOLDEN_GRAMS[family]
+    out = tmp_path / "k"
+    assert main(["kernel", "--out", str(out), "--seed", "0", "--override", "kernel.n=16",
+                 "--override", f"arch={json.dumps(arch)}",
+                 "--override", f"dataset.kind={dataset}"]) == 0
+    assert _sha256((out / "gram.npkg").read_bytes()) == npkg
+    assert _sha256((out / "gram.csv").read_bytes()) == csv
+
+
+@pytest.mark.parametrize("family", list(GOLDEN_MC))
+def test_mc_samples_match_their_golden_digest(family):
+    fields, sigma, digest = GOLDEN_MC[family]
+    spec = ArchSpec(**fields)
+    rng = make_rng(0, stream=1)
+    pf = init_params(spec, rng)
+    x = rng.normal(size=spec.d_in)
+    x2 = x + 0.4 * rng.normal(size=spec.d_in)
+    gx, gx2 = forward_relu(spec, pf, x).gates, forward_relu(spec, pf, x2).gates
+    res = ntk_expectation_mc(spec, gx, gx2, x, x2, n_samples=100, rng=make_rng(0, stream=100),
+                             sigma=sigma)
+    assert _sha256(res.samples.tobytes()) == digest
 
 
 def test_cli_unknown_dataset_param(tmp_path, capsys):

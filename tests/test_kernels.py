@@ -292,6 +292,17 @@ def test_gram_csv_roundtrip(tmp_path):
     assert np.max(np.abs(back.matrix - g.matrix)) <= 1e-12
 
 
+def test_gram_csv_bytes_match_per_value_formatting(tmp_path):
+    # signed zero, the smallest subnormal, a huge and negative values
+    m = np.array([[-0.0, 5e-324, 1e300], [-1.5, 0.1, -2.0 / 3.0], [1e-300, -7e22, 0.0]])
+    g = GramMatrix(matrix=m, tag="t", fingerprint="f")
+    path = tmp_path / "g.csv"
+    g.save_csv(path)
+    want = "# tag=t n=3 fingerprint=f\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+    assert path.read_bytes() == want.encode()
+
+
 def test_gram_npkg_roundtrip(tmp_path):
     g, _ = _toy_gram()
     path = tmp_path / "g.npkg"

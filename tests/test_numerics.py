@@ -168,6 +168,17 @@ def test_mul_rejects_broadcasting():
         ad.mul(Node(np.ones((2, 3))), Node(np.ones(3)))
 
 
+def test_node_values_are_float64_arrays():
+    # a float64 ndarray is kept as is; any other value is converted
+    a = np.ones((2, 3))
+    assert Node(a).value is a
+    for value in (np.arange(3), np.ones(3, dtype=">f8"), np.ones(3, dtype=np.float32), [1, 2],
+                  2.5, np.float64(2.5)):
+        v = Node(value).value
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.dtype.isnative
+        assert np.array_equal(v, np.asarray(value, dtype=np.float64))
+
+
 def test_only_node_operands_become_parents(rng):
     a, w = rng.normal(size=(2, 3)), Node(rng.normal(size=(3, 4)))
     assert ad.matmul(a, w).parents == (w,)

@@ -14,7 +14,7 @@ from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, for
                            weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
-from dualview.kernels import (gate_correlations, mc_target, npk, ntk_expectation_mc,
+from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, ntk_expectation_mc,
                               ntk_fixed_gates, rot)
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
@@ -246,6 +246,34 @@ def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
     want_mc = sum(d * s ** (2 * (d - 1)) * k for d, k in terms)
     assert abs(npk(arch, x, x2, gx, gx2) - want_npk) <= 1e-12 * abs(want_npk)
     assert abs(mc_target(arch, x, x2, gx, gx2, sigma=sigma) - want_mc) <= 1e-12 * abs(want_mc)
+
+
+@st.composite
+def gate_list_pair(draw):
+    """Inputs and two lists of 1-10 gate arrays of matching shapes, with hard
+    0/1 gates or soft values in [0, 1)."""
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    shapes = draw(st.lists(st.one_of(st.tuples(st.integers(1, 5)),
+                                      st.tuples(st.integers(1, 3), st.integers(1, 3))),
+                           min_size=1, max_size=10))
+    soft = draw(st.booleans())
+
+    def gates():
+        return [rng.random(s) if soft else (rng.random(s) < 0.7).astype(np.float64)
+                for s in shapes]
+
+    d_in = draw(st.integers(1, 4))
+    return rng.normal(size=d_in), rng.normal(size=d_in), gates(), gates()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_list_pair())
+def test_npk_fc_multiplies_the_gate_correlations_in_layer_order(case):
+    # bit for bit: soft gates give non-integer correlations, whose product
+    # depends on the order of the multiplications
+    x, x2, gx, gx2 = case
+    want = float(x @ x2) * float(np.prod(gate_correlations(gx, gx2)))
+    assert npk_fc(x, x2, gx, gx2).hex() == want.hex()
 
 
 @st.composite
