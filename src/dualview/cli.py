@@ -382,10 +382,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     out = _ensure_out(config.doc["out"])
     with open(os.path.join(out, "train_report.json"), "w") as fh:
         fh.write(report.to_json())
-    arrays = {f"v.{k}": v for k, v in model.params_v.items()}
-    if model.params_f is not None:
-        arrays.update({f"f.{k}": v for k, v in model.params_f.items()})
-    np.savez(os.path.join(out, "params.npz"), **arrays)
+    np.savez(os.path.join(out, "params.npz"), **model.named_params())
     print(f"train: regime {tc.regime} final test accuracy "
           f"{report.final_test_accuracy:.4f} -> {out}/train_report.json")
     return 0

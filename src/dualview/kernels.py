@@ -130,13 +130,14 @@ def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> f
     return float(np.sum(x * x2[shifted] * counts))
 
 
-def _block_correlations(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> np.ndarray:
-    """C_j, the product of <G_l(x), G_l(x')> over block j's layers, j = 0..b+1.
+def _block_correlations(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> list[float]:
+    """C_j, the product of <G_l(x), G_l(x')> over block j's layers, j = 0..b+1,
+    as floats multiplied in layer order.
 
     The network's last layer is ungated and contributes a factor of 1.
     """
-    corr = np.append(gate_correlations(gates_x, gates_x2), 1.0)
-    return corr.reshape(arch.b + 2, arch.d_blk).prod(axis=1)
+    corr, d = [*_correlations(gates_x, gates_x2), 1.0], arch.d_blk
+    return [math.prod(corr[j * d:(j + 1) * d]) for j in range(arch.b + 2)]
 
 
 def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
@@ -145,7 +146,7 @@ def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> 
         raise ValueError("npk_res_ensemble requires the res family")
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     c = _block_correlations(arch, gates_x, gates_x2)
-    return float(x @ x2) * float(c[0] * c[-1] * np.prod(1.0 + c[1:-1]))
+    return float(x @ x2) * (c[0] * c[-1] * math.prod(1.0 + c_j for c_j in c[1:-1]))
 
 
 def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:

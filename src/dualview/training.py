@@ -22,17 +22,20 @@ input are applied identically during training and evaluation.
 layer: a DNN's own ReLU gates, or ``arch.feature_gates`` of the regime's
 feature source. ``Model.logits_node`` is ``forward_relu`` for DNN and
 ``forward_gated`` on ``Model.gates`` for every other regime. A DNN reads
-neither the routing nor a separate value input, so ``train()`` rejects
-``x_v="ones"`` and a ``perm`` for it.
+neither the routing nor a separate value input, so ``TrainConfig`` refuses
+``x_v="ones"`` and a ``perm`` for it when it is built.
 
-Training steps run the differentiable ``Model.logits_node`` on one batch;
-inference (``Model.logits``, ``predict``, ``evaluate``) runs it over blocks
-of ``LOGITS_BLOCK_ROWS`` rows. The report records the time spent in
-``evaluate`` as ``eval_s``.
+``Model.named_params`` names every parameter array as ``params.npz`` does.
+Training steps run the differentiable ``Model.logits_node`` on one batch,
+with only the arrays the regime trains as Nodes: a frozen feature net enters
+the graph as a constant. Inference (``Model.logits``, ``predict``,
+``evaluate``) runs it over blocks of ``LOGITS_BLOCK_ROWS`` rows. The report
+records the time spent in ``evaluate`` as ``eval_s``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -243,6 +246,12 @@ class TrainConfig:
                     for p in self.perm):
                 raise ValueError(f"train.perm must be null or a list of ints, got {self.perm!r}")
             self.perm = tuple(int(p) for p in self.perm)
+        if REGIME_TABLE[self.regime][0] == "self":
+            # a DNN gates itself, so nothing reads the value input or the routing
+            for key, default in (("x_v", "data"), ("perm", None)):
+                if getattr(self, key) != default:
+                    raise ValueError(f"train.{key}={getattr(self, key)!r} needs a gated regime; "
+                                     f"{self.regime} uses its own ReLU gates")
 
     def routing(self) -> GateRouting:
         return GateRouting(perm=self.perm, constant_one_input=(self.x_v == "ones"))
@@ -310,6 +319,14 @@ class Model:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(X), axis=1)
 
+    def named_params(self) -> dict[str, np.ndarray]:
+        """Every parameter array under its ``params.npz`` key: ``v.<layer>``
+        for the value net, then ``f.<layer>`` for a feature net."""
+        named = {f"v.{k}": v for k, v in self.params_v.items()}
+        if self.params_f is not None:
+            named.update({f"f.{k}": v for k, v in self.params_f.items()})
+        return named
+
 
 def evaluate(model: Model, dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
@@ -340,40 +357,43 @@ def _init_net(arch: ArchSpec, rng, how: str, source: str | None = None) -> dict[
             for name, shape, kind in specs}
 
 
+def _trained(model: Model) -> dict[str, np.ndarray]:
+    """The named arrays the regime trains: the value net's, which
+    `Model.named_params` lists first, and the feature net's unless it is frozen."""
+    named = model.named_params()
+    n = len(named) if REGIME_TABLE[model.regime][2] else len(model.params_v)
+    return dict(itertools.islice(named.items(), n))
+
+
 def _batch_grads(model: Model, Xb, yb):
-    nodes_v = {k: Node(v) for k, v in model.params_v.items()}
-    nodes_f = None
-    if model.params_f is not None:
-        nodes_f = {k: Node(v) for k, v in model.params_f.items()}
-    out = replace(model, params_f=nodes_f, params_v=nodes_v).logits_node(Xb)
+    """The batch loss and its gradient in every array of `_trained(model)`;
+    the other arrays enter the graph as constants."""
+    trained = _trained(model)
+    nodes = {id(v): Node(v) for v in trained.values()}
+
+    def wrap(params):
+        return params and {k: nodes.get(id(v), v) for k, v in params.items()}
+
+    graph = replace(model, params_f=wrap(model.params_f), params_v=wrap(model.params_v))
+    out = graph.logits_node(Xb)
     loss, dlogits = loss_softmax_ce(out.value, yb)
     cot = backward(out, seed=dlogits)
-
-    def collect(prefix, nodes):
-        g = {}
-        for name, node in nodes.items():
-            c = cot.get(id(node))
-            g[f"{prefix}{name}"] = np.zeros_like(node.value) if c is None else c
-        return g
-
-    grads = collect("v.", nodes_v)
-    _, _, trains_features = REGIME_TABLE[model.regime]
-    if trains_features:
-        grads.update(collect("f.", nodes_f))
+    grads = {}
+    for name, v in trained.items():
+        c = cot.get(id(nodes[id(v)]))
+        grads[name] = np.zeros_like(v) if c is None else c
     return loss, grads
 
 
-def _run_epochs(model: Model, dataset, opt: SGDMomentum | Adam, epochs, batch_size, rng,
-                report: TrainReport | None, test=None):
-    """Train the value net, and the feature net if the regime trains it.
-
-    The optimizer updates the parameter arrays in place.
-    """
-    n = dataset.n
-    _, _, trains_features = REGIME_TABLE[model.regime]
-    flat = {f"v.{name}": arr for name, arr in model.params_v.items()}
-    if trains_features:
-        flat.update({f"f.{name}": arr for name, arr in model.params_f.items()})
+def _run_epochs(model: Model, dataset, config: TrainConfig, epochs: int, rng,
+                report: TrainReport | None = None, test=None):
+    """Train `_trained(model)` for `epochs` epochs of `config.batch_size`
+    samples, with the optimizer `config` names; it updates the arrays in place."""
+    n, batch_size = dataset.n, config.batch_size
+    iters = epochs * max(1, n // batch_size)
+    opt = make_optimizer(config.optimizer, config.lr, config.momentum,
+                         iters if config.use_schedule else None)
+    flat = _trained(model)
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
@@ -397,26 +417,16 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         raise ValueError(f"arch.n_out={arch.n_out} != dataset classes k={dataset.k}")
     if arch.d_in != dataset.d_in:
         raise ValueError(f"arch.d_in={arch.d_in} != dataset d_in={dataset.d_in}")
-    source, _, trains_features = REGIME_TABLE[config.regime]
-    if source == "self":
-        # a DNN gates itself, so nothing reads the value input or the routing
-        for key, value, default in (("x_v", config.x_v, "data"), ("perm", config.perm, None)):
-            if value != default:
-                raise ValueError(f"train.{key}={value!r} needs a gated regime; "
-                                 f"{config.regime} uses its own ReLU gates")
     routing = config.routing()
     routing.validate(arch)
 
     t0 = time.perf_counter()
-    rng_f = make_rng(config.seed, stream=1)
-    rng_v = make_rng(config.seed, stream=2)
-    rng_batch = make_rng(config.seed, stream=3)
-
-    params_f = None if source == "self" else _init_net(arch, rng_f, config.init, source)
-    params_v = _init_net(arch, rng_v, config.init)
+    source = REGIME_TABLE[config.regime][0]
+    params_f = None if source == "self" else _init_net(
+        arch, make_rng(config.seed, stream=1), config.init, source)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
-                  params_v=params_v, routing=routing)
-
+                  params_v=_init_net(arch, make_rng(config.seed, stream=2), config.init),
+                  routing=routing)
     report = TrainReport(regime=config.regime, seed=config.seed, config=asdict(config))
 
     if config.regime == DGN_FL:
@@ -424,26 +434,15 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         # same loss and optimizer family as the main run
         pre = Model(arch=arch, regime=DNN, params_f=None, params_v=params_f,
                     routing=GateRouting())
-        iters = config.pretrain_epochs * max(1, dataset.n // config.batch_size)
-        pre_opt = make_optimizer(config.optimizer, config.lr, config.momentum,
-                                 iters if config.use_schedule else None)
-        _run_epochs(pre, dataset, pre_opt, config.pretrain_epochs, config.batch_size,
-                    make_rng(config.seed, stream=4), report=None)
+        _run_epochs(pre, dataset, config, config.pretrain_epochs, make_rng(config.seed, stream=4))
 
-    frozen_before = None
-    if params_f is not None and not trains_features:
-        frozen_before = {k: v.copy() for k, v in params_f.items()}
-
-    iters = config.epochs * max(1, dataset.n // config.batch_size)
-    opt = make_optimizer(config.optimizer, config.lr, config.momentum,
-                         iters if config.use_schedule else None)
-    _run_epochs(model, dataset, opt, config.epochs, config.batch_size, rng_batch,
-                report, test=test)
-
-    if frozen_before is not None:
-        for k, v in frozen_before.items():
-            if not np.array_equal(v, model.params_f[k]):
-                raise AssertionError(f"frozen feature parameter {k!r} changed during training")
+    trained = _trained(model)
+    frozen = {k: v.copy() for k, v in model.named_params().items() if k not in trained}
+    _run_epochs(model, dataset, config, config.epochs, make_rng(config.seed, stream=3),
+                report, test)
+    for k, v in frozen.items():
+        if not np.array_equal(v, model.named_params()[k]):
+            raise AssertionError(f"frozen feature parameter {k!r} changed during training")
 
     if test is not None:
         report.final_test_accuracy = _timed_evaluate(report, model, test)

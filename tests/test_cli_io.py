@@ -202,7 +202,7 @@ def test_config_overrides(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"arch": {"width": 32}}))
     cfg = ExperimentConfig.load(p, overrides=["train.lr=0.01", "dataset.kind=blobs",
-                                              "train.perm=[1,0,2]"])
+                                              "train.regime=DLGN", "train.perm=[1,0,2]"])
     assert cfg.doc["arch"]["width"] == 32
     assert cfg.doc["arch"]["family"] == "fc"  # defaults survive partial configs
     assert cfg.doc["train"]["lr"] == 0.01
@@ -409,11 +409,15 @@ def test_cli_config_must_be_an_object(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
-@pytest.mark.parametrize("spec", ["train.x_v=ones", "train.perm=[1,0,2]"])
-def test_cli_train_dnn_rejects_external_gate_keys(tmp_path, capsys, spec):
-    # a DNN gates itself: it would train on the data, unrouted, and report the key
+@pytest.mark.parametrize("command, spec", [
+    pytest.param(command, spec, id=spec if command == "train" else f"{spec}-{command}")
+    for command in ("train", "verify", "kernel", "experiment")
+    for spec in ("train.x_v=ones", "train.perm=[1,0,2]")])
+def test_cli_train_dnn_rejects_external_gate_keys(tmp_path, capsys, command, spec):
+    # a DNN gates itself: it would train on the data, unrouted, and report the
+    # key; the train config refuses it before any command runs
     out = tmp_path / "t"
-    assert main(["train", "--out", str(out), "--override", "train.regime=DNN",
+    assert main([command, "--out", str(out), "--override", "train.regime=DNN",
                  "--override", spec]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{spec.split('=')[0]}=" in err and "DNN" in err

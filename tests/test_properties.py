@@ -14,8 +14,8 @@ from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, for
                            weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
-from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, ntk_expectation_mc,
-                              ntk_fixed_gates, rot)
+from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, npk_res_ensemble,
+                              ntk_expectation_mc, ntk_fixed_gates, rot)
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
                             iter_paths, overlap_vector, path_activity, path_value,
@@ -274,6 +274,27 @@ def test_npk_fc_multiplies_the_gate_correlations_in_layer_order(case):
     x, x2, gx, gx2 = case
     want = float(x @ x2) * float(np.prod(gate_correlations(gx, gx2)))
     assert npk_fc(x, x2, gx, gx2).hex() == want.hex()
+
+
+@st.composite
+def soft_res_gate_pair(draw):
+    """A res arch with up to 8 blocks, inputs and two lists of soft gates."""
+    arch = ArchSpec(family="res", d_in=draw(st.integers(1, 3)), b=draw(st.integers(0, 8)),
+                    d_blk=draw(st.integers(1, 3)), width=draw(st.integers(1, 4)))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    x, x2 = rng.normal(size=arch.d_in), rng.normal(size=arch.d_in)
+    return arch, x, x2, *([rng.random(s) for s in arch.gate_layer_shapes()] for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(soft_res_gate_pair())
+def test_npk_res_ensemble_multiplies_the_block_correlations_in_layer_order(case):
+    # bit for bit against the ndarray formula: per-block products of the
+    # layer correlations, then C_0 C_{b+1} prod_j (1 + C_j)
+    arch, x, x2, gx, gx2 = case
+    c = np.append(gate_correlations(gx, gx2), 1.0).reshape(arch.b + 2, arch.d_blk).prod(axis=1)
+    want = float(x @ x2) * float(c[0] * c[-1] * np.prod(1.0 + c[1:-1]))
+    assert npk_res_ensemble(arch, x, x2, gx, gx2).hex() == want.hex()
 
 
 @st.composite

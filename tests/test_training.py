@@ -1,5 +1,7 @@
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +170,7 @@ def test_dgn_shared_init_first_loss_matches_dnn():
     cfg = TrainConfig(regime=DGN_FR, epochs=1, batch_size=tr.n, seed=3)
     # DGN_FR draws feature params from stream 1 and value params from stream 2;
     # replicate the value init into the feature net for a shared-init run
-    from dualview.training import _init_net, _run_epochs, make_optimizer as mk
+    from dualview.training import _init_net, _run_epochs
     from dualview.arch import GateRouting
 
     params_v = _init_net(ARCH, make_rng(3, stream=2), "normal")
@@ -176,7 +178,7 @@ def test_dgn_shared_init_first_loss_matches_dnn():
                   params_f={k: v.copy() for k, v in params_v.items()},
                   params_v=params_v, routing=GateRouting())
     rep = TrainReport(regime=DGN_FR, seed=3, config={})
-    _run_epochs(model, tr, mk("adam", 3e-4), 1, tr.n, make_rng(3, stream=3), rep)
+    _run_epochs(model, tr, cfg, 1, make_rng(3, stream=3), rep)
     assert np.isclose(rep.train_loss[0], rep_dnn.train_loss[0], atol=1e-12)
 
 
@@ -271,6 +273,75 @@ def test_regime_freezing_bit_identical():
                           pretrain_epochs=3)
         report, model = train(ARCH, tr, cfg, test=te)  # train() asserts freezing
         assert model.params_f is not None
+
+
+@pytest.mark.parametrize("regime", [DGN_FR, DGN_FL])
+def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeypatch):
+    # only the value net's arrays are wrapped in Nodes and get gradients
+    from dualview import training
+    from dualview.arch import GateRouting
+
+    rng = make_rng(5, stream=47)
+    model = Model(arch=ARCH, regime=regime, params_f=training._init_net(ARCH, rng, "normal"),
+                  params_v=training._init_net(ARCH, rng, "normal"), routing=GateRouting())
+    wrapped = []
+
+    def recording_node(value, *args):
+        wrapped.append(value)
+        return Node(value, *args)
+
+    monkeypatch.setattr(training, "Node", recording_node)
+    _, grads = training._batch_grads(model, rng.normal(size=(8, ARCH.d_in)),
+                                     rng.integers(0, 2, size=8))
+    assert list(grads) == [f"v.{name}" for name in model.params_v]
+    assert len(wrapped) == len(model.params_v)
+    assert all(w is v for w, v in zip(wrapped, model.params_v.values()))
+    assert not any(w is f for w in wrapped for f in model.params_f.values())
+
+
+def _prefix_sites(tree, scope):
+    """The scope of every string constant in `tree` that starts with a
+    parameter-name prefix."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.startswith(("v.", "f.")):
+            yield scope
+        inner = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _prefix_sites(node, f"{scope}.{node.name}" if inner else scope)
+
+
+def test_param_name_prefixes_are_built_only_in_named_params():
+    # "v."/"f." keys have one builder; every other site asks it
+    from dualview import training
+
+    sites = set()
+    for source in Path(training.__file__).parent.glob("*.py"):
+        sites.update(_prefix_sites(ast.parse(source.read_text()), source.stem))
+    assert sites == {"training.Model.named_params"}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_params_npz_keys_are_the_named_params(regime, tmp_path, monkeypatch):
+    from dualview import cli
+
+    models = []
+
+    def recording_train(*args, **kwargs):
+        report, model = train(*args, **kwargs)
+        models.append(model)
+        return report, model
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    assert main(["train", "--out", str(tmp_path), "--override", f"train.regime={regime}",
+                 "--override", "dataset.n=100", "--override", "train.epochs=1",
+                 "--override", "train.pretrain_epochs=1"]) == 0
+    (model,) = models
+    named = model.named_params()
+    assert list(named) == [f"v.{k}" for k in model.params_v] + \
+        [f"f.{k}" for k in (model.params_f or {})]
+    with np.load(tmp_path / "params.npz") as params:
+        assert params.files == list(named)
+        assert all(np.array_equal(params[k], v) for k, v in named.items())
 
 
 @pytest.mark.parametrize("regime", REGIMES)
