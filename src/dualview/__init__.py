@@ -30,19 +30,14 @@ from .kernels import (
     rot,
 )
 from .data import Dataset, generate_synthetic, load_dataset
-from .numerics import finite_diff_grad, grad, init_bernoulli, make_rng
+from .numerics import grad, init_bernoulli, make_rng
 from .paths import (
     DualVectors,
-    Path,
     PathBudgetError,
     count_paths,
     dual_vectors,
     enumerate_paths,
     enumerate_subfcns,
-    iter_paths,
-    overlap_vector,
-    path_activity,
-    path_value,
 )
 from .training import (
     Adam,

@@ -48,7 +48,7 @@ import numpy as np
 from .arch import RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, npk_fc, ntk_expectation_mc, rot
-from .numerics import check_positive, make_rng
+from .numerics import make_rng
 from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
 from .training import TrainConfig, train
 
@@ -75,7 +75,6 @@ DEFAULT_CONFIG: dict = {
     "verify": {
         "eq1_samples": 12,
         "mc_samples": 200,
-        "mc_sigma_scale": 1.0,  # fault-injection knob: != 1 must fail the MC check
         "max_paths": 1_000_000,
     },
     "kernel": {
@@ -108,9 +107,9 @@ class ExperimentConfig:
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
     typed as the field's default, and a key in MINIMUM must reach its bound.
-    The ArchSpec, TrainConfig and its routing, `verify.mc_sigma_scale`,
-    `experiment.bundle` and a file dataset's path are checked for every
-    command; the dataset generator or loader checks the other dataset values.
+    The ArchSpec, TrainConfig and its routing, `experiment.bundle` and a
+    file dataset's path are checked for every command; the dataset generator
+    or loader checks the other dataset values.
     """
 
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
@@ -133,7 +132,6 @@ class ExperimentConfig:
                 if key not in default:
                     raise ValueError(f"unknown config key {section}.{key}")
                 _check_value(f"{section}.{key}", v, default[key])
-        check_positive("verify.mc_sigma_scale", self.doc["verify"]["mc_sigma_scale"])
         bundle = self.doc["experiment"]["bundle"]
         if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
@@ -325,7 +323,7 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
     return report
 
 
-def _mc_check(probes, n_samples, sigma_scale, seed):
+def _mc_check(probes, n_samples, seed):
     arch, params, x, x2 = probes["fc"]
     arch = ArchSpec(family="fc", d_in=arch.d_in, depth=2, width=64)
     rng = make_rng(seed, stream=203)
@@ -335,7 +333,7 @@ def _mc_check(probes, n_samples, sigma_scale, seed):
     sigma = 0.5
     target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
     res = ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=n_samples,
-                             rng=make_rng(seed, stream=204), sigma=sigma * sigma_scale)
+                             rng=make_rng(seed, stream=204), sigma=sigma)
     return {"check": "MC NTK mean vs closed-form target", "target": target,
             "mc_mean": res.mean, "mc_stderr": res.stderr,
             "passed": res.within(target, 3.0), "n_samples": n_samples}
@@ -347,7 +345,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
     probes = _verify_probes(seed)
     report = {**_structure_checks(probes),
               **_oracle_checks(probes, v["eq1_samples"], v["max_paths"], seed),
-              "mc_ntk": _mc_check(probes, v["mc_samples"], v["mc_sigma_scale"], seed)}
+              "mc_ntk": _mc_check(probes, v["mc_samples"], seed)}
 
     out = _ensure_out(config.doc["out"])
     with open(os.path.join(out, "verify.json"), "w") as fh:
@@ -413,6 +411,9 @@ def cmd_kernel(config: ExperimentConfig) -> int:
     out = _ensure_out(config.doc["out"])
     g.save_csv(os.path.join(out, "gram.csv"))
     g.save_npkg(os.path.join(out, "gram.npkg"))
+    bad = int(np.count_nonzero(~np.isfinite(g.matrix)))
+    if bad:
+        raise FloatingPointError(f"{bad} of {n * n} gram entries are not finite")
     ok = g.is_psd() and g.is_symmetric()
     print(f"kernel: {n}x{n} gram tag={tag} min_eig={g.min_eigenvalue():.3e} "
           f"floor={g.psd_floor():.3e} psd={g.is_psd()}")

@@ -169,23 +169,23 @@ def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
 CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixel bytes
 
 
-def load_dataset(path, format: str, header: bool = False, n_classes: int | None = None) -> Dataset:
+def load_dataset(path, format: str) -> Dataset:
     """Read a dataset from disk.
 
-    csv: one row per sample, label in the final column, optional header row.
+    csv: one row per sample, label in the final column.
     cifar-binary: consecutive 3073-byte records, label byte then 3072 pixel
     bytes scaled to [0, 1] (channel planes concatenated row-major).
     """
     if format == "csv":
-        return _load_csv(path, header, n_classes)
+        return _load_csv(path)
     if format == "cifar-binary":
-        return _load_cifar_binary(path, n_classes)
+        return _load_cifar_binary(path)
     raise DatasetError(f"unknown dataset format {format!r}")
 
 
-def _load_csv(path, header, n_classes):
+def _load_csv(path):
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise DatasetError(f"{path}: {exc}") from exc
     if raw.shape[1] < 2:
@@ -196,11 +196,10 @@ def _load_csv(path, header, n_classes):
     y = labels.astype(np.int64)
     if y.min() < 0:
         raise DatasetError(f"{path}: negative label {y.min()}")
-    k = n_classes if n_classes is not None else int(y.max()) + 1
-    return Dataset(X, y, k, f"file:{path}")
+    return Dataset(X, y, int(y.max()) + 1, f"file:{path}")
 
 
-def _load_cifar_binary(path, n_classes):
+def _load_cifar_binary(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0 or len(blob) % CIFAR_RECORD != 0:
@@ -211,11 +210,5 @@ def _load_cifar_binary(path, n_classes):
         )
     records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     y = records[:, 0].astype(np.int64)
-    k = n_classes if n_classes is not None else int(y.max()) + 1
-    bad = np.nonzero(y >= k)[0]
-    if bad.size:
-        raise DatasetError(
-            f"{path}: label {y[bad[0]]} out of range at byte offset {bad[0] * CIFAR_RECORD}"
-        )
     X = records[:, 1:].astype(np.float64) / 255.0
-    return Dataset(X, y, k, f"file:{path}")
+    return Dataset(X, y, int(y.max()) + 1, f"file:{path}")

@@ -319,8 +319,8 @@ class GramMatrix:
     def is_psd(self) -> bool:
         return self.min_eigenvalue() >= self.psd_floor()
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= tol)
+    def is_symmetric(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= 1e-12)
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:

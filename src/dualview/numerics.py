@@ -1,4 +1,4 @@
-"""Seeded randomness, Bernoulli initialisation and gradient utilities.
+"""Seeded randomness, Bernoulli initialisation and the autodiff gradient.
 
 RNG: numpy's Philox counter-based bit generator, keyed through a
 ``SeedSequence(seed, spawn_key=(stream,))``. Same (seed, stream) gives a
@@ -88,36 +88,4 @@ def grad(
         if g is None:
             g = np.zeros_like(node.value)
         parts.append(np.asarray(g).ravel())
-    return np.concatenate(parts)
-
-
-def finite_diff_grad(
-    forward: Callable[[Mapping[str, Node]], Node],
-    params: ParamDict,
-    step: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient oracle, step scaled by parameter magnitude."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    work = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
-
-    def value() -> float:
-        nodes = {k: Node(v) for k, v in work.items()}
-        return forward(nodes).value.reshape(()).item()
-
-    parts = []
-    for arr in work.values():
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            theta = arr[idx]
-            h = step * max(1.0, abs(theta))
-            arr[idx] = theta + h
-            f_plus = value()
-            arr[idx] = theta - h
-            f_minus = value()
-            arr[idx] = theta
-            g[idx] = (f_plus - f_minus) / (2.0 * h)
-        parts.append(g.ravel())
     return np.concatenate(parts)

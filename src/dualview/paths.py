@@ -13,10 +13,10 @@ layers. Both concatenations end in a constant 1 that pads the rows of
 shorter paths (the res sub-FCNs). A bundle is a single path for fc and res;
 for conv_gap it is the d_in paths, one per input node, that share their
 weights, and every activity carries the 1/d_in pooling scale. Activities,
-values, dual vectors and overlaps are gathers, products and per-bundle or
-per-node sums with no family branch; only :func:`enumerate_paths` knows the
-families, and it is the only function that builds a table: every other
-function here takes the table it reads.
+values and dual vectors are gathers, products and per-bundle sums with no
+family branch; only :func:`enumerate_paths` knows the families, and it is
+the only function that builds a table: every other function here takes the
+table it reads.
 
 Path ordering is lexicographic in (input node, layer-1 index, layer-2
 index, ...) so dual vectors align across calls. Res paths are grouped by
@@ -25,15 +25,12 @@ ordered bundle-major, lexicographic in (window offset, filter) per conv
 layer then the hidden fc units, with the d_in member paths (one per input
 node) contiguous.
 
-:func:`iter_paths` walks the same paths from the architecture alone, and
-:func:`path_activity` / :func:`path_value` evaluate one path from the gate
-and weight arrays, so a table that drops, duplicates or misindexes paths
-does not pass its own reference.
+The per-path reference that walks the same paths from the architecture
+alone, without reading a table, belongs to the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -200,83 +197,7 @@ def _conv_table(arch: ArchSpec, shapes, g_off, w_off) -> PathTable:
 
 
 # ---------------------------------------------------------------------------
-# Single-path objects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Path:
-    """One enumerated path: input node plus per-layer index maps."""
-
-    arch: ArchSpec
-    input_node: int
-    hidden: tuple[int, ...] = ()  # fc/res hidden unit indices per gated layer
-    windows: tuple[int, ...] = ()  # conv window offsets, 0-based
-    filters: tuple[int, ...] = ()  # conv filter indices
-    subfcn: SubFcnMask | None = None  # res only
-
-
-def iter_paths(table: PathTable):
-    """Paths in table order, walked from `table.arch` alone (oracle scale only)."""
-    arch = table.arch
-    units = [range(arch.width)]
-    if arch.family == CONV_GAP:
-        n_cv = 2 * arch.d_cv
-        cv = [range(arch.w_cv), range(arch.width)] * arch.d_cv
-        for *idx, i in itertools.product(*cv, *units * (arch.d_fc - 1), range(arch.d_in)):
-            yield Path(arch, i, hidden=tuple(idx[n_cv:]), windows=tuple(idx[0:n_cv:2]),
-                       filters=tuple(idx[1:n_cv:2]))
-        return
-    chains = enumerate_subfcns(arch) if arch.family == RES else [(None, arch)]
-    for mask, fc in chains:
-        for i, *hidden in itertools.product(range(arch.d_in), *units * (fc.depth - 1)):
-            yield Path(arch, i, hidden=tuple(hidden), subfcn=mask)
-
-
-def path_activity(gates: Gates, p: Path) -> float:
-    """Product of the path's gate values; conv includes the 1/d_in pool factor."""
-    arch = p.arch
-    if arch.family == FC:
-        return float(np.prod([gates[l][j] for l, j in enumerate(p.hidden)]))
-    if arch.family == CONV_GAP:
-        act = 1.0
-        pos = p.input_node
-        for l, (c, j) in enumerate(zip(p.windows, p.filters)):
-            pos = (pos - c) % arch.d_in
-            act *= float(gates[l][pos, j])
-        act *= 1.0 / arch.d_in
-        for m, k in enumerate(p.hidden):
-            act *= float(gates[arch.d_cv + m][k])
-        return act
-    gate_ids = res_gate_indices(arch, p.subfcn)
-    return float(np.prod([gates[g][j] for g, j in zip(gate_ids, p.hidden)]))
-
-
-def path_value(params: Mapping[str, np.ndarray], p: Path) -> float:
-    """Product of the traversed weights (bundle-shared for the conv family)."""
-    arch = p.arch
-    if arch.family == FC:
-        names = [f"fc{l}" for l in range(1, arch.depth + 1)]
-        chain = (p.input_node, *p.hidden, 0)
-        return float(np.prod([params[n][chain[l], chain[l + 1]] for l, n in enumerate(names)]))
-    if arch.family == CONV_GAP:
-        v = 1.0
-        j_prev = 0
-        for l, (c, j) in enumerate(zip(p.windows, p.filters)):
-            v *= float(params[f"cv{l + 1}"][c, j_prev, j])
-            j_prev = j
-        chain = (j_prev, *p.hidden, 0)
-        for m in range(arch.d_fc):
-            v *= float(params[f"fc{m + 1}"][chain[m], chain[m + 1]])
-        return v
-    blocks = (0, *p.subfcn.included, arch.b + 1)
-    names = [f"b{j}l{l}" for j in blocks for l in range(1, arch.d_blk + 1)]
-    chain = (p.input_node, *p.hidden, 0)
-    return float(np.prod([params[n][chain[l], chain[l + 1]] for l, n in enumerate(names)]))
-
-
-# ---------------------------------------------------------------------------
-# Dual vectors, overlap
+# Dual vectors
 # ---------------------------------------------------------------------------
 
 
@@ -317,31 +238,3 @@ def dual_vectors(
     weights = _flat(params[name] for name, _, _ in weight_layer_specs(arch))
     return DualVectors(np.add.reduceat(_path_npf(table, x, gates), table.bundle_start),
                        _products(weights, table.weight_idx))
-
-
-def conv_path_npf(table: PathTable, x, gates: Gates) -> np.ndarray:
-    """Unbundled per-path NPF, shape (d_in, B): bundle b's path from input node i at (i, b)."""
-    sizes = np.diff(table.bundle_start, append=table.n_paths)
-    out = np.zeros((table.arch.d_in, table.n_bundles))
-    out[table.node, np.repeat(np.arange(table.n_bundles), sizes)] = _path_npf(table, x, gates)
-    return out
-
-
-def _require_hard(gates: Gates) -> None:
-    for g in gates:
-        g = np.asarray(g)
-        if not np.all((g == 0.0) | (g == 1.0)):
-            raise ValueError("overlap counts require hard gates")
-
-
-def overlap_vector(gates_x: Gates, gates_x2: Gates, table: PathTable) -> np.ndarray:
-    """Per input node i, the number of paths of `table` from i active for
-    both hard gate patterns, as floats.
-
-    Conv activities are counted gates-only (the constant pooling mask is
-    excluded so each entry stays an integer count).
-    """
-    _require_hard(gates_x)
-    _require_hard(gates_x2)
-    joint = _activities(table, gates_x) * _activities(table, gates_x2)
-    return np.bincount(table.node, weights=joint, minlength=table.arch.d_in)

@@ -182,8 +182,12 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
             _check_finite(name, g)
-            m = self.m.get(name, np.zeros_like(params[name]))
-            v = self.v.get(name, np.zeros_like(params[name]))
+            m = self.m.get(name)
+            if m is None:
+                m = np.zeros_like(params[name])
+            v = self.v.get(name)
+            if v is None:
+                v = np.zeros_like(params[name])
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             self.m[name], self.v[name] = m, v

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import normal_params
+from oracles import conv_path_npf, finite_diff_grad, overlap_vector
 
 from dualview.arch import (
     ArchSpec,
@@ -34,14 +35,12 @@ from dualview.kernels import (
     ntk_expectation_mc,
     rot,
 )
-from dualview.numerics import finite_diff_grad, grad, make_rng
+from dualview.numerics import grad, make_rng
 from dualview.paths import (
     SubFcnMask,
-    conv_path_npf,
     count_paths,
     dual_vectors,
     enumerate_paths,
-    overlap_vector,
     res_gate_indices,
 )
 from dualview.training import TrainConfig, train

@@ -142,10 +142,6 @@ def test_load_csv(tmp_path):
 
 
 def test_load_csv_header_and_errors(tmp_path):
-    p = tmp_path / "h.csv"
-    p.write_text("a,b,label\n1.0,2.0,0\n")
-    ds = load_dataset(p, "csv", header=True, n_classes=2)
-    assert ds.n == 1
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0,0.5\n")
     with pytest.raises(DatasetError):
@@ -174,14 +170,6 @@ def test_load_cifar_truncated(tmp_path):
     p2.write_bytes(b"\x00" * (2 * CIFAR_RECORD - 1))
     with pytest.raises(DatasetError, match=f"offset {CIFAR_RECORD}"):
         load_dataset(p2, "cifar-binary")
-
-
-def test_load_cifar_label_out_of_range(tmp_path):
-    rec = bytes([7]) + b"\x00" * (CIFAR_RECORD - 1)
-    p = tmp_path / "lbl.bin"
-    p.write_bytes(rec)
-    with pytest.raises(DatasetError, match="offset 0"):
-        load_dataset(p, "cifar-binary", n_classes=2)
 
 
 def test_unknown_format(tmp_path):
@@ -252,10 +240,13 @@ def test_cli_verify_passes(tmp_path):
     assert abs(sum(per_mask.values()) - k) <= 1e-12 * abs(k)
 
 
-def test_cli_verify_sabotaged_sigma_fails(tmp_path):
+def test_cli_verify_sabotaged_sigma_fails(tmp_path, monkeypatch):
+    # the MC estimate draws its value weights at 1.5 times the target's sigma
+    estimate = cli.ntk_expectation_mc
+    monkeypatch.setattr(cli, "ntk_expectation_mc",
+                        lambda *args, sigma, **kw: estimate(*args, sigma=1.5 * sigma, **kw))
     out = tmp_path / "vbad"
     code = main(["verify", "--out", str(out),
-                 "--override", "verify.mc_sigma_scale=1.5",
                  "--override", "verify.mc_samples=200",
                  "--override", "verify.eq1_samples=2"])
     assert code == 1
@@ -505,13 +496,8 @@ def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "v").exists()
     # the MC check's own limits, named by their config keys
     for spec, msg in (("verify.mc_samples=99", "verify.mc_samples must be >= 100, got 99"),
-                      ("verify.mc_sigma_scale=0",
-                       "verify.mc_sigma_scale must be positive, got 0"),
-                      # NaN once ran the check and wrote an mc_mean of NaN
-                      ("verify.mc_sigma_scale=NaN",
-                       "verify.mc_sigma_scale must be finite, got nan"),
-                      ("verify.mc_sigma_scale=Infinity",
-                       "verify.mc_sigma_scale must be finite, got inf")):
+                      ("verify.mc_sigma_scale=1.5",
+                       "unknown config key verify.mc_sigma_scale")):
         assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and msg in err
@@ -652,6 +638,19 @@ def test_cli_kernel_refuses_an_array_too_large_to_allocate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("dualview kernel: out of memory: ")
     assert not out.exists()
+
+
+def test_cli_kernel_fails_a_gram_that_is_not_finite(tmp_path, capsys):
+    # 400 skipped blocks overflow the res NPK; the eigenvalue check once ran on
+    # the inf Gram and LAPACK's error exited 2
+    out = tmp_path / "k"
+    assert main(["kernel", "--out", str(out), "--override", "arch.family=res",
+                 "--override", "arch.b=400", "--override", "arch.d_blk=1",
+                 "--override", "kernel.n=4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "dualview kernel: 16 of 16 gram entries are not finite\n"
+    assert np.isinf(GramMatrix.load_csv(out / "gram.csv").matrix).all()
+    assert (out / "gram.npkg").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "train", "kernel", "experiment"])

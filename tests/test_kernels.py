@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
+from oracles import overlap_vector
 
 from dualview import kernels
 from dualview.arch import ArchSpec, forward_relu, weight_layer_specs
@@ -27,7 +28,7 @@ from dualview.kernels import (
     rot,
 )
 from dualview.numerics import make_rng
-from dualview.paths import dual_vectors, enumerate_paths, overlap_vector
+from dualview.paths import dual_vectors, enumerate_paths
 
 
 def _pair(arch, seed, spread=0.4):
@@ -406,3 +407,38 @@ def test_only_the_cli_and_the_package_import_the_path_oracle():
             if any("paths" in name.split(".") for name in names):
                 importers.add(source.stem)
     assert importers == {"cli", "__init__"}
+
+
+# perfbench/spans.py binds these by name until ROADMAP item 1; nothing else
+# in the package calls them
+UNUSED_ALLOWED = {("numerics", "grad"), ("arch", "forward_dlgn")}
+
+
+def test_every_public_library_name_has_a_use_in_the_library():
+    # code that only the tests run belongs in tests/oracles.py
+    trees = {source.stem: ast.parse(source.read_text())
+             for source in Path(kernels.__file__).parent.glob("*.py")
+             if source.stem != "__init__"}
+    defined = {(module, n.name) for module, tree in trees.items() for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+    used = set()
+    for module, tree in trees.items():
+        # a bare name resolves to this module's own top-level names or a
+        # relative import; `mod.name` resolves through `from . import mod`
+        names = {name: (m, name) for m, name in defined if m == module}
+        modules = {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    if n.module:
+                        names[a.asname or a.name] = (n.module, a.name)
+                    else:
+                        modules[a.asname or a.name] = a.name
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names:
+                used.add(names[n.id])
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in modules:
+                used.add((modules[n.value.id], n.attr))
+    assert UNUSED_ALLOWED <= defined
+    assert defined - used - UNUSED_ALLOWED == set()

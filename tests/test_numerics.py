@@ -6,10 +6,11 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_grad
+
 from dualview import autodiff as ad
 from dualview.autodiff import Node, NondifferentiablePointWarning, backward
 from dualview.numerics import (
-    finite_diff_grad,
     grad,
     init_bernoulli,
     make_rng,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
+from oracles import conv_path_npf, iter_paths, overlap_vector, path_activity, path_value
 
 from dualview.arch import ArchSpec, forward_relu
 from dualview.numerics import make_rng
@@ -12,13 +13,8 @@ from dualview.paths import (
     dual_vectors,
     enumerate_paths,
     enumerate_subfcns,
-    iter_paths,
-    overlap_vector,
-    path_activity,
-    path_value,
     res_gate_indices,
 )
-from dualview.paths import conv_path_npf
 
 
 def test_count_paths_closed_forms():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
+from oracles import iter_paths, overlap_vector, path_activity, path_value
 
 from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, forward_gated,
                            forward_relu, hyperplanes, init_params, shallow_layer_specs,
@@ -18,7 +19,6 @@ from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, npk_res
                               ntk_expectation_mc, ntk_fixed_gates, rot)
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
-                            iter_paths, overlap_vector, path_activity, path_value,
                             res_gate_indices)
 from dualview.training import REGIME_TABLE, REGIMES, Model, _init_net, evaluate
 

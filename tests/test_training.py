@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import normal_params
+from oracles import finite_diff_grad
 
 from dualview.arch import ArchSpec
 from dualview.autodiff import Node
@@ -126,6 +127,17 @@ def test_adam_step_bound():
         prev = params["w"].copy()
 
 
+def test_adam_allocates_its_moments_once_per_parameter(monkeypatch):
+    # the moments were once allocated on every step, as eager `dict.get` defaults
+    zeros_like, calls = np.zeros_like, []
+    monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a.shape) or zeros_like(a))
+    opt = Adam(lr=0.01)
+    params = {"w": np.array([0.0, 5.0, -2.0]), "b": np.zeros((2, 2))}
+    for _ in range(2):
+        opt.step(params, {"w": np.array([1.0, -3.0, 100.0]), "b": np.ones((2, 2))})
+    assert calls == [(3,), (3,), (2, 2), (2, 2)]
+
+
 def test_nan_gradient_aborts():
     opt = SGDMomentum(lr=0.1)
     with pytest.raises(FloatingPointError):
@@ -234,7 +246,6 @@ def test_conv_batch_loss_gradient_through_hyperplanes():
     # parameters through the hyperplane matrices; compare with central
     # differences of the batch loss
     from dualview.arch import GateRouting, _collapse_pays
-    from dualview.numerics import finite_diff_grad
     from dualview.training import _batch_grads, _init_net
 
     arch = ArchSpec(family="conv_gap", d_in=5, w_cv=3, width=6, d_cv=2, d_fc=2, n_out=2,
