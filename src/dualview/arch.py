@@ -27,6 +27,13 @@ through them, one matmul per gated layer in place of its circular
 convolutions, wherever that takes fewer multiply-adds than running the net
 on the batch: when the input is narrow next to the batch and to the conv
 channels. Every other case runs the feature maps on the batch.
+
+Training runs the same networks on plain arrays, with no graph:
+:func:`run_stack` and its VJP :func:`stack_vjp` for every family, and
+:class:`FeatureNet` for every feature source, collapsed by the same rule.
+The Node passes (``_stack``, ``forward_relu``, ``forward_gated``,
+``feature_gates``, ``hyperplanes``) stay as the graph oracle the tests
+compare with and as what the kernels run.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node
+from .autodiff import Node, circular_conv, circular_conv_vjp_theta, circular_conv_vjp_z
 from .numerics import check_positive, init_bernoulli
 
 FC = "fc"
@@ -104,6 +111,13 @@ class ArchSpec:
         # the dense layers chain from d_in (or the pooled channels) to n_out
         dims = [w if conv else self.d_in] + [w] * (len(dense) - 1) + [self.n_out]
         return conv + tuple((name, (dims[i], dims[i + 1]), "fc") for i, name in enumerate(dense))
+
+    @cached_property
+    def _skips(self) -> dict[int, int]:
+        """res: per block 1..b, the index of its last weight layer -> that of
+        its first, whose input the identity skip adds to the last one's output."""
+        d = self.d_blk
+        return {j * d + d - 1: j * d for j in range(1, self.b + 1)} if self.family == RES else {}
 
     def n_gate_layers(self) -> int:
         """Every weight layer but the last is gated."""
@@ -434,3 +448,163 @@ def forward_dlgn(
     on x_f gates a GaLU value network on x_v."""
     gates = feature_gates(arch, params_f, x_f, source, mode)
     return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))
+
+
+# ---------------------------------------------------------------------------
+# Explicit forward and VJP on plain arrays
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Tape:
+    """What one run of the weight stack keeps for its VJP: per weight layer
+    run, its input z and pre-activation q; per gated layer, its gate; and the
+    output of the last layer run."""
+
+    zs: list[np.ndarray]
+    qs: list[np.ndarray]
+    gates: list[np.ndarray]
+    y: np.ndarray | None = None
+
+
+def self_gate(idx: int, q: np.ndarray) -> np.ndarray:
+    """Hard self-gate 1{q > 0} of a ReLU unit, on arrays (see `_relu_gate`)."""
+    return (q > 0.0).astype(np.float64)
+
+
+def run_stack(arch: ArchSpec, params: Mapping, X: np.ndarray,
+              gate_rule: Callable[[int, np.ndarray], np.ndarray] | None,
+              n_layers: int) -> Tape:
+    """:func:`_stack` on plain arrays: the first `n_layers` weight layers on
+    the rows X, recorded for :func:`stack_vjp`.
+
+    `gate_rule(idx, q)` returns the gate array (with a batch axis) of gated
+    layer idx from its pre-activation; None runs the layers linear.
+    """
+    chain, skips = arch._weight_layers, arch._skips
+    pool_at = arch.d_cv if arch.family == CONV_GAP else -1
+    tape = Tape([], [], [])
+    z = X[:, :, None] if arch.family == CONV_GAP else X
+    for i, (name, _, kind) in enumerate(chain[:n_layers]):
+        if i == pool_at:
+            z = z.mean(axis=1)
+        q = circular_conv(z, params[name]) if kind == "conv" else z @ params[name]
+        tape.zs.append(z)
+        tape.qs.append(q)
+        z = q
+        if gate_rule is not None and i < len(chain) - 1:
+            gate = gate_rule(i, q)
+            tape.gates.append(gate)
+            z = q * gate
+        if i in skips:
+            z = tape.zs[skips[i]] + z
+    tape.y = z
+    return tape
+
+
+def stack_vjp(arch: ArchSpec, params: Mapping, tape: Tape, dy: np.ndarray | None,
+              dq: Sequence[np.ndarray] | None = None) -> tuple[list, list]:
+    """The VJP of :func:`run_stack` with its gates fixed.
+
+    `dy` is the cotangent at the output (None when nothing downstream reads
+    it) and `dq[i]`, when given, is added at gated layer i's pre-activation.
+    With the gates fixed, each weight gradient is `z_{l-1}^T delta_l` and
+    `delta_{l-1} = (delta_l W_l^T) * G_{l-1}` (conv layers use the transposed
+    per-tap shift, the pooling spreads evenly, res skips add their
+    cotangent). Returns, per layer run, its weight gradient, and per gated
+    layer the cotangent of its gated output `q * gate`, whose product with q
+    is the gate's cotangent.
+    """
+    chain, skips = arch._weight_layers, arch._skips
+    pool_at = arch.d_cv if arch.family == CONV_GAP else -1
+    n_gated = len(tape.gates)
+    grads, dgated, skipped = [None] * len(tape.qs), [None] * n_gated, {}
+    dz = dy
+    for i in reversed(range(len(tape.qs))):
+        name, _, kind = chain[i]
+        if i in skips and dz is not None:
+            skipped[skips[i]] = dz
+        delta = dz
+        if i < n_gated:
+            dgated[i] = dz
+            delta = None if dz is None else dz * tape.gates[i]
+        if dq is not None:
+            delta = dq[i] if delta is None else delta + dq[i]
+        w = params[name]
+        if kind == "conv":
+            grads[i] = circular_conv_vjp_theta(tape.zs[i], delta, w.shape[0])
+        else:
+            grads[i] = tape.zs[i].T @ delta
+        if i == 0:
+            break
+        dz = circular_conv_vjp_z(delta, w) if kind == "conv" else delta @ w.T
+        if i == pool_at:
+            dz = np.repeat(dz[:, None, :] / arch.d_in, arch.d_in, axis=1)
+        if i in skipped:
+            dz = dz + skipped.pop(i)
+    return grads, dgated
+
+
+class FeatureNet:
+    """The `source` feature network of :func:`feature_gates` on plain arrays,
+    and the VJP of its soft gates.
+
+    The linear source gates through its hyperplanes `U_l` wherever
+    `_collapse_pays`: the linear stack runs once on eye(d_in), at most once
+    per instance, so an instance must not outlive a change of `params`.
+    """
+
+    def __init__(self, arch: ArchSpec, params: Mapping, source: str):
+        self.arch, self.params, self.source = arch, params, source
+        self.planes: Tape | None = None
+
+    def _preacts(self, X: np.ndarray) -> tuple[list[np.ndarray], Tape | None]:
+        arch, params = self.arch, self.params
+        if self.source == "shallow":
+            return [circular_conv(X[:, :, None], params[name]) if kind == "conv"
+                    else X @ params[name] for name, _, kind in shallow_layer_specs(arch)], None
+        if self.source == "linear" and _collapse_pays(arch, len(X)):
+            if self.planes is None:
+                self.planes = run_stack(arch, params, np.eye(arch.d_in), None,
+                                        arch.n_gate_layers())
+            return [(X @ q.reshape(arch.d_in, -1)).reshape(len(X), *shape)
+                    for q, shape in zip(self.planes.qs, arch.gate_layer_shapes())], self.planes
+        tape = run_stack(arch, params, X, self_gate if self.source == "relu" else None,
+                         arch.n_gate_layers())
+        return tape.qs, tape
+
+    def gates(self, X: np.ndarray, mode: str) -> tuple[list[np.ndarray], tuple]:
+        """The gates of the rows X, one per gated layer, and what :meth:`vjp` needs."""
+        qs, tape = self._preacts(X)
+        if mode == HARD:
+            gates = [ad.hard_gate_values(q) for q in qs]
+            return gates, (tape, gates)
+        gates = []
+        for q in qs:  # ad.logistic's 1 / (1 + exp(-beta q)), in one buffer
+            s = np.multiply(q, -self.arch.beta)
+            np.exp(s, out=s)
+            s += 1.0
+            gates.append(np.divide(1.0, s, out=s))
+        return gates, (tape, gates)
+
+    def vjp(self, X: np.ndarray, state: tuple, dgates: Sequence[np.ndarray]) -> dict:
+        """The gradient in every feature parameter from the cotangents of the
+        soft gates of X: `dQ_l = dG_l * beta G_l (1 - G_l)`, then back
+        through the feature maps (`dU_l = X^T dQ_l` where collapsed)."""
+        tape, gates = state
+        dqs = []
+        for dg, s in zip(dgates, gates):  # ad.logistic's VJP, in one buffer
+            dq = dg * self.arch.beta
+            dq *= s
+            dq *= 1.0 - s
+            dqs.append(dq)
+        if self.source == "shallow":
+            return {name: circular_conv_vjp_theta(X[:, :, None], dq, shape[0]) if kind == "conv"
+                    else X.T @ dq
+                    for (name, shape, kind), dq in zip(shallow_layer_specs(self.arch), dqs)}
+        if tape is self.planes:
+            dqs = [(X.T @ dq.reshape(len(X), -1)).reshape(q.shape) for dq, q in zip(dqs, tape.qs)]
+        grads, _ = stack_vjp(self.arch, self.params, tape, None, dqs)
+        # the output layer of a relu or linear feature network feeds no gate
+        return {name: grads[i] if i < len(grads) else np.zeros(shape)
+                for i, (name, shape, _) in enumerate(self.arch._weight_layers)}

@@ -4,7 +4,10 @@ Only the operations needed by the supported forward graphs are provided:
 dense matmul, elementwise add/mul, reshape, circular 1-D convolution, global
 average pooling and the scaled logistic. Hard gates are constant 0/1 masks from
 :func:`hard_gate_values`, so a ReLU is a ``mul`` by its gate. Values are
-float64 throughout.
+float64 throughout. The circular convolution and its two VJPs are array
+functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
+:func:`circular_conv_vjp_theta`), which the graph op and the graph-free
+training engine in :mod:`dualview.arch` both call.
 
 Every op takes float64 arrays or Nodes and returns a Node, but only its Node
 operands become parents and get a VJP; an op tests each operand once and
@@ -101,47 +104,65 @@ def reshape(a, shape) -> Node:
     return _op(av.reshape(shape), a, a_node and (lambda g: g.reshape(av.shape)))
 
 
-def conv_circular(z, theta) -> Node:
-    """Circular 1-D convolution.
+def _tap(z: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
+    """Rows n * d_in + p hold z[n, (p + c) % d_in]: z itself for c = 0, else
+    z shifted into `out` with two slice copies."""
+    if not c:
+        return z.reshape(-1, z.shape[2])
+    d_in = z.shape[1]
+    out[:, :d_in - c] = z[:, c:]
+    out[:, d_in - c:] = z[:, :c]
+    return out.reshape(-1, z.shape[2])
+
+
+def circular_conv(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Circular 1-D convolution on arrays.
 
     z: (n, d_in, c_in) layer input, theta: (w_cv, c_in, c_out).
     Output q: (n, d_in, c_out) with
     q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i],
-    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. Each tap
-    shifts z into one buffer with two slice copies, and the VJPs recompute
-    the shifted z of each tap instead of keeping w_cv copies alive.
+    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. The VJPs
+    recompute the shifted z of each tap instead of keeping w_cv copies alive.
     """
+    shifted = np.empty(z.shape)
+    q = _tap(z, 0, shifted) @ theta[0]
+    for c in range(1, theta.shape[0]):
+        q += _tap(z, c, shifted) @ theta[c]
+    return q.reshape(*z.shape[:2], theta.shape[2])
+
+
+def circular_conv_vjp_z(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Cotangent of z from the cotangent g of q: q[n, p] received
+    z[n, (p + c) % d_in] @ theta[c]. Each tap's part is shifted back into
+    one buffer with two slice copies and added whole, which numpy does
+    faster than two in-place adds into slices of dz."""
+    w_cv, c_in, c_out = theta.shape
+    g2, shape = g.reshape(-1, c_out), (*g.shape[:2], c_in)
+    dz, shifted = (g2 @ theta[0].T).reshape(shape), np.empty(shape)
+    for c in range(1, w_cv):
+        dc = (g2 @ theta[c].T).reshape(shape)
+        shifted[:, c:] = dc[:, :-c]
+        shifted[:, :c] = dc[:, -c:]
+        dz += shifted
+    return dz
+
+
+def circular_conv_vjp_theta(z: np.ndarray, g: np.ndarray, w_cv: int) -> np.ndarray:
+    """Cotangent of the (w_cv, c_in, c_out) filter from the cotangent g of q."""
+    g2, out = g.reshape(-1, g.shape[2]), np.empty(z.shape)
+    dtheta = np.empty((w_cv, z.shape[2], g.shape[2]))
+    for c in range(w_cv):
+        np.matmul(_tap(z, c, out).T, g2, out=dtheta[c])
+    return dtheta
+
+
+def conv_circular(z, theta) -> Node:
+    """:func:`circular_conv` as a graph op."""
     z_node, t_node = isinstance(z, Node), isinstance(theta, Node)
     zv, tv = z.value if z_node else z, theta.value if t_node else theta
-    w_cv, c_in, c_out = tv.shape
-    d_in = zv.shape[1]
-
-    def tap(c, out):  # rows n * d_in + p hold z[n, (p + c) % d_in]
-        if not c:
-            return zv.reshape(-1, c_in)
-        out[:, :d_in - c] = zv[:, c:]
-        out[:, d_in - c:] = zv[:, :c]
-        return out.reshape(-1, c_in)
-
-    shifted = np.empty(zv.shape)
-    q = tap(0, shifted) @ tv[0]
-    for c in range(1, w_cv):
-        q += tap(c, shifted) @ tv[c]
-
-    def vjp_z(g):  # q[n, p] received z[n, (p + c) % d_in] @ theta[c]
-        g2 = g.reshape(-1, c_out)
-        dz = (g2 @ tv[0].T).reshape(zv.shape)
-        for c in range(1, w_cv):
-            dc = (g2 @ tv[c].T).reshape(zv.shape)
-            dz[:, c:] += dc[:, :-c]
-            dz[:, :c] += dc[:, -c:]
-        return dz
-
-    def vjp_theta(g):
-        g2, out = g.reshape(-1, c_out), np.empty(zv.shape)
-        return np.stack([tap(c, out).T @ g2 for c in range(w_cv)])
-
-    return _op(q.reshape(*zv.shape[:2], c_out), z, z_node and vjp_z, theta, t_node and vjp_theta)
+    return _op(circular_conv(zv, tv),
+               z, z_node and (lambda g: circular_conv_vjp_z(g, tv)),
+               theta, t_node and (lambda g: circular_conv_vjp_theta(zv, g, tv.shape[0])))
 
 
 def global_avg_pool(z) -> Node:

@@ -19,6 +19,7 @@ path-product decomposition.
 from __future__ import annotations
 
 import inspect
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +186,14 @@ def load_dataset(path, format: str) -> Dataset:
 
 def _load_csv(path):
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is refused below, in one line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+    if raw.shape[0] == 0:
+        raise DatasetError(f"{path}: no data rows")
     if raw.shape[1] < 2:
         raise DatasetError(f"{path}: need at least one feature column plus a label")
     X, labels = raw[:, :-1], raw[:, -1]

@@ -19,18 +19,22 @@ architecture's beta. The gate routing permutation and the constant-1 value
 input are applied identically during training and evaluation.
 
 ``Model.gates`` returns the gates the value network uses, one per gated
-layer: a DNN's own ReLU gates, or ``arch.feature_gates`` of the regime's
-feature source. ``Model.logits_node`` is ``forward_relu`` for DNN and
-``forward_gated`` on ``Model.gates`` for every other regime. A DNN reads
-neither the routing nor a separate value input, so ``TrainConfig`` refuses
-``x_v="ones"`` and a ``perm`` for it when it is built.
+layer: a DNN's own ReLU gates, or those of the regime's feature network,
+as ``arch.feature_gates`` computes them. A DNN reads neither the routing
+nor a separate value input, so ``TrainConfig`` refuses ``x_v="ones"`` and a
+``perm`` for it when it is built.
 
-``Model.named_params`` names every parameter array as ``params.npz`` does.
-Training steps run the differentiable ``Model.logits_node`` on one batch,
-with only the arrays the regime trains as Nodes: a frozen feature net enters
-the graph as a constant. Inference (``Model.logits``, ``predict``,
-``evaluate``) runs it over blocks of ``LOGITS_BLOCK_ROWS`` rows. The report
-records the time spent in ``evaluate`` as ``eval_s``.
+Every pass here runs on plain arrays, with no autodiff graph: the value
+network is ``arch.run_stack`` under the regime's gates and the feature
+network an ``arch.FeatureNet``. A training step is that forward pass, the
+loss, then ``arch.stack_vjp`` of the value network and, where the features
+train, the VJP of the feature network from its gates' cotangents, routed
+back through ``perm``; a frozen feature net is only read. The trained arrays
+are views into one float64 vector, which each optimizer step updates in one
+pass. ``Model.named_params`` names every parameter array as ``params.npz``
+does. Inference (``Model.logits``, ``predict``, ``evaluate``) runs over
+blocks of ``LOGITS_BLOCK_ROWS`` rows and builds a DLGN's hyperplanes once
+per call. The report records the time spent in ``evaluate`` as ``eval_s``.
 """
 
 from __future__ import annotations
@@ -38,24 +42,26 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .arch import (
     ArchSpec,
+    FeatureNet,
     GateRouting,
     HARD,
     SOFT,
-    feature_gates,
-    forward_gated,
-    forward_relu,
+    Tape,
+    _ensure_batch,
     init_params,
+    run_stack,
+    self_gate,
     shallow_layer_specs,
+    stack_vjp,
     weight_layer_specs,
 )
-from .autodiff import Node, backward
 from .numerics import check_positive, make_rng
 
 DNN = "DNN"
@@ -103,10 +109,10 @@ def loss_softmax_ce(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range [0, {k}): {labels[(labels < 0) | (labels >= k)][0]}")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logz - shifted[np.arange(n), labels]))
     p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
+    total = p.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels]))
+    p /= total
     p[np.arange(n), labels] -= 1.0
     grad = p / n
     return loss, (grad[0] if single else grad)
@@ -296,29 +302,41 @@ class Model:
     params_v: dict[str, np.ndarray]
     routing: GateRouting
 
-    def gates(self, X: np.ndarray) -> list:
-        """The gates the value network uses on X, one per gated layer, before
-        routing: a DNN's own ReLU gates, or those of the regime's feature
-        network."""
-        source, mode, _ = REGIME_TABLE[self.regime]
-        if source == "self":
-            return forward_relu(self.arch, self.params_v, X).gates
-        return feature_gates(self.arch, self.params_f, X, source, mode)
+    def _features(self) -> FeatureNet | None:
+        """The regime's feature network on arrays; None for a DNN, which gates itself."""
+        source = REGIME_TABLE[self.regime][0]
+        return None if source == "self" else FeatureNet(self.arch, self.params_f, source)
 
-    def logits_node(self, X: np.ndarray) -> Node:
-        """Logits of X as a Node, differentiable in any parameter that is a Node."""
-        if REGIME_TABLE[self.regime][0] == "self":
-            return forward_relu(self.arch, self.params_v, X).y_node
-        return forward_gated(self.arch, self.params_v, self.gates(X), self.routing, X).y_node
+    def _run(self, X: np.ndarray, features: FeatureNet | None) -> tuple[Tape, tuple | None]:
+        """The value network on the rows X under the regime's gates: its tape,
+        and the state of the feature gates for `FeatureNet.vjp` (None for a DNN)."""
+        arch, n_layers = self.arch, len(weight_layer_specs(self.arch))
+        if features is None:
+            return run_stack(arch, self.params_v, X, self_gate, n_layers), None
+        gates, state = features.gates(X, REGIME_TABLE[self.regime][1])
+        self.routing.validate(arch)
+        routed = self.routing.apply(gates)
+        X_v = np.ones_like(X) if self.routing.constant_one_input else X
+        return run_stack(arch, self.params_v, X_v, lambda i, q: routed[i], n_layers), state
+
+    def gates(self, X: np.ndarray) -> list[np.ndarray]:
+        """The gates the value network uses on X, one array per gated layer
+        with a batch axis, before routing: a DNN's own ReLU gates, or those of
+        the regime's feature network."""
+        X, _ = _ensure_batch(X, self.arch.d_in)
+        features = self._features()
+        if features is None:
+            return self._run(X, None)[0].gates
+        return features.gates(X, REGIME_TABLE[self.regime][1])[0]
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         """Logits of a batch (n, d_in), one forward pass per LOGITS_BLOCK_ROWS
-        rows, or of one sample (d_in,)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1 or len(X) <= LOGITS_BLOCK_ROWS:
-            return self.logits_node(X).value
-        return np.concatenate([self.logits_node(X[i:i + LOGITS_BLOCK_ROWS]).value
-                               for i in range(0, len(X), LOGITS_BLOCK_ROWS)])
+        rows, or of one sample (d_in,) as a batch of one. A DLGN builds its
+        hyperplanes at most once per call."""
+        X, _ = _ensure_batch(X, self.arch.d_in)
+        features = self._features()
+        return np.concatenate([self._run(X[i:i + LOGITS_BLOCK_ROWS], features)[0].y
+                               for i in range(0, max(len(X), 1), LOGITS_BLOCK_ROWS)])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(X), axis=1)
@@ -370,41 +388,59 @@ def _trained(model: Model) -> dict[str, np.ndarray]:
 
 
 def _batch_grads(model: Model, Xb, yb):
-    """The batch loss and its gradient in every array of `_trained(model)`;
-    the other arrays enter the graph as constants."""
-    trained = _trained(model)
-    nodes = {id(v): Node(v) for v in trained.values()}
+    """The batch loss and its gradient in every array of `_trained(model)`:
+    one explicit forward pass, then the VJP of the value network and, where
+    the features train, of the feature network from its gates' cotangents."""
+    arch, features = model.arch, model._features()
+    tape, state = model._run(Xb, features)
+    loss, dlogits = loss_softmax_ce(tape.y, yb)
+    grads_v, dgated = stack_vjp(arch, model.params_v, tape, dlogits)
+    by_layer = {name: g for (name, _, _), g in zip(weight_layer_specs(arch), grads_v)}
+    grads = [by_layer[k] for k in model.params_v]
+    if REGIME_TABLE[model.regime][2]:
+        # gate i of the value net is feature gate perm[i]
+        routed = [d * q for d, q in zip(dgated, tape.qs)]
+        perm = model.routing.perm
+        dgates = routed if perm is None else [routed[i] for i in np.argsort(perm)]
+        grads_f = features.vjp(Xb, state, dgates)
+        grads += [grads_f[k] for k in model.params_f]
+    return loss, dict(zip(_trained(model), grads))
 
-    def wrap(params):
-        return params and {k: nodes.get(id(v), v) for k, v in params.items()}
 
-    graph = replace(model, params_f=wrap(model.params_f), params_v=wrap(model.params_v))
-    out = graph.logits_node(Xb)
-    loss, dlogits = loss_softmax_ce(out.value, yb)
-    cot = backward(out, seed=dlogits)
-    grads = {}
-    for name, v in trained.items():
-        c = cot.get(id(nodes[id(v)]))
-        grads[name] = np.zeros_like(v) if c is None else c
-    return loss, grads
+def _flatten(model: Model) -> np.ndarray:
+    """Move the arrays `_trained(model)` names into one contiguous float64
+    vector, in that order; the parameter dicts then hold views into it."""
+    nets = [model.params_v, model.params_f] if REGIME_TABLE[model.regime][2] else [model.params_v]
+    flat = np.concatenate([v.ravel() for net in nets for v in net.values()])
+    start = 0
+    for net in nets:
+        for name, v in net.items():
+            net[name] = flat[start:start + v.size].reshape(v.shape)
+            start += v.size
+    return flat
 
 
 def _run_epochs(model: Model, dataset, config: TrainConfig, epochs: int, rng,
                 report: TrainReport | None = None, test=None):
     """Train `_trained(model)` for `epochs` epochs of `config.batch_size`
-    samples, with the optimizer `config` names; it updates the arrays in place."""
+    samples, with the optimizer `config` names. The trained arrays become
+    views into one vector, which each step checks and updates in one pass."""
     n, batch_size = dataset.n, config.batch_size
     iters = epochs * max(1, n // batch_size)
     opt = make_optimizer(config.optimizer, config.lr, config.momentum,
                          iters if config.use_schedule else None)
-    flat = _trained(model)
+    params = {"trained": _flatten(model)}
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, grads = _batch_grads(model, dataset.X[idx], dataset.y[idx])
-            opt.step(flat, grads)
+            try:
+                opt.step(params, {"trained": np.concatenate([g.ravel() for g in grads.values()])})
+            except FloatingPointError:  # name the parameter, not the vector
+                name = next(k for k, g in grads.items() if not np.isfinite(g).all())
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}") from None
             losses.append(loss)
         if report is not None:
             report.train_loss.append(float(np.mean(losses)))

@@ -7,22 +7,26 @@ with no family branch. The oracles here check that side independently:
 weight arrays, so a table that drops, duplicates or misindexes paths does not
 pass its own reference. :func:`conv_path_npf` unbundles the conv features,
 :func:`overlap_vector` counts the paths two hard gate patterns share, and
-:func:`finite_diff_grad` checks the autodiff gradients.
+:func:`finite_diff_grad` checks the autodiff gradients. :func:`logits_node`
+and :func:`batch_grads` run a model through the autodiff graph, the oracle
+of the explicit forward and VJP that training uses.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from dualview.arch import ArchSpec, CONV_GAP, FC, RES, Gates
-from dualview.autodiff import Node
+from dualview.arch import (ArchSpec, CONV_GAP, FC, RES, Gates, feature_gates, forward_gated,
+                           forward_relu)
+from dualview.autodiff import Node, backward
 from dualview.numerics import ParamDict
 from dualview.paths import PathTable, SubFcnMask, _activities, _path_npf, enumerate_subfcns, \
     res_gate_indices
+from dualview.training import REGIME_TABLE, Model, _trained, loss_softmax_ce
 
 
 def finite_diff_grad(
@@ -55,6 +59,42 @@ def finite_diff_grad(
             g[idx] = (f_plus - f_minus) / (2.0 * h)
         parts.append(g.ravel())
     return np.concatenate(parts)
+
+
+# ---------------------------------------------------------------------------
+# Models through the autodiff graph
+# ---------------------------------------------------------------------------
+
+
+def logits_node(model: Model, X) -> Node:
+    """Logits of X as a Node, differentiable in any parameter that is a Node:
+    ``forward_relu`` for a DNN, ``forward_gated`` on the regime's
+    ``feature_gates`` otherwise."""
+    source, mode, _ = REGIME_TABLE[model.regime]
+    if source == "self":
+        return forward_relu(model.arch, model.params_v, X).y_node
+    gates = feature_gates(model.arch, model.params_f, X, source, mode)
+    return forward_gated(model.arch, model.params_v, gates, model.routing, X).y_node
+
+
+def batch_grads(model: Model, Xb, yb):
+    """The batch loss and its gradient in every array of `_trained(model)`,
+    by one backward sweep of the graph in which only those arrays are Nodes."""
+    trained = _trained(model)
+    nodes = {id(v): Node(v) for v in trained.values()}
+
+    def wrap(params):
+        return params and {k: nodes.get(id(v), v) for k, v in params.items()}
+
+    out = logits_node(replace(model, params_f=wrap(model.params_f),
+                              params_v=wrap(model.params_v)), Xb)
+    loss, dlogits = loss_softmax_ce(out.value, yb)
+    cot = backward(out, seed=dlogits)
+    grads = {}
+    for name, v in trained.items():
+        c = cot.get(id(nodes[id(v)]))
+        grads[name] = np.zeros_like(v) if c is None else c
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import ctypes
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,6 +149,21 @@ def test_load_csv_header_and_errors(tmp_path):
     bad.write_text("1.0,2.0,0.5\n")
     with pytest.raises(DatasetError):
         load_dataset(bad, "csv")
+
+
+def test_cli_empty_csv_prints_one_line(tmp_path):
+    # numpy's "input contained no data" warning once reached stderr ahead
+    # of the error; a fresh interpreter shows everything the command prints
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "dualview.cli", "train", "--out", str(tmp_path / "t"),
+         "--override", "dataset.kind=file", "--override", f"dataset.path={empty}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [f"dualview train: {empty}: no data rows"]
+    assert not (tmp_path / "t").exists()
 
 
 def test_load_cifar_binary(tmp_path):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import normal_params
-from oracles import iter_paths, overlap_vector, path_activity, path_value
+from oracles import (batch_grads, iter_paths, logits_node, overlap_vector, path_activity,
+                     path_value)
 
-from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, feature_gates, forward_gated,
-                           forward_relu, hyperplanes, init_params, shallow_layer_specs,
-                           weight_layer_specs)
+from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, _collapse_pays, feature_gates,
+                           forward_gated, forward_relu, hyperplanes, init_params,
+                           shallow_layer_specs, weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
 from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, npk_res_ensemble,
@@ -20,7 +21,7 @@ from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, npk_res
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
                             res_gate_indices)
-from dualview.training import REGIME_TABLE, REGIMES, Model, _init_net, evaluate
+from dualview.training import REGIME_TABLE, REGIMES, Model, _batch_grads, _init_net, evaluate
 
 
 @st.composite
@@ -421,14 +422,14 @@ def test_blocked_logits_match_one_forward_pass(case):
     # BLAS may round a block's rows differently from the whole batch's
     # (by ~1e-16 for wide layers), so blocks are not bit-equal in general
     model, ds = case
-    one_pass = model.logits_node(ds.X).value
+    one_pass = logits_node(model, ds.X).value
     blocked = model.logits(ds.X)
     assert blocked.shape == one_pass.shape
     scale = np.abs(one_pass).max()
     assert np.all(np.abs(blocked - one_pass) <= 1e-12 * np.maximum(np.abs(one_pass), scale))
     assert evaluate(model, ds) == float(np.mean(np.argmax(one_pass, axis=1) == ds.y))
     x = ds.X[0]  # one sample runs unblocked, as one forward pass
-    assert model.logits(x).tobytes() == model.logits_node(x).value.tobytes()
+    assert model.logits(x).tobytes() == logits_node(model, x).value.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
@@ -438,4 +439,56 @@ def test_model_gates_replay_the_logits(case):
     # the value network on Model.gates is the model, for DNN's own gates too
     model, ds = case
     gated = forward_gated(model.arch, model.params_v, model.gates(ds.X), model.routing, ds.X)
-    assert gated.y.tobytes() == model.logits_node(ds.X).value.tobytes()
+    assert gated.y.tobytes() == logits_node(model, ds.X).value.tobytes()
+
+
+@st.composite
+def collapsing_conv(draw):
+    """A conv_gap arch whose linear feature net collapses into its
+    hyperplanes beyond a batch of a few rows."""
+    d_in = draw(st.integers(3, 5))
+    return ArchSpec(family="conv_gap", d_in=d_in, w_cv=d_in - 1, width=draw(st.integers(3, 4)),
+                    d_cv=2, d_fc=draw(st.integers(1, 2)), n_out=draw(st.integers(1, 2)))
+
+
+@st.composite
+def engine_case(draw):
+    arch, regime = draw(st.one_of(small_arch(), collapsing_conv())), draw(st.sampled_from(REGIMES))
+    source = REGIME_TABLE[regime][0]
+    perm, ones = None, False
+    if source != "self":  # a DNN reads neither the routing nor x_v
+        if draw(st.booleans()):  # a valid perm swaps only gate layers of one shape
+            shapes = arch.gate_layer_shapes()
+            perm = list(range(len(shapes)))
+            for shape in set(shapes):
+                idx = [i for i, s in enumerate(shapes) if s == shape]
+                for i, j in zip(idx, draw(st.permutations(idx))):
+                    perm[i] = j
+            perm = tuple(perm)
+        ones = draw(st.booleans())
+    # batch sizes on both sides of the hyperplane collapse, where it pays
+    pays = [n for n in range(1, 65) if _collapse_pays(arch, n)]
+    n = draw(st.sampled_from([1, 5] + (pays[:1] + [pays[0] - 1] if pays else [])))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+    model = Model(arch=arch, regime=regime, params_f=params_f,
+                  params_v=_init_net(arch, rng, "normal"),
+                  routing=GateRouting(perm=perm, constant_one_input=ones))
+    return model, rng.normal(size=(n, arch.d_in)), rng.integers(0, arch.n_out, size=n)
+
+
+@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
+@settings(max_examples=150, deadline=None)
+@given(engine_case())
+def test_explicit_forward_and_vjp_match_the_graph(case):
+    # training's explicit forward and VJP against the autodiff graph, in
+    # every regime, routing, value input and side of the collapse
+    model, X, y = case
+    loss, grads = _batch_grads(model, X, y)
+    want_loss, want = batch_grads(model, X, y)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert list(grads) == list(want)
+    for k in want:
+        assert np.linalg.norm(grads[k] - want[k]) <= 1e-12 * np.linalg.norm(want[k])
+    logits, want_logits = model.logits(X), logits_node(model, X).value
+    assert np.linalg.norm(logits - want_logits) <= 1e-12 * np.linalg.norm(want_logits)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import normal_params
-from oracles import finite_diff_grad
+from oracles import batch_grads, finite_diff_grad, logits_node
 
 from dualview.arch import ArchSpec
 from dualview.autodiff import Node
@@ -260,7 +260,7 @@ def test_conv_batch_loss_gradient_through_hyperplanes():
     got = np.concatenate([grads[f"f.{name}"].ravel() for name in model.params_f])
 
     def batch_loss(nodes_f):
-        return Node(loss_softmax_ce(replace(model, params_f=nodes_f).logits_node(X).value, y)[0])
+        return Node(loss_softmax_ce(logits_node(replace(model, params_f=nodes_f), X).value, y)[0])
 
     fd = finite_diff_grad(batch_loss, model.params_f, step=1e-6)
     assert np.linalg.norm(got) > 1e-3
@@ -286,28 +286,85 @@ def test_regime_freezing_bit_identical():
         assert model.params_f is not None
 
 
+def _count_nodes(monkeypatch) -> list[int]:
+    """A one-element list that counts the autodiff.Node constructions from now on."""
+    from dualview import autodiff
+
+    built, init = [0], autodiff.Node.__init__
+
+    def counting_init(node, *args, **kwargs):
+        built[0] += 1
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.Node, "__init__", counting_init)
+    return built
+
+
 @pytest.mark.parametrize("regime", [DGN_FR, DGN_FL])
 def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeypatch):
-    # only the value net's arrays are wrapped in Nodes and get gradients
+    # only the value net's arrays get gradients; the frozen feature net is
+    # read, never differentiated or written, and no graph node is built
     from dualview import training
     from dualview.arch import GateRouting
 
     rng = make_rng(5, stream=47)
     model = Model(arch=ARCH, regime=regime, params_f=training._init_net(ARCH, rng, "normal"),
                   params_v=training._init_net(ARCH, rng, "normal"), routing=GateRouting())
-    wrapped = []
-
-    def recording_node(value, *args):
-        wrapped.append(value)
-        return Node(value, *args)
-
-    monkeypatch.setattr(training, "Node", recording_node)
+    frozen = dict(model.params_f)
+    frozen_bytes = {k: v.tobytes() for k, v in frozen.items()}
+    built = _count_nodes(monkeypatch)
     _, grads = training._batch_grads(model, rng.normal(size=(8, ARCH.d_in)),
                                      rng.integers(0, 2, size=8))
     assert list(grads) == [f"v.{name}" for name in model.params_v]
-    assert len(wrapped) == len(model.params_v)
-    assert all(w is v for w, v in zip(wrapped, model.params_v.values()))
-    assert not any(w is f for w in wrapped for f in model.params_f.values())
+    assert all(model.params_f[k] is v and v.tobytes() == frozen_bytes[k]
+               for k, v in frozen.items())
+    assert built == [0]
+
+
+# a hidden layer whose units are all gated off feeds exact zeros to the next
+@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
+@pytest.mark.parametrize("regime", REGIMES)
+def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
+    # training and inference run the explicit forward and VJP on arrays
+    from dualview.arch import GateRouting
+    from dualview.training import REGIME_TABLE, _batch_grads, _init_net
+
+    source = REGIME_TABLE[regime][0]
+    rng = make_rng(13, stream=48)
+    built = _count_nodes(monkeypatch)
+    for arch in (ARCH, ArchSpec(family="conv_gap", d_in=5, w_cv=4, width=4, d_cv=2, d_fc=2,
+                                n_out=2),
+                 ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
+        params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+        model = Model(arch=arch, regime=regime, params_f=params_f,
+                      params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+        X = rng.normal(size=(300, arch.d_in))
+        _batch_grads(model, X[:40], rng.integers(0, 2, size=40))
+        model.logits(X)
+    assert built == [0]
+
+
+def test_model_logits_builds_the_hyperplanes_once_per_call(monkeypatch):
+    # the hyperplanes U_l are the linear feature maps run on eye(d_in); one
+    # evaluation reuses them across its 256-row blocks
+    from dualview.arch import GateRouting, _collapse_pays
+    from dualview.training import LOGITS_BLOCK_ROWS, _init_net
+
+    arch = ArchSpec(family="conv_gap", d_in=8, w_cv=3, width=16, d_cv=2, d_fc=2, n_out=2)
+    rng = make_rng(17, stream=49)
+    model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
+                  params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+    X = rng.normal(size=(1600, arch.d_in))
+    assert _collapse_pays(arch, len(X) % LOGITS_BLOCK_ROWS)
+    eye, sizes = np.eye, []
+
+    def counting_eye(n, *args, **kwargs):
+        sizes.append(n)
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counting_eye)
+    model.logits(X)
+    assert sizes == [arch.d_in]
 
 
 def _prefix_sites(tree, scope):
@@ -361,7 +418,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     # fixed gates in Nodes, as every operand once was, changes no bit
     from dualview import autodiff as ad
     from dualview.arch import GateRouting
-    from dualview.training import REGIME_TABLE, _batch_grads, _init_net
+    from dualview.training import REGIME_TABLE, _init_net
 
     source = REGIME_TABLE[regime][0]
     rng = make_rng(11, stream=46)
@@ -373,7 +430,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
         model = Model(arch=arch, regime=regime, params_f=params_f,
                       params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
         cases.append((model, rng.normal(size=(8, arch.d_in)), rng.integers(0, 2, size=8)))
-    plain = [_batch_grads(*case) for case in cases]
+    plain = [batch_grads(*case) for case in cases]
 
     constants = []
 
@@ -386,7 +443,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     for name in ("matmul", "add", "mul", "conv_circular", "global_avg_pool", "logistic"):
         monkeypatch.setattr(ad, name, wrapping(getattr(ad, name)))
     for (loss, grads), case in zip(plain, cases):
-        loss_n, grads_n = _batch_grads(*case)
+        loss_n, grads_n = batch_grads(*case)
         assert loss == loss_n and grads.keys() == grads_n.keys()
         assert all(grads[k].tobytes() == grads_n[k].tobytes() for k in grads)
     assert constants
