@@ -579,12 +579,7 @@ class FeatureNet:
         if mode == HARD:
             gates = [ad.hard_gate_values(q) for q in qs]
             return gates, (tape, gates)
-        gates = []
-        for q in qs:  # ad.logistic's 1 / (1 + exp(-beta q)), in one buffer
-            s = np.multiply(q, -self.arch.beta)
-            np.exp(s, out=s)
-            s += 1.0
-            gates.append(np.divide(1.0, s, out=s))
+        gates = [ad.soft_gate(q, self.arch.beta) for q in qs]
         return gates, (tape, gates)
 
     def vjp(self, X: np.ndarray, state: tuple, dgates: Sequence[np.ndarray]) -> dict:
@@ -592,12 +587,7 @@ class FeatureNet:
         soft gates of X: `dQ_l = dG_l * beta G_l (1 - G_l)`, then back
         through the feature maps (`dU_l = X^T dQ_l` where collapsed)."""
         tape, gates = state
-        dqs = []
-        for dg, s in zip(dgates, gates):  # ad.logistic's VJP, in one buffer
-            dq = dg * self.arch.beta
-            dq *= s
-            dq *= 1.0 - s
-            dqs.append(dq)
+        dqs = [ad.soft_gate_vjp(dg, s, self.arch.beta) for dg, s in zip(dgates, gates)]
         if self.source == "shallow":
             return {name: circular_conv_vjp_theta(X[:, :, None], dq, shape[0]) if kind == "conv"
                     else X.T @ dq

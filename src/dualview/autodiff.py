@@ -4,10 +4,11 @@ Only the operations needed by the supported forward graphs are provided:
 dense matmul, elementwise add/mul, reshape, circular 1-D convolution, global
 average pooling and the scaled logistic. Hard gates are constant 0/1 masks from
 :func:`hard_gate_values`, so a ReLU is a ``mul`` by its gate. Values are
-float64 throughout. The circular convolution and its two VJPs are array
-functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
-:func:`circular_conv_vjp_theta`), which the graph op and the graph-free
-training engine in :mod:`dualview.arch` both call.
+float64 throughout. The circular convolution, the soft gate and their VJPs are
+array functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
+:func:`circular_conv_vjp_theta`, :func:`soft_gate`, :func:`soft_gate_vjp`),
+which the graph ops and the graph-free training engine in
+:mod:`dualview.arch` both call.
 
 Every op takes float64 arrays or Nodes and returns a Node, but only its Node
 operands become parents and get a VJP; an op tests each operand once and
@@ -174,11 +175,30 @@ def global_avg_pool(z) -> Node:
                z_node and (lambda g: np.repeat(g[:, None, :] / d_in, d_in, axis=1)))
 
 
+def soft_gate(q: np.ndarray, beta: float) -> np.ndarray:
+    """The scaled logistic 1 / (1 + exp(-beta * q)) of an array, in one
+    buffer. Below beta * q of about -709 the exp overflows to inf and the
+    gate is exactly 0, so the overflow is not reported."""
+    s = np.multiply(q, -beta)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def soft_gate_vjp(g: np.ndarray, s: np.ndarray, beta: float) -> np.ndarray:
+    """Cotangent g * beta * s * (1 - s) of q from the cotangent g of the gate s."""
+    dq = g * beta
+    dq *= s
+    dq *= 1.0 - s
+    return dq
+
+
 def logistic(q, beta: float) -> Node:
-    """Scaled logistic 1 / (1 + exp(-beta * q)), differentiable gate."""
+    """:func:`soft_gate` as a graph op, the differentiable gate."""
     q_node = isinstance(q, Node)
-    s = 1.0 / (1.0 + np.exp(-beta * (q.value if q_node else q)))
-    return _op(s, q, q_node and (lambda g: g * beta * s * (1.0 - s)))
+    s = soft_gate(q.value if q_node else q, beta)
+    return _op(s, q, q_node and (lambda g: soft_gate_vjp(g, s, beta)))
 
 
 def hard_gate_values(q: np.ndarray) -> np.ndarray:

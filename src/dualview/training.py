@@ -31,10 +31,12 @@ loss, then ``arch.stack_vjp`` of the value network and, where the features
 train, the VJP of the feature network from its gates' cotangents, routed
 back through ``perm``; a frozen feature net is only read. The trained arrays
 are views into one float64 vector, which each optimizer step updates in one
-pass. ``Model.named_params`` names every parameter array as ``params.npz``
-does. Inference (``Model.logits``, ``predict``, ``evaluate``) runs over
-blocks of ``LOGITS_BLOCK_ROWS`` rows and builds a DLGN's hyperplanes once
-per call. The report records the time spent in ``evaluate`` as ``eval_s``.
+pass after one finiteness check of the flat gradient; the SGD schedule spans
+the ``ceil(n / batch_size)`` steps of every epoch. ``Model.named_params``
+names every parameter array as ``params.npz`` does. Inference
+(``Model.logits``, ``predict``, ``evaluate``) runs over blocks of
+``LOGITS_BLOCK_ROWS`` rows and builds a DLGN's hyperplanes once per call.
+The report records the time spent in ``evaluate`` as ``eval_s``.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ def appendix_schedule(total_iters: int) -> Callable[[int], float]:
     return lr
 
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-
-
 class SGDMomentum:
     """v <- mu v - eta g; theta <- theta + v. Optional per-iteration schedule."""
 
@@ -158,48 +155,36 @@ class SGDMomentum:
             raise ValueError("need lr > 0 and 0 <= momentum < 1")
         self.lr, self.momentum, self.schedule = lr, momentum, schedule
         self.t = 0
-        self.velocity: dict[str, np.ndarray] = {}
+        self.velocity: np.ndarray | float = 0.0
 
-    def step(self, params, grads):
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        """Update the parameter vector theta in place from its gradient g."""
         eta = self.schedule(self.t) if self.schedule else self.lr
-        for name, g in grads.items():
-            _check_finite(name, g)
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(params[name])
-            v = self.momentum * v - eta * g
-            self.velocity[name] = v
-            params[name] += v
+        self.velocity = self.momentum * self.velocity - eta * g
+        theta += self.velocity
         self.t += 1
 
 
 class Adam:
-    def __init__(self, lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 3e-4):
         if lr <= 0:
             raise ValueError("need lr > 0")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | float = 0.0
+        self.v: np.ndarray | float = 0.0
 
-    def step(self, params, grads):
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        """Update the parameter vector theta in place from its gradient g."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, g in grads.items():
-            _check_finite(name, g)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(params[name])
-            v = self.v.get(name)
-            if v is None:
-                v = np.zeros_like(params[name])
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self.m[name], self.v[name] = m, v
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2 = self.BETA1, self.BETA2
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
+        theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.9,
@@ -426,21 +411,21 @@ def _run_epochs(model: Model, dataset, config: TrainConfig, epochs: int, rng,
     samples, with the optimizer `config` names. The trained arrays become
     views into one vector, which each step checks and updates in one pass."""
     n, batch_size = dataset.n, config.batch_size
-    iters = epochs * max(1, n // batch_size)
+    iters = epochs * -(-n // batch_size)
     opt = make_optimizer(config.optimizer, config.lr, config.momentum,
                          iters if config.use_schedule else None)
-    params = {"trained": _flatten(model)}
+    theta = _flatten(model)
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, grads = _batch_grads(model, dataset.X[idx], dataset.y[idx])
-            try:
-                opt.step(params, {"trained": np.concatenate([g.ravel() for g in grads.values()])})
-            except FloatingPointError:  # name the parameter, not the vector
+            flat = np.concatenate([g.ravel() for g in grads.values()])
+            if not np.isfinite(flat).all():
                 name = next(k for k, g in grads.items() if not np.isfinite(g).all())
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}") from None
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            opt.step(theta, flat)
             losses.append(loss)
         if report is not None:
             report.train_loss.append(float(np.mean(losses)))
@@ -449,7 +434,7 @@ def _run_epochs(model: Model, dataset, config: TrainConfig, epochs: int, rng,
                 report.test_accuracy.append(_timed_evaluate(report, model, test))
 
 
-# Overflow shows up as a non-finite gradient, which the optimizer reports by name.
+# Overflow shows up as a non-finite gradient, which _run_epochs reports by name.
 @np.errstate(over="ignore", invalid="ignore")
 def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
     """Run one regime on a dataset. Returns (TrainReport, Model)."""

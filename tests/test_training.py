@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,19 +99,19 @@ def test_loss_gradient_rows_sum_to_zero(seed):
 
 def test_sgd_zero_gradient_is_identity():
     opt = SGDMomentum(lr=0.1)
-    params = {"w": np.array([1.0, 2.0])}
-    opt.step(params, {"w": np.zeros(2)})
-    assert np.array_equal(params["w"], [1.0, 2.0])
+    theta = np.array([1.0, 2.0])
+    opt.step(theta, np.zeros(2))
+    assert np.array_equal(theta, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("name", ["sgd", "adam"])
 def test_quadratic_descent_monotone(name):
     opt = make_optimizer(name, lr=0.05 if name == "sgd" else 0.05)
-    params = {"w": np.array([3.0])}
+    theta = np.array([3.0])
     losses = []
     for _ in range(100):
-        losses.append(float(params["w"][0] ** 2))
-        opt.step(params, {"w": 2.0 * params["w"]})
+        losses.append(float(theta[0] ** 2))
+        opt.step(theta, 2.0 * theta)
     # overall decrease, and final loss near zero
     assert losses[-1] < losses[0] * 1e-2
     assert min(losses) == losses[-1] or losses[-1] < 1e-3
@@ -117,31 +119,43 @@ def test_quadratic_descent_monotone(name):
 
 def test_adam_step_bound():
     opt = Adam(lr=0.01)
-    params = {"w": np.array([0.0, 5.0, -2.0])}
-    prev = params["w"].copy()
+    theta = np.array([0.0, 5.0, -2.0])
+    prev = theta.copy()
     for _ in range(10):
         g = np.array([1.0, -3.0, 100.0])
-        opt.step(params, {"w": g})
-        step = np.abs(params["w"] - prev)
+        opt.step(theta, g)
+        step = np.abs(theta - prev)
         assert np.all(step <= opt.lr * 1.01)  # bias-corrected Adam step cap
-        prev = params["w"].copy()
+        prev = theta.copy()
 
 
 def test_adam_allocates_its_moments_once_per_parameter(monkeypatch):
-    # the moments were once allocated on every step, as eager `dict.get` defaults
+    # the moments were once allocated on every step, as eager `dict.get`
+    # defaults; they start as 0.0 and become arrays at the first step
     zeros_like, calls = np.zeros_like, []
     monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a.shape) or zeros_like(a))
     opt = Adam(lr=0.01)
-    params = {"w": np.array([0.0, 5.0, -2.0]), "b": np.zeros((2, 2))}
+    theta = np.array([0.0, 5.0, -2.0])
     for _ in range(2):
-        opt.step(params, {"w": np.array([1.0, -3.0, 100.0]), "b": np.ones((2, 2))})
-    assert calls == [(3,), (3,), (2, 2), (2, 2)]
+        opt.step(theta, np.array([1.0, -3.0, 100.0]))
+    assert calls == []
 
 
-def test_nan_gradient_aborts():
-    opt = SGDMomentum(lr=0.1)
-    with pytest.raises(FloatingPointError):
-        opt.step({"w": np.zeros(2)}, {"w": np.array([np.nan, 0.0])})
+def test_nan_gradient_aborts(monkeypatch):
+    # the flat gradient is checked once; the error names the parameter
+    from dualview import training
+
+    grads = training._batch_grads
+
+    def poisoned(model, Xb, yb):
+        loss, named = grads(model, Xb, yb)
+        named["v.fc2"][0, 0] = np.nan
+        return loss, named
+
+    monkeypatch.setattr(training, "_batch_grads", poisoned)
+    tr, _ = _circles(n=200)
+    with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'v.fc2'"):
+        train(ARCH, tr, TrainConfig(regime=DLGN, epochs=1, optimizer="sgd"))
 
 
 def test_appendix_schedule_shape():
@@ -458,6 +472,83 @@ def test_determinism():
     assert r1.train_accuracy == r2.train_accuracy
     for k in m1.params_v:
         assert np.array_equal(m1.params_v[k], m2.params_v[k])
+
+
+# Golden trained parameters: sha256 over each `Model.named_params()` key and
+# its array bytes, recorded before the optimizers stepped one flat vector,
+# on x86-64 with numpy 2.4 and its bundled OpenBLAS. Every run has a row
+# count that is a multiple of its batch size.
+GOLDEN_FC = ArchSpec(family="fc", d_in=3, depth=3, width=8, n_out=2)
+GOLDEN_PARAMS = {
+    **{regime: (GOLDEN_FC, "circles", {"regime": regime}, digest) for regime, digest in (
+        (DNN, "a42e6eb5d9e975313ef97b27bc26f89550a949ac7bb5543980ff97438b5215b6"),
+        (DGN_FR, "bd200b533c3f0e099a0e499ec222898697699b02091d44d0ad9512c06562cc6d"),
+        (DGN_FL, "40fce3d5bc29aab9517b414bb086bc87e648d518dbc8f72094c2d8a612193768"),
+        (DGN_STANDALONE, "4f8f33227ed5542cc7bef2cfdb2eda2486cbd211a035016032b8efa87d2c3d2e"),
+        (DLGN, "cf2dadfc5dfd82e3c53d11c5785ffe211017841c301c2d3a91c24eec24c3f331"),
+        (DLGN_SF, "77ddcbc46e5cc06260378295eca1f7f48b45cbf95b289695d7fcf940094cbfa5"))},
+    "DLGN-conv_gap": (ArchSpec(family="conv_gap", d_in=8, w_cv=3, width=4, d_cv=2, d_fc=2,
+                               n_out=2), "shifted_pulses", {"regime": DLGN},
+                      "ee501d41965acaa6b2e97b2490bc93f6d40d1e6c6bc91424483078838e5b4a38"),
+    "DNN-sgd": (GOLDEN_FC, "circles", {"regime": DNN, "optimizer": "sgd", "lr": 0.01},
+                "fbba564d4ebc841adf45521f4aeb6c8f7223cacb2645e325d3ce43369f0684e8"),
+    "DGN_FL-sgd-schedule": (GOLDEN_FC, "circles",
+                            {"regime": DGN_FL, "optimizer": "sgd", "use_schedule": True},
+                            "560086201b6895c6990eae9a119f2d2cca370e7de7d022f9b8cd5ed25b1a699b"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_PARAMS))
+def test_trained_params_match_their_golden_digest(case):
+    arch, kind, fields, digest = GOLDEN_PARAMS[case]
+    cfg = TrainConfig(epochs=2, batch_size=32, pretrain_epochs=2, seed=0, **fields)
+    _, model = train(arch, generate_synthetic(kind, 128, seed=0), cfg)
+    h = hashlib.sha256()
+    for name, v in model.named_params().items():
+        h.update(name.encode())
+        h.update(v.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_sgd_schedule_spans_every_step(monkeypatch):
+    # 300 rows in batches of 128 take three steps per epoch, the last one short
+    from dualview import training
+
+    sized, steps = [], [0]
+    schedule, step = training.appendix_schedule, SGDMomentum.step
+
+    def recording_schedule(total_iters):
+        sized.append(total_iters)
+        return schedule(total_iters)
+
+    def counting_step(opt, *args):
+        steps[0] += 1
+        return step(opt, *args)
+
+    monkeypatch.setattr(training, "appendix_schedule", recording_schedule)
+    monkeypatch.setattr(SGDMomentum, "step", counting_step)
+    cfg = TrainConfig(regime=DGN_FL, optimizer="sgd", use_schedule=True, epochs=2,
+                      pretrain_epochs=3, batch_size=128, seed=0)
+    train(ARCH, generate_synthetic("circles", 300, seed=0), cfg)
+    assert sized == [9, 6] and steps == [15]
+
+
+def test_soft_gates_of_a_far_input_raise_no_overflow_warning():
+    # the logistic of beta q below about -709 is exactly 0, but exp(-beta q)
+    # overflows on the way; a gate of exactly 0 shows that it did
+    from dualview.arch import SOFT, GateRouting, feature_gates
+    from dualview.training import _init_net
+
+    rng = make_rng(3, stream=50)
+    model = Model(arch=ARCH, regime=DLGN, params_f=_init_net(ARCH, rng, "normal"),
+                  params_v=_init_net(ARCH, rng, "normal"), routing=GateRouting())
+    x = np.array([[1e3, -1e3, 5e2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logits = model.logits(x)
+        gates = feature_gates(ARCH, model.params_f, x, "linear", SOFT)
+    assert np.isfinite(logits).all()
+    assert any((g.value == 0.0).any() for g in gates)
 
 
 def test_untrained_accuracy_near_chance():
