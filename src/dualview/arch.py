@@ -11,7 +11,7 @@ decomposition the whole package is built around. The hard gate at a
 pre-activation of exactly 0 evaluates to 0 (strict inequality).
 
 Each network is one chain of weight layers, :func:`weight_layer_specs`,
-built once per spec; the forward passes run it, and every layer of it but
+built once per spec; :func:`run_stack` runs it, and every layer of it but
 the last is gated, by a gate shaped as that layer's output for one sample.
 Gates are a plain list with one array (or Node) per gated layer, in forward
 order: ``forward_relu`` returns a ReLU network's own hard gates,
@@ -21,32 +21,35 @@ network, and ``forward_gated`` runs a GaLU value network on any such list.
 A ``linear`` (DLGN) or ``shallow`` (DLGN-SF) feature network is linear in
 its input, so it collapses into one hyperplane matrix ``U_l`` per gated
 layer: ``q_l(x) = x @ U_l`` (the paper's "primal linearity").
-``hyperplanes`` computes every ``U_l`` from one pass of the feature maps over
-the identity basis. ``feature_gates`` gates a deep linear conv_gap net
+``FeatureNet.hyperplanes`` computes every ``U_l`` from one pass of the
+feature maps over the identity basis. A deep linear conv_gap net gates
 through them, one matmul per gated layer in place of its circular
 convolutions, wherever that takes fewer multiply-adds than running the net
 on the batch: when the input is narrow next to the batch and to the conv
 channels. Every other case runs the feature maps on the batch.
 
-Training runs the same networks on plain arrays, with no graph:
-:func:`run_stack` and its VJP :func:`stack_vjp` for every family, and
-:class:`FeatureNet` for every feature source, collapsed by the same rule.
-The Node passes (``_stack``, ``forward_relu``, ``forward_gated``,
-``feature_gates``, ``hyperplanes``) stay as the graph oracle the tests
-compare with and as what the kernels run.
+The weight stack, :func:`run_stack`, and the feature network,
+:class:`FeatureNet`, are each written once and run on an op set. Training
+runs them on :data:`ARRAYS`, numpy on plain arrays with no graph, and
+differentiates them with :func:`stack_vjp` and :meth:`FeatureNet.vjp`.
+``forward_relu``, ``forward_gated`` and ``feature_gates`` run them on the
+graph ops of :mod:`dualview.autodiff`: they are what the kernels run and
+the graph oracle the tests compare with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, circular_conv, circular_conv_vjp_theta, circular_conv_vjp_z
+from .autodiff import (Node, circular_conv, circular_conv_vjp_theta, circular_conv_vjp_z,
+                       soft_gate, value_of)
 from .numerics import check_positive, init_bernoulli
 
 FC = "fc"
@@ -213,14 +216,13 @@ IDENTITY_ROUTING = GateRouting()
 # Hard or soft gate values, one array per gated layer in forward order.
 Gates = Sequence[np.ndarray]
 
-
-@dataclass
-class ForwardResult:
-    y: float | np.ndarray
-    gates: list[np.ndarray]  # one array per gated layer, in forward order
-    y_node: Node
-    # per weight layer, in forward order: (layer input, pre-activation Node)
-    layers: list[tuple[np.ndarray | Node, Node]]
+# The op set of :func:`run_stack` and :class:`FeatureNet` on plain arrays:
+# numpy under the names of the graph ops of :mod:`dualview.autodiff`, which
+# is the other op set.
+ARRAYS = SimpleNamespace(
+    matmul=np.matmul, mul=np.multiply, add=np.add, reshape=np.reshape,
+    conv_circular=circular_conv, global_avg_pool=partial(np.mean, axis=1), logistic=soft_gate,
+)
 
 
 def _ensure_batch(x, d_in: int) -> tuple[np.ndarray, bool]:
@@ -239,74 +241,88 @@ def _ensure_batch(x, d_in: int) -> tuple[np.ndarray, bool]:
 # A gate is a Node when something differentiates through it (soft gates of
 # a trained feature network) and a plain array otherwise.
 Gate = Node | np.ndarray
-GateRule = Callable[[int, Node], Gate]
+GateRule = Callable[[int, Node | np.ndarray], Gate]
 
 
-def _relu_gate(idx: int, q: Node) -> np.ndarray:
-    """Hard self-gate 1{q > 0} of a ReLU unit: `ad.hard_gate_values` without its tie warning."""
-    return (q.value > 0.0).astype(np.float64)
+class Tape:
+    """What one run of the weight stack keeps: per weight layer run, its
+    input z and pre-activation q; per gated layer, its gate; and the output
+    of the last layer run."""
+
+    __slots__ = ("zs", "qs", "gates", "y")
+
+    def __init__(self):
+        self.zs, self.qs, self.gates, self.y = [], [], [], None
 
 
-def _stack(
-    arch: ArchSpec,
-    params: Mapping,
-    X: np.ndarray,
-    gate_rule: GateRule | None,
-    input_leaf: bool = False,
-) -> tuple[Node, list[tuple[np.ndarray | Node, Node]], list[Gate]]:
-    """Run the weight stack, gating every weight layer but the last via `gate_rule`.
+def self_gate(idx: int, q: Node | np.ndarray) -> np.ndarray:
+    """Hard self-gate 1{q > 0} of a ReLU unit, from an array or a Node's
+    value: `ad.hard_gate_values` without its tie warning."""
+    return ((q.value if isinstance(q, Node) else q) > 0.0).astype(np.float64)
 
-    `params` holds arrays, or Nodes where a caller differentiates.
-    `gate_rule(idx, q)` returns the gate for gated layer `idx` given its
-    pre-activation node; None runs the stack fully linear (deep linear
-    feature network). `input_leaf` makes the network input a leaf Node, so
-    that a backward pass reaches every layer when no parameter is a Node.
-    Returns (output, layers, gates), where layers holds each weight layer's
-    (input, pre-activation) pair in forward order.
+
+def run_stack(arch: ArchSpec, params: Mapping, X: np.ndarray, gate_rule: GateRule | None,
+              n_layers: int | None = None, ops=ARRAYS) -> Tape:
+    """Run the first `n_layers` weight layers (all by default) on the rows X
+    with the op set `ops`, gating every layer but the network's last via
+    `gate_rule`.
+
+    `ops` is :data:`ARRAYS`, or the module :mod:`dualview.autodiff`, whose
+    ops build Nodes: then `params` holds arrays, or Nodes where a caller
+    differentiates, and every pre-activation is a Node, which a backward
+    pass from the output reaches. `gate_rule(idx, q)` returns the gate (with
+    a batch axis) of gated layer idx from its pre-activation; None runs the
+    layers linear (a deep linear feature network). The tape is what
+    :func:`stack_vjp` reads.
     """
-    layers: list[tuple[np.ndarray | Node, Node]] = []
-    gates: list[Gate] = []
-    chain = arch._weight_layers
-    n_gated = len(chain) - 1 if gate_rule is not None else 0
+    chain, skips = arch._weight_layers, arch._skips
     conv = arch.family == CONV_GAP
     pool_at = arch.d_cv if conv else -1  # the fc head reads the pooled channels
-    # res: an identity skip around each of blocks 1..b, from the input of its
-    # first weight layer (by index) to the output of its last
-    d = arch.d_blk
-    skips = {j * d + d - 1: j * d for j in range(1, arch.b + 1)} if arch.family == RES else {}
-    z = X[:, :, None] if conv else X
-    if input_leaf:
-        z = Node(z)
-    for i, (name, _, kind) in enumerate(chain):
+    n_gated = len(chain) - 1 if gate_rule is not None else 0
+    tape = Tape()
+    z = ops.reshape(X, (-1, arch.d_in, 1)) if conv else X
+    for i, (name, _, kind) in enumerate(chain[:n_layers]):
         if i == pool_at:
-            z = ad.global_avg_pool(z)
-        q = (ad.conv_circular if kind == "conv" else ad.matmul)(z, params[name])
-        layers.append((z, q))
+            z = ops.global_avg_pool(z)
+        q = (ops.conv_circular if kind == "conv" else ops.matmul)(z, params[name])
+        tape.zs.append(z)
+        tape.qs.append(q)
         z = q
         if i < n_gated:
             gate = gate_rule(i, q)
-            gates.append(gate)
-            z = ad.mul(q, gate)
+            tape.gates.append(gate)
+            z = ops.mul(q, gate)
         if i in skips:
-            z = ad.add(layers[skips[i]][0], z)
-    return z, layers, gates
+            z = ops.add(tape.zs[skips[i]], z)
+    tape.y = z
+    return tape
 
 
-def _squeeze_result(
-    arch: ArchSpec, y_node: Node, layers: list, gate_values: list[np.ndarray], squeeze: bool
-) -> ForwardResult:
-    """The ForwardResult of a `_stack` run; `squeeze` drops a single sample's batch axis."""
-    y = y_node.value
-    if squeeze:
-        y = float(y[0, 0]) if arch.n_out == 1 else y[0]
-        gate_values = [g[0] for g in gate_values]
-    return ForwardResult(y=y, gates=gate_values, y_node=y_node, layers=layers)
+class ForwardResult:
+    """One run of the whole weight stack on autodiff's ops: the output `y`
+    and the gate values, without the batch axis for a single sample, the
+    output Node and the run's tape."""
+
+    __slots__ = ("y", "gates", "y_node", "tape")
+
+    def __init__(self, arch: ArchSpec, tape: Tape, squeeze: bool):
+        y = tape.y.value
+        gates = [g.value if isinstance(g, Node) else g for g in tape.gates]  # a soft gate is a Node
+        if squeeze:
+            y = float(y[0, 0]) if arch.n_out == 1 else y[0]
+            gates = [g[0] for g in gates]
+        self.y, self.gates, self.y_node, self.tape = y, gates, tape.y, tape
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray | Node, Node]]:
+        """Per weight layer, in forward order: (layer input, pre-activation Node)."""
+        return list(zip(self.tape.zs, self.tape.qs))
 
 
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     """Plain DNN with ReLUs: every hidden unit is q * 1{q > 0}."""
     X, squeeze = _ensure_batch(x, arch.d_in)
-    return _squeeze_result(arch, *_stack(arch, params, X, _relu_gate), squeeze)
+    return ForwardResult(arch, run_stack(arch, params, X, self_gate, ops=ad), squeeze)
 
 
 def forward_gated(
@@ -315,7 +331,6 @@ def forward_gated(
     external_gates: Sequence[Gate],
     routing: GateRouting = IDENTITY_ROUTING,
     x_v=None,
-    input_leaf: bool = False,
 ) -> ForwardResult:
     """Value network of GaLUs driven by externally supplied gates.
 
@@ -324,7 +339,6 @@ def forward_gated(
     array of shape `arch.gate_layer_shapes()[i]`, broadcast over the batch,
     or a gate of shape `(n,) + arch.gate_layer_shapes()[i]`, used as is.
     `routing.constant_one_input` replaces the value input by ones.
-    `input_leaf` makes the value input a leaf Node (see :func:`_stack`).
     """
     routing.validate(arch)
     seq = list(external_gates)
@@ -345,38 +359,8 @@ def forward_gated(
                 f"nor {(len(X),) + shape}"
             )
         routed.append(g)
-    y_node, layers, gates = _stack(arch, params_v, X, lambda idx, q: routed[idx], input_leaf)
-    # a soft gate is a Node
-    return _squeeze_result(arch, y_node, layers, [ad.value_of(g) for g in gates], squeeze)
-
-
-def _feature_preacts(arch: ArchSpec, params_f: Mapping, X: np.ndarray, source: str) -> list[Node]:
-    """Each gated layer's pre-activation of the `source` feature network on the rows X."""
-    if source == "shallow":
-        return [ad.conv_circular(X[:, :, None], params_f[name]) if kind == "conv"
-                else ad.matmul(X, params_f[name]) for name, _, kind in shallow_layer_specs(arch)]
-    # a ReLU feature network propagates its hidden units with hard
-    # self-gates, a linear one runs fully linear; the gates tap the
-    # pre-activations of the gated layers (all but the output layer)
-    _, layers, _ = _stack(arch, params_f, X, _relu_gate if source == "relu" else None)
-    return [q for _, q in layers[:-1]]
-
-
-def hyperplanes(arch: ArchSpec, params_f: Mapping, source: str) -> list[Node]:
-    """The hyperplane matrix U_l of each gated layer, of shape
-    (d_in, prod(gate shape)), such that the `source` feature network's
-    pre-activation of gated layer l on a batch X is `X @ U_l`.
-
-    U_l holds the pre-activations of the identity basis, from one pass of the
-    feature maps over eye(d_in): the linear `_stack` for source "linear";
-    for "shallow", each DLGN-SF map, which gives the parameter itself for an
-    fc map and the circulant of the filter for a conv map. U_l is a Node
-    differentiable in whichever of `params_f` are Nodes.
-    """
-    if source not in ("linear", "shallow"):
-        raise ValueError(f"unknown feature source {source!r}; hyperplanes need linear or shallow")
-    return [ad.reshape(q, (arch.d_in, -1))
-            for q in _feature_preacts(arch, params_f, np.eye(arch.d_in), source)]
+    tape = run_stack(arch, params_v, X, lambda idx, q: routed[idx], ops=ad)
+    return ForwardResult(arch, tape, squeeze)
 
 
 def _collapse_pays(arch: ArchSpec, n: int) -> bool:
@@ -390,6 +374,7 @@ def _collapse_pays(arch: ArchSpec, n: int) -> bool:
     gain: an fc or res one already runs one dense matmul per layer, and the
     collapse's extra graph operations cost more than it saves. The shallow
     maps never gain either: none of them costs more per row than its matmul.
+    It never pays for n = d_in, the rows of the hyperplanes' own run.
     """
     if arch.family != CONV_GAP:
         return False
@@ -400,29 +385,21 @@ def _collapse_pays(arch: ArchSpec, n: int) -> bool:
 
 
 def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str) -> list[Gate]:
-    """Gates, one per gated layer, produced by the `source` feature network on x_f.
+    """Gates, one per gated layer, produced by the `source` feature network
+    on x_f: :meth:`FeatureNet.gates` on autodiff's ops.
 
     source "relu": a ReLU feature network (DGN); "linear": a deep linear
     feature network (DLGN); "shallow": per-layer independent single maps of
-    the input (DLGN-SF). The linear source gates through its `hyperplanes`
-    wherever that saves work (see `_collapse_pays`); otherwise the feature
-    maps run on x_f. Gates always carry a batch axis. Soft gates are logistic Nodes,
-    differentiable in whichever of `params_f` are Nodes; hard gates are
-    constant arrays.
+    the input (DLGN-SF). Gates always carry a batch axis. Soft gates are
+    logistic Nodes, differentiable in whichever of `params_f` are Nodes;
+    hard gates are constant arrays.
     """
     if mode not in (HARD, SOFT):
         raise ValueError(f"gate mode must be hard or soft, got {mode!r}")
     if source not in ("relu", "linear", "shallow"):
         raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
     X, _ = _ensure_batch(x_f, arch.d_in)
-    if source == "linear" and _collapse_pays(arch, len(X)):
-        qs = [ad.reshape(ad.matmul(X, U), (len(X), *shape))
-              for U, shape in zip(hyperplanes(arch, params_f, source), arch.gate_layer_shapes())]
-    else:
-        qs = _feature_preacts(arch, params_f, X, source)
-    if mode == SOFT:
-        return [ad.logistic(q, arch.beta) for q in qs]
-    return [ad.hard_gate_values(q.value) for q in qs]
+    return FeatureNet(arch, params_f, source, ops=ad).gates(X, mode)[0]
 
 
 def _value_input(x_f, x_v):
@@ -448,58 +425,6 @@ def forward_dlgn(
     on x_f gates a GaLU value network on x_v."""
     gates = feature_gates(arch, params_f, x_f, source, mode)
     return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))
-
-
-# ---------------------------------------------------------------------------
-# Explicit forward and VJP on plain arrays
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Tape:
-    """What one run of the weight stack keeps for its VJP: per weight layer
-    run, its input z and pre-activation q; per gated layer, its gate; and the
-    output of the last layer run."""
-
-    zs: list[np.ndarray]
-    qs: list[np.ndarray]
-    gates: list[np.ndarray]
-    y: np.ndarray | None = None
-
-
-def self_gate(idx: int, q: np.ndarray) -> np.ndarray:
-    """Hard self-gate 1{q > 0} of a ReLU unit, on arrays (see `_relu_gate`)."""
-    return (q > 0.0).astype(np.float64)
-
-
-def run_stack(arch: ArchSpec, params: Mapping, X: np.ndarray,
-              gate_rule: Callable[[int, np.ndarray], np.ndarray] | None,
-              n_layers: int) -> Tape:
-    """:func:`_stack` on plain arrays: the first `n_layers` weight layers on
-    the rows X, recorded for :func:`stack_vjp`.
-
-    `gate_rule(idx, q)` returns the gate array (with a batch axis) of gated
-    layer idx from its pre-activation; None runs the layers linear.
-    """
-    chain, skips = arch._weight_layers, arch._skips
-    pool_at = arch.d_cv if arch.family == CONV_GAP else -1
-    tape = Tape([], [], [])
-    z = X[:, :, None] if arch.family == CONV_GAP else X
-    for i, (name, _, kind) in enumerate(chain[:n_layers]):
-        if i == pool_at:
-            z = z.mean(axis=1)
-        q = circular_conv(z, params[name]) if kind == "conv" else z @ params[name]
-        tape.zs.append(z)
-        tape.qs.append(q)
-        z = q
-        if gate_rule is not None and i < len(chain) - 1:
-            gate = gate_rule(i, q)
-            tape.gates.append(gate)
-            z = q * gate
-        if i in skips:
-            z = tape.zs[skips[i]] + z
-    tape.y = z
-    return tape
 
 
 def stack_vjp(arch: ArchSpec, params: Mapping, tape: Tape, dy: np.ndarray | None,
@@ -546,40 +471,64 @@ def stack_vjp(arch: ArchSpec, params: Mapping, tape: Tape, dy: np.ndarray | None
 
 
 class FeatureNet:
-    """The `source` feature network of :func:`feature_gates` on plain arrays,
-    and the VJP of its soft gates.
+    """The `source` feature network of :func:`feature_gates` on the op set
+    `ops` (see :func:`run_stack`) and, on :data:`ARRAYS`, the VJP of its
+    soft gates.
 
-    The linear source gates through its hyperplanes `U_l` wherever
-    `_collapse_pays`: the linear stack runs once on eye(d_in), at most once
-    per instance, so an instance must not outlive a change of `params`.
+    The linear source gates through its :meth:`hyperplanes` wherever
+    `_collapse_pays`. They are built at most once per instance, so an
+    instance must not outlive a change of `params`.
     """
 
-    def __init__(self, arch: ArchSpec, params: Mapping, source: str):
-        self.arch, self.params, self.source = arch, params, source
-        self.planes: Tape | None = None
+    def __init__(self, arch: ArchSpec, params: Mapping, source: str, ops=ARRAYS):
+        self.arch, self.params, self.source, self.ops = arch, params, source, ops
+        self.planes: list | None = None
+        self.plane_tape: Tape | None = None
 
-    def _preacts(self, X: np.ndarray) -> tuple[list[np.ndarray], Tape | None]:
-        arch, params = self.arch, self.params
+    def hyperplanes(self) -> list:
+        """The hyperplane matrix U_l of each gated layer, of shape
+        (d_in, prod(gate shape)), such that the feature network's
+        pre-activation of gated layer l on a batch X is `X @ U_l`.
+
+        U_l holds the pre-activations of the identity basis, from one pass of
+        the feature maps over eye(d_in): the linear stack for source
+        "linear"; for "shallow", each DLGN-SF map, which gives the parameter
+        itself for an fc map and the circulant of the filter for a conv map.
+        On autodiff's ops, U_l is a Node differentiable in whichever of
+        `params` are Nodes.
+        """
+        if self.source not in ("linear", "shallow"):
+            raise ValueError(f"unknown feature source {self.source!r}; "
+                             "hyperplanes need linear or shallow")
+        if self.planes is None:
+            d_in = self.arch.d_in
+            qs, self.plane_tape = self._preacts(np.eye(d_in))
+            self.planes = [self.ops.reshape(q, (d_in, -1)) for q in qs]
+        return self.planes
+
+    def _preacts(self, X: np.ndarray) -> tuple[list, Tape | None]:
+        """Each gated layer's pre-activation on the rows X, and the tape of
+        the stack run behind them (None for the shallow maps)."""
+        arch, params, ops = self.arch, self.params, self.ops
         if self.source == "shallow":
-            return [circular_conv(X[:, :, None], params[name]) if kind == "conv"
-                    else X @ params[name] for name, _, kind in shallow_layer_specs(arch)], None
+            return [ops.conv_circular(X[:, :, None], params[name]) if kind == "conv"
+                    else ops.matmul(X, params[name])
+                    for name, _, kind in shallow_layer_specs(arch)], None
         if self.source == "linear" and _collapse_pays(arch, len(X)):
-            if self.planes is None:
-                self.planes = run_stack(arch, params, np.eye(arch.d_in), None,
-                                        arch.n_gate_layers())
-            return [(X @ q.reshape(arch.d_in, -1)).reshape(len(X), *shape)
-                    for q, shape in zip(self.planes.qs, arch.gate_layer_shapes())], self.planes
+            planes = self.hyperplanes()
+            return [ops.reshape(ops.matmul(X, U), (len(X), *shape))
+                    for U, shape in zip(planes, arch.gate_layer_shapes())], self.plane_tape
         tape = run_stack(arch, params, X, self_gate if self.source == "relu" else None,
-                         arch.n_gate_layers())
+                         arch.n_gate_layers(), ops=ops)
         return tape.qs, tape
 
-    def gates(self, X: np.ndarray, mode: str) -> tuple[list[np.ndarray], tuple]:
+    def gates(self, X: np.ndarray, mode: str) -> tuple[list, tuple]:
         """The gates of the rows X, one per gated layer, and what :meth:`vjp` needs."""
         qs, tape = self._preacts(X)
         if mode == HARD:
-            gates = [ad.hard_gate_values(q) for q in qs]
-            return gates, (tape, gates)
-        gates = [ad.soft_gate(q, self.arch.beta) for q in qs]
+            gates = [ad.hard_gate_values(value_of(q)) for q in qs]
+        else:
+            gates = [self.ops.logistic(q, self.arch.beta) for q in qs]
         return gates, (tape, gates)
 
     def vjp(self, X: np.ndarray, state: tuple, dgates: Sequence[np.ndarray]) -> dict:
@@ -592,7 +541,7 @@ class FeatureNet:
             return {name: circular_conv_vjp_theta(X[:, :, None], dq, shape[0]) if kind == "conv"
                     else X.T @ dq
                     for (name, shape, kind), dq in zip(shallow_layer_specs(self.arch), dqs)}
-        if tape is self.planes:
+        if tape is self.plane_tape:
             dqs = [(X.T @ dq.reshape(len(X), -1)).reshape(q.shape) for dq, q in zip(dqs, tape.qs)]
         grads, _ = stack_vjp(self.arch, self.params, tape, None, dqs)
         # the output layer of a relu or linear feature network feeds no gate

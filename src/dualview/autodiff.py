@@ -10,15 +10,22 @@ array functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
 which the graph ops and the graph-free training engine in
 :mod:`dualview.arch` both call.
 
+This module is one of the two op sets that ``arch.run_stack`` and
+``arch.FeatureNet`` run on. ``arch.ARRAYS``, the other, holds the same
+names on plain arrays: ``matmul``, ``mul``, ``add``, ``reshape``,
+``conv_circular``, ``global_avg_pool`` and ``logistic``. Each gives the
+``value`` of its graph op here, bit for bit.
+
 Every op takes float64 arrays or Nodes and returns a Node, but only its Node
 operands become parents and get a VJP; an op tests each operand once and
 builds no VJP closure for a constant. A constant (an input, a fixed gate, a
 parameter nobody differentiates) therefore costs no graph node and no
-backward work. A backward pass reaches every Node between the output and the
-leaf Nodes; with no parameter a Node, a leaf input still gives the cotangent
-of every layer. Nodes are immutable after construction; gradients are
-returned from :func:`backward` rather than stored on shared state, so graphs
-are safe to evaluate concurrently.
+backward work. A backward pass reaches every Node the output was computed
+from. An op on constants alone still returns a Node, a leaf, so with no
+parameter a Node a backward pass still reaches every layer's pre-activation.
+Nodes are immutable after construction; gradients are returned from
+:func:`backward` rather than stored on shared state, so graphs are safe to
+evaluate concurrently.
 """
 
 from __future__ import annotations

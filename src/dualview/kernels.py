@@ -40,7 +40,7 @@ import numpy as np
 
 from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params,
                    weight_layer_specs)
-from .autodiff import backward
+from .autodiff import backward, value_of
 from .numerics import check_positive
 
 
@@ -167,12 +167,13 @@ def _layer_cotangents(arch: ArchSpec, params_v, gates: Gates, x) -> list:
     """Per weight layer of the value network on one input x: (z, delta).
 
     z is the layer's input and delta the cotangent of y at its
-    pre-activation. One forward pass and one backward pass from y, in which
-    the input is the only leaf Node, so no weight gradient is formed.
+    pre-activation. One forward pass and one backward pass from y, which
+    reaches every pre-activation Node. No parameter is a Node, so no weight
+    gradient is formed.
     """
-    out = forward_gated(arch, params_v, gates, x_v=x, input_leaf=True)
+    out = forward_gated(arch, params_v, gates, x_v=x)
     cot = backward(out.y_node)
-    return [(z.value[0], cot[id(q)][0]) for z, q in out.layers]
+    return [(value_of(z)[0], cot[id(q)][0]) for z, q in out.layers]
 
 
 def ntk_fixed_gates(

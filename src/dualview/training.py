@@ -20,23 +20,24 @@ input are applied identically during training and evaluation.
 
 ``Model.gates`` returns the gates the value network uses, one per gated
 layer: a DNN's own ReLU gates, or those of the regime's feature network,
-as ``arch.feature_gates`` computes them. A DNN reads neither the routing
-nor a separate value input, so ``TrainConfig`` refuses ``x_v="ones"`` and a
-``perm`` for it when it is built.
+an ``arch.FeatureNet``. A DNN reads neither the routing nor a separate
+value input, so ``TrainConfig`` refuses ``x_v="ones"`` and a ``perm`` for
+it when it is built.
 
-Every pass here runs on plain arrays, with no autodiff graph: the value
-network is ``arch.run_stack`` under the regime's gates and the feature
-network an ``arch.FeatureNet``. A training step is that forward pass, the
-loss, then ``arch.stack_vjp`` of the value network and, where the features
-train, the VJP of the feature network from its gates' cotangents, routed
-back through ``perm``; a frozen feature net is only read. The trained arrays
-are views into one float64 vector, which each optimizer step updates in one
-pass after one finiteness check of the flat gradient; the SGD schedule spans
-the ``ceil(n / batch_size)`` steps of every epoch. ``Model.named_params``
-names every parameter array as ``params.npz`` does. Inference
-(``Model.logits``, ``predict``, ``evaluate``) runs over blocks of
-``LOGITS_BLOCK_ROWS`` rows and builds a DLGN's hyperplanes once per call.
-The report records the time spent in ``evaluate`` as ``eval_s``.
+Every pass here runs on plain arrays (``arch.ARRAYS``), with no autodiff
+graph: the value network is ``arch.run_stack`` under the regime's gates and
+the feature network an ``arch.FeatureNet``. A training step is that
+forward pass, the loss, then ``arch.stack_vjp`` of the value network and,
+where the features train, the VJP of the feature network from its gates'
+cotangents, routed back through ``perm``; a frozen feature net is only
+read. The trained arrays are views into one float64 vector, which each
+optimizer step updates in one pass after one finiteness check of the flat
+gradient; the SGD schedule spans the ``ceil(n / batch_size)`` steps of
+every epoch. ``Model.named_params`` names every parameter array as
+``params.npz`` does. Inference (``Model.logits``, ``predict``,
+``evaluate``) runs over blocks of ``LOGITS_BLOCK_ROWS`` rows and builds a
+DLGN's hyperplanes once per call. The report records the time spent in
+``evaluate`` as ``eval_s``.
 """
 
 from __future__ import annotations
@@ -295,14 +296,14 @@ class Model:
     def _run(self, X: np.ndarray, features: FeatureNet | None) -> tuple[Tape, tuple | None]:
         """The value network on the rows X under the regime's gates: its tape,
         and the state of the feature gates for `FeatureNet.vjp` (None for a DNN)."""
-        arch, n_layers = self.arch, len(weight_layer_specs(self.arch))
+        arch = self.arch
         if features is None:
-            return run_stack(arch, self.params_v, X, self_gate, n_layers), None
+            return run_stack(arch, self.params_v, X, self_gate), None
         gates, state = features.gates(X, REGIME_TABLE[self.regime][1])
         self.routing.validate(arch)
         routed = self.routing.apply(gates)
         X_v = np.ones_like(X) if self.routing.constant_one_input else X
-        return run_stack(arch, self.params_v, X_v, lambda i, q: routed[i], n_layers), state
+        return run_stack(arch, self.params_v, X_v, lambda i, q: routed[i]), state
 
     def gates(self, X: np.ndarray) -> list[np.ndarray]:
         """The gates the value network uses on X, one array per gated layer

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
 
+from dualview import autodiff as ad
 from dualview.arch import (
+    ARRAYS,
     ArchSpec,
+    FeatureNet,
     GateRouting,
     HARD,
     SOFT,
@@ -15,7 +18,6 @@ from dualview.arch import (
     forward_dlgn,
     forward_gated,
     forward_relu,
-    hyperplanes,
     init_params,
     shallow_layer_specs,
     weight_layer_specs,
@@ -192,9 +194,32 @@ def test_feature_gates_reject_unknown_source_and_mode():
     with pytest.raises(ValueError, match="unknown feature source 'self'"):
         feature_gates(FC_SMALL, pf, x, "self", HARD)
     with pytest.raises(ValueError, match="unknown feature source 'relu'"):
-        hyperplanes(FC_SMALL, pf, "relu")
+        FeatureNet(FC_SMALL, pf, "relu", ad).hyperplanes()
     with pytest.raises(ValueError, match="gate mode must be hard or soft"):
         forward_dlgn(FC_SMALL, pf, pf, x, mode="sof", source="relu")
+
+
+def test_array_ops_equal_the_graph_ops_bit_for_bit():
+    # run_stack and FeatureNet run on either op set, so each ARRAYS op must
+    # be its autodiff namesake on plain arrays
+    rng = make_rng(21)
+    a, b, w = rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), rng.normal(size=(6, 5))
+    z, theta = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 2, 4))
+    q = np.concatenate([a, [[1e3, -1e3, 0.0, 1e-3, -1e-3, 50.0]]])
+    cases = {
+        "matmul": (a, w),
+        "mul": (a, b),
+        "add": (a, b),
+        "reshape": (a, (-1, 6, 1)),
+        "conv_circular": (z, theta),
+        "global_avg_pool": (z,),
+        "logistic": (q, 10.0),
+    }
+    assert cases.keys() == vars(ARRAYS).keys()
+    for name, args in cases.items():
+        want, got = getattr(ad, name)(*args).value, getattr(ARRAYS, name)(*args)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_dgn_soft_gates_match_feature_preacts():

@@ -434,11 +434,19 @@ def test_every_public_library_name_has_a_use_in_the_library():
                         names[a.asname or a.name] = (n.module, a.name)
                     else:
                         modules[a.asname or a.name] = a.name
+        # a module passed as `ops=` has its names read as `ops.<name>` (or
+        # `self.ops.<name>`) anywhere in this file
+        op_sets = {modules[n.value.id] for n in ast.walk(tree)
+                   if isinstance(n, ast.keyword) and n.arg == "ops"
+                   and isinstance(n.value, ast.Name) and n.value.id in modules}
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names:
                 used.add(names[n.id])
             elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
                     and n.value.id in modules:
                 used.add((modules[n.value.id], n.attr))
+            elif isinstance(n, ast.Attribute) and "ops" in (getattr(n.value, "id", None),
+                                                            getattr(n.value, "attr", None)):
+                used.update((m, n.attr) for m in op_sets)
     assert UNUSED_ALLOWED <= defined
     assert defined - used - UNUSED_ALLOWED == set()

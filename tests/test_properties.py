@@ -11,8 +11,9 @@ from conftest import normal_params
 from oracles import (batch_grads, iter_paths, logits_node, overlap_vector, path_activity,
                      path_value)
 
-from dualview.arch import (HARD, SOFT, ArchSpec, GateRouting, _collapse_pays, feature_gates,
-                           forward_gated, forward_relu, hyperplanes, init_params,
+from dualview import autodiff as ad
+from dualview.arch import (HARD, SOFT, ArchSpec, FeatureNet, GateRouting, _collapse_pays,
+                           feature_gates, forward_gated, forward_relu, init_params,
                            shallow_layer_specs, weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
 from dualview.data import Dataset
@@ -171,7 +172,7 @@ def test_hyperplanes_reproduce_the_feature_preactivations(case):
     else:
         direct = [(conv_circular(X[:, :, None], pf[name]) if kind == "conv"
                    else matmul(X, pf[name])).value for name, _, kind in shallow_layer_specs(arch)]
-    Us = [value_of(U) for U in hyperplanes(arch, pf, source)]
+    Us = [value_of(U) for U in FeatureNet(arch, pf, source, ad).hyperplanes()]
     assert len(Us) == len(direct) == arch.n_gate_layers()
     for l, (U, q, shape) in enumerate(zip(Us, direct, shapes)):
         assert U.shape == (arch.d_in, int(np.prod(shape)))
