@@ -256,9 +256,10 @@ class Tape:
 
 
 def self_gate(idx: int, q: Node | np.ndarray) -> np.ndarray:
-    """Hard self-gate 1{q > 0} of a ReLU unit, from an array or a Node's
-    value: `ad.hard_gate_values` without its tie warning."""
-    return ((q.value if isinstance(q, Node) else q) > 0.0).astype(np.float64)
+    """Hard gate 1{q > 0} of an array or a Node's value: the one hard-gate
+    rule, for the DNN's own units and every hard feature gate. An exact 0
+    gates to 0, so its gradient takes the subgradient 0 there."""
+    return (value_of(q) > 0.0).astype(np.float64)
 
 
 def run_stack(arch: ArchSpec, params: Mapping, X: np.ndarray, gate_rule: GateRule | None,
@@ -526,7 +527,7 @@ class FeatureNet:
         """The gates of the rows X, one per gated layer, and what :meth:`vjp` needs."""
         qs, tape = self._preacts(X)
         if mode == HARD:
-            gates = [ad.hard_gate_values(value_of(q)) for q in qs]
+            gates = [self_gate(i, q) for i, q in enumerate(qs)]
         else:
             gates = [self.ops.logistic(q, self.arch.beta) for q in qs]
         return gates, (tape, gates)

@@ -3,7 +3,7 @@
 Only the operations needed by the supported forward graphs are provided:
 dense matmul, elementwise add/mul, reshape, circular 1-D convolution, global
 average pooling and the scaled logistic. Hard gates are constant 0/1 masks from
-:func:`hard_gate_values`, so a ReLU is a ``mul`` by its gate. Values are
+``arch.self_gate``, so a ReLU is a ``mul`` by its gate. Values are
 float64 throughout. The circular convolution, the soft gate and their VJPs are
 array functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
 :func:`circular_conv_vjp_theta`, :func:`soft_gate`, :func:`soft_gate_vjp`),
@@ -30,18 +30,9 @@ evaluate concurrently.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 _FLOAT64 = np.dtype(np.float64)
-
-
-class NondifferentiablePointWarning(UserWarning):
-    """A hard gate saw a pre-activation exactly equal to zero.
-
-    The gradient uses the subgradient 0 at that point.
-    """
 
 
 class Node:
@@ -206,18 +197,6 @@ def logistic(q, beta: float) -> Node:
     q_node = isinstance(q, Node)
     s = soft_gate(q.value if q_node else q, beta)
     return _op(s, q, q_node and (lambda g: soft_gate_vjp(g, s, beta)))
-
-
-def hard_gate_values(q: np.ndarray) -> np.ndarray:
-    """Indicator 1{q > 0}; exactly-zero pre-activations gate to 0, with a warning."""
-    q = np.asarray(q)
-    if np.any(q == 0.0):
-        warnings.warn(
-            "hard gate pre-activation exactly 0; using subgradient 0",
-            NondifferentiablePointWarning,
-            stacklevel=2,
-        )
-    return (q > 0.0).astype(np.float64)
 
 
 def backward(out: Node, seed=None) -> dict[int, np.ndarray]:

@@ -238,12 +238,25 @@ def _ensure_out(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _normal_params(arch: ArchSpec, rng) -> dict:
+    """Normal(0, 0.8) weights for every weight layer of `arch`, drawn in layer order."""
+    return {n: rng.normal(scale=0.8, size=s) for n, s, _ in weight_layer_specs(arch)}
+
+
+def _mc_estimate(arch: ArchSpec, x, x2, rng, n_samples: int, mc_rng):
+    """The closed-form NTK target at sigma 0.5 and its MC estimate from
+    `n_samples` value-weight draws of `mc_rng`, under the fixed gates that a
+    ReLU feature network with weights from `_normal_params(arch, rng)`
+    puts on x and x2."""
+    pf = _normal_params(arch, rng)
+    gx, gx2 = forward_relu(arch, pf, x).gates, forward_relu(arch, pf, x2).gates
+    target = mc_target(arch, x, x2, gx, gx2, sigma=0.5)
+    return target, ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=n_samples,
+                                      rng=mc_rng, sigma=0.5)
+
+
 def _verify_probes(seed: int):
     rng = make_rng(seed, stream=201)
-
-    def normal_params(arch, scale=0.8):
-        return {n: rng.normal(scale=scale, size=s) for n, s, _ in weight_layer_specs(arch)}
-
     fc = ArchSpec(family="fc", d_in=3, depth=4, width=4)
     cv = ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2)
     rs = ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4)
@@ -251,7 +264,7 @@ def _verify_probes(seed: int):
     for name, arch in (("fc", fc), ("conv", cv), ("res", rs)):
         x = rng.normal(size=arch.d_in)
         x2 = x + 0.4 * rng.normal(size=arch.d_in)
-        probes[name] = (arch, normal_params(arch), x, x2)
+        probes[name] = (arch, _normal_params(arch, rng), x, x2)
     return probes
 
 
@@ -326,14 +339,8 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
 def _mc_check(probes, n_samples, seed):
     arch, params, x, x2 = probes["fc"]
     arch = ArchSpec(family="fc", d_in=arch.d_in, depth=2, width=64)
-    rng = make_rng(seed, stream=203)
-    pf = {n: rng.normal(scale=0.8, size=s) for n, s, _ in weight_layer_specs(arch)}
-    gx = forward_relu(arch, pf, x).gates
-    gx2 = forward_relu(arch, pf, x2).gates
-    sigma = 0.5
-    target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
-    res = ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=n_samples,
-                             rng=make_rng(seed, stream=204), sigma=sigma)
+    target, res = _mc_estimate(arch, x, x2, make_rng(seed, stream=203), n_samples,
+                               make_rng(seed, stream=204))
     return {"check": "MC NTK mean vs closed-form target", "target": target,
             "mc_mean": res.mean, "mc_stderr": res.stderr,
             "passed": res.within(target, 3.0), "n_samples": n_samples}
@@ -463,22 +470,17 @@ def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
     ex = config.doc["experiment"]
     seed = config.doc["seed"]
     rng = make_rng(seed, stream=208)
-    d_in, depth, sigma = 3, 2, 0.5
+    d_in, depth = 3, 2
     x = rng.normal(size=d_in)
     x2 = x + 0.4 * rng.normal(size=d_in)
     rows, records = [], []
     for w in ex["widths"]:
         arch = ArchSpec(family="fc", d_in=d_in, depth=depth, width=w)
-        pf = {n: rng.normal(scale=0.8, size=s) for n, s, _ in weight_layer_specs(arch)}
-        gx = forward_relu(arch, pf, x).gates
-        gx2 = forward_relu(arch, pf, x2).gates
-        target = mc_target(arch, x, x2, gx, gx2, sigma=sigma)
+        target, res = _mc_estimate(arch, x, x2, rng, ex["mc_deviation_samples"],
+                                   make_rng(seed, stream=209 + w))
         if target == 0:  # the relative deviation below would be NaN
             raise FloatingPointError(f"width-sweep: width {w} has a closed-form NTK target "
                                      "of 0 (the inputs share no active path)")
-        res = ntk_expectation_mc(arch, gx, gx2, x, x2,
-                                 n_samples=ex["mc_deviation_samples"],
-                                 rng=make_rng(seed, stream=209 + w), sigma=sigma)
         rel = np.abs(res.samples - target) / abs(target)
         med = float(np.median(rel))
         stderr = float(rel.std(ddof=1) / np.sqrt(rel.size))

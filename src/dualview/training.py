@@ -278,15 +278,19 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """A trained (or initialized) network plus everything needed to run it."""
+    """A trained (or initialized) network plus everything needed to run it.
+    Frozen, so the routing it checks when built is the one it runs."""
 
     arch: ArchSpec
     regime: str
     params_f: dict[str, np.ndarray] | None
     params_v: dict[str, np.ndarray]
     routing: GateRouting
+
+    def __post_init__(self):
+        self.routing.validate(self.arch)
 
     def _features(self) -> FeatureNet | None:
         """The regime's feature network on arrays; None for a DNN, which gates itself."""
@@ -300,7 +304,6 @@ class Model:
         if features is None:
             return run_stack(arch, self.params_v, X, self_gate), None
         gates, state = features.gates(X, REGIME_TABLE[self.regime][1])
-        self.routing.validate(arch)
         routed = self.routing.apply(gates)
         X_v = np.ones_like(X) if self.routing.constant_one_input else X
         return run_stack(arch, self.params_v, X_v, lambda i, q: routed[i]), state
@@ -443,8 +446,6 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         raise ValueError(f"arch.n_out={arch.n_out} != dataset classes k={dataset.k}")
     if arch.d_in != dataset.d_in:
         raise ValueError(f"arch.d_in={arch.d_in} != dataset d_in={dataset.d_in}")
-    routing = config.routing()
-    routing.validate(arch)
 
     t0 = time.perf_counter()
     source = REGIME_TABLE[config.regime][0]
@@ -452,7 +453,7 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         arch, make_rng(config.seed, stream=1), config.init, source)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
                   params_v=_init_net(arch, make_rng(config.seed, stream=2), config.init),
-                  routing=routing)
+                  routing=config.routing())
     report = TrainReport(regime=config.regime, seed=config.seed, config=asdict(config))
 
     if config.regime == DGN_FL:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -92,14 +93,20 @@ def test_forward_batch_matches_single(arch):
 
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_self_gating_equivalence(arch):
-    # DGN with shared parameters and hard gates is exactly the ReLU net
+    # DGN with shared parameters and hard gates is exactly the ReLU net, and
+    # both sides gate by one rule: an all-zero row ties every first-layer
+    # pre-activation at exactly 0, which gates to 0 on both sides, silently
     rng = make_rng(4)
     p = normal_params(arch, rng)
     X = rng.normal(size=(20, arch.d_in))
-    assert np.array_equal(
-        forward_relu(arch, p, X).y,
-        forward_dlgn(arch, p, p, X, X, mode=HARD, source="relu").y,
-    )
+    X[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dnn = forward_relu(arch, p, X)
+        dgn = forward_dlgn(arch, p, p, X, X, mode=HARD, source="relu")
+    assert np.array_equal(dnn.y, dgn.y)
+    assert not dnn.gates[0][3].any()
+    assert [g.tobytes() for g in dgn.gates] == [g.tobytes() for g in dnn.gates]
 
 
 def test_forward_gated_external_gates():

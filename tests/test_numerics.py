@@ -1,7 +1,6 @@
 import itertools
 import numpy as np
 import pytest
-import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import finite_diff_grad
 
 from dualview import autodiff as ad
-from dualview.autodiff import Node, NondifferentiablePointWarning, backward
+from dualview.autodiff import Node, backward
 from dualview.numerics import (
     grad,
     init_bernoulli,
@@ -291,14 +290,6 @@ def test_logistic_grad(rng):
         return ad.matmul(ad.logistic(nodes["q"], 10.0), Node(np.ones((4, 1))))
 
     _fd_check(forward, params)
-
-
-def test_hard_gate_warns_on_tie():
-    with pytest.warns(NondifferentiablePointWarning):
-        ad.hard_gate_values(np.array([0.0, 1.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ad.hard_gate_values(np.array([0.5, 1.0]))
 
 
 def test_backward_accumulates_shared_node():

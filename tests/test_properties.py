@@ -415,8 +415,6 @@ def model_batch(draw):
     return model, Dataset(rng.normal(size=(n, arch.d_in)), rng.integers(0, k, size=n), k, "rows")
 
 
-# a width-1 layer whose one unit is gated off feeds exact zeros to the next
-@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
 @settings(max_examples=60, deadline=None)
 @given(model_batch())
 def test_blocked_logits_match_one_forward_pass(case):
@@ -433,7 +431,6 @@ def test_blocked_logits_match_one_forward_pass(case):
     assert model.logits(x).tobytes() == logits_node(model, x).value.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
 @settings(max_examples=60, deadline=None)
 @given(model_batch())
 def test_model_gates_replay_the_logits(case):
@@ -478,7 +475,6 @@ def engine_case(draw):
     return model, rng.normal(size=(n, arch.d_in)), rng.integers(0, arch.n_out, size=n)
 
 
-@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
 @settings(max_examples=150, deadline=None)
 @given(engine_case())
 def test_explicit_forward_and_vjp_match_the_graph(case):

@@ -335,8 +335,6 @@ def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeyp
     assert built == [0]
 
 
-# a hidden layer whose units are all gated off feeds exact zeros to the next
-@pytest.mark.filterwarnings("ignore::dualview.autodiff.NondifferentiablePointWarning")
 @pytest.mark.parametrize("regime", REGIMES)
 def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
     # training and inference run the explicit forward and VJP on arrays
@@ -575,10 +573,12 @@ def test_routing_fixed_train_and_test():
     trained = evaluate(model, te)
     from dualview.arch import GateRouting
 
-    model.routing = GateRouting(perm=(0, 1, 2))
-    other = evaluate(model, te)
+    other = evaluate(replace(model, routing=GateRouting(perm=(0, 1, 2))), te)
     assert trained >= 0.9
     assert other <= trained  # mismatched routing never helps here
+    # a Model checks its routing once, when built
+    with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2"):
+        train(perm_arch, tr, replace(cfg, perm=(0, 0, 1)))
 
 
 def test_constant_one_value_input():
