@@ -8,7 +8,11 @@ float64 throughout. The circular convolution, the soft gate and their VJPs are
 array functions (:func:`circular_conv`, :func:`circular_conv_vjp_z`,
 :func:`circular_conv_vjp_theta`, :func:`soft_gate`, :func:`soft_gate_vjp`),
 which the graph ops and the graph-free training engine in
-:mod:`dualview.arch` both call.
+:mod:`dualview.arch` both call. The convolution is one matmul per filter tap,
+except on a single-channel input (the first layer of every conv_gap network
+and every shallow conv map), where it is one matmul over the w_cv shifted
+input columns: BLAS runs a matmul with an inner dimension of 1 several times
+slower than one with an inner dimension of w_cv.
 
 This module is one of the two op sets that ``arch.run_stack`` and
 ``arch.FeatureNet`` run on. ``arch.ARRAYS``, the other, holds the same
@@ -114,20 +118,41 @@ def _tap(z: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
     return out.reshape(-1, z.shape[2])
 
 
+def _columns(z: np.ndarray, w_cv: int) -> np.ndarray:
+    """For a single-channel z, the (n * d_in, w_cv) matrix whose row
+    n * d_in + p holds z[n, (p + c) % d_in, 0] in column c, filled with two
+    slice copies per tap."""
+    n, d_in = z.shape[:2]
+    z, cols = z.reshape(n, d_in), np.empty((n, d_in, w_cv))
+    for c in range(w_cv):
+        cols[:, :d_in - c, c] = z[:, c:]
+        cols[:, d_in - c:, c] = z[:, :c]
+    return cols.reshape(-1, w_cv)
+
+
 def circular_conv(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Circular 1-D convolution on arrays.
 
     z: (n, d_in, c_in) layer input, theta: (w_cv, c_in, c_out).
     Output q: (n, d_in, c_out) with
-    q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i],
-    one (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c. The VJPs
-    recompute the shifted z of each tap instead of keeping w_cv copies alive.
+    q[n, p, j] = sum_{c, i} theta[c, i, j] * z[n, (p + c) % d_in, i].
+    A single-channel input (every conv_gap input layer) is one
+    (n * d_in, w_cv) @ (w_cv, c_out) matmul over the shifted input columns of
+    :func:`_columns`: a matmul with an inner dimension of c_in = 1 costs
+    OpenBLAS several times what one with w_cv does. Wider inputs take one
+    (n * d_in, c_in) @ (c_in, c_out) matmul per filter tap c, which measured
+    faster than the columns at c_in = 16. The VJPs recompute the shifted z
+    instead of keeping w_cv copies alive.
     """
-    shifted = np.empty(z.shape)
-    q = _tap(z, 0, shifted) @ theta[0]
-    for c in range(1, theta.shape[0]):
-        q += _tap(z, c, shifted) @ theta[c]
-    return q.reshape(*z.shape[:2], theta.shape[2])
+    w_cv, c_in, c_out = theta.shape
+    if c_in == 1:
+        q = _columns(z, w_cv) @ theta.reshape(w_cv, c_out)
+    else:
+        shifted = np.empty(z.shape)
+        q = _tap(z, 0, shifted) @ theta[0]
+        for c in range(1, w_cv):
+            q += _tap(z, c, shifted) @ theta[c]
+    return q.reshape(*z.shape[:2], c_out)
 
 
 def circular_conv_vjp_z(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -147,8 +172,12 @@ def circular_conv_vjp_z(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def circular_conv_vjp_theta(z: np.ndarray, g: np.ndarray, w_cv: int) -> np.ndarray:
-    """Cotangent of the (w_cv, c_in, c_out) filter from the cotangent g of q."""
-    g2, out = g.reshape(-1, g.shape[2]), np.empty(z.shape)
+    """Cotangent of the (w_cv, c_in, c_out) filter from the cotangent g of q:
+    one matmul over :func:`_columns` for a single-channel z, else one per tap."""
+    g2 = g.reshape(-1, g.shape[2])
+    if z.shape[2] == 1:
+        return (_columns(z, w_cv).T @ g2).reshape(w_cv, 1, g.shape[2])
+    out = np.empty(z.shape)
     dtheta = np.empty((w_cv, z.shape[2], g.shape[2]))
     for c in range(w_cv):
         np.matmul(_tap(z, c, out).T, g2, out=dtheta[c])

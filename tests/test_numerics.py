@@ -243,18 +243,24 @@ def test_conv_circular_matches_loop_reference(case):
 
 
 def _conv_roll(z, theta, g):
-    """conv_circular's per-tap matmuls with the taps shifted by np.roll: the
-    value and both VJPs for the output cotangent g."""
+    """conv_circular's matmuls with the taps shifted by np.roll: the value and
+    both VJPs for the output cotangent g. A single-channel z is one matmul
+    over the (n * d_in, w_cv) columns of its taps, a wider z one per tap."""
     w_cv, c_in, c_out = theta.shape
     taps = [(np.roll(z, -c, axis=1) if c else z).reshape(-1, c_in) for c in range(w_cv)]
-    q = taps[0] @ theta[0]
-    for c in range(1, w_cv):
-        q += taps[c] @ theta[c]
     g2 = g.reshape(-1, c_out)
+    if c_in == 1:
+        cols = np.concatenate(taps, axis=1)
+        q = cols @ theta.reshape(w_cv, c_out)
+        taps = [cols]
+    else:
+        q = taps[0] @ theta[0]
+        for c in range(1, w_cv):
+            q += taps[c] @ theta[c]
     dz = (g2 @ theta[0].T).reshape(z.shape)
     for c in range(1, w_cv):
         dz += np.roll((g2 @ theta[c].T).reshape(z.shape), c, axis=1)
-    dtheta = np.stack([t.T @ g2 for t in taps])
+    dtheta = np.stack([t.T @ g2 for t in taps]).reshape(theta.shape)
     return q.reshape(*z.shape[:2], c_out), dz, dtheta
 
 
