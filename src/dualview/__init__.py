@@ -10,7 +10,6 @@ from .arch import (
     ArchSpec,
     ForwardResult,
     GateRouting,
-    IDENTITY_ROUTING,
     forward_dlgn,
     forward_gated,
     forward_relu,

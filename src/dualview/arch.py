@@ -210,9 +210,6 @@ class GateRouting:
         return [gates[j] for j in self.perm]
 
 
-IDENTITY_ROUTING = GateRouting()
-
-
 # Hard or soft gate values, one array per gated layer in forward order.
 Gates = Sequence[np.ndarray]
 
@@ -326,30 +323,21 @@ def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     return ForwardResult(arch, run_stack(arch, params, X, self_gate, ops=ad), squeeze)
 
 
-def forward_gated(
-    arch: ArchSpec,
-    params_v: Mapping,
-    external_gates: Sequence[Gate],
-    routing: GateRouting = IDENTITY_ROUTING,
-    x_v=None,
-) -> ForwardResult:
-    """Value network of GaLUs driven by externally supplied gates.
+def forward_gated(arch: ArchSpec, params_v: Mapping, external_gates: Sequence[Gate],
+                  x_v) -> ForwardResult:
+    """GaLU value network on the input x_v under the gates it is given:
+    :class:`dualview.training.Model` routes gates and sets a constant-1 input.
 
-    `external_gates` holds one gate array or Node per gated layer (unrouted;
-    `routing.perm` is applied here). Gated layer i takes a gate
-    array of shape `arch.gate_layer_shapes()[i]`, broadcast over the batch,
-    or a gate of shape `(n,) + arch.gate_layer_shapes()[i]`, used as is.
-    `routing.constant_one_input` replaces the value input by ones.
+    `external_gates` holds one gate array or Node per gated layer: for gated
+    layer i, of shape `arch.gate_layer_shapes()[i]`, broadcast over the
+    batch, or `(n,) + arch.gate_layer_shapes()[i]`, used as is.
     """
-    routing.validate(arch)
     seq = list(external_gates)
     if len(seq) != arch.n_gate_layers():
         raise ValueError(f"expected {arch.n_gate_layers()} gate layers, got {len(seq)}")
     X, squeeze = _ensure_batch(x_v, arch.d_in)
-    if routing.constant_one_input:
-        X = np.ones_like(X)
-    routed = []
-    for i, (g, shape) in enumerate(zip(routing.apply(seq), arch.gate_layer_shapes())):
+    gates = []
+    for i, (g, shape) in enumerate(zip(seq, arch.gate_layer_shapes())):
         if not isinstance(g, Node):
             g = np.asarray(g, dtype=np.float64)
             if g.shape == shape:
@@ -359,8 +347,8 @@ def forward_gated(
                 f"gate shape {g.shape} at gated layer {i} is neither {shape} "
                 f"nor {(len(X),) + shape}"
             )
-        routed.append(g)
-    tape = run_stack(arch, params_v, X, lambda idx, q: routed[idx], ops=ad)
+        gates.append(g)
+    tape = run_stack(arch, params_v, X, lambda idx, q: gates[idx], ops=ad)
     return ForwardResult(arch, tape, squeeze)
 
 
@@ -403,15 +391,6 @@ def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str
     return FeatureNet(arch, params_f, source, ops=ad).gates(X, mode)[0]
 
 
-def _value_input(x_f, x_v):
-    """x_v, defaulting to x_f; both must be single samples or both batches."""
-    if x_v is None:
-        return x_f
-    if np.ndim(x_f) != np.ndim(x_v):
-        raise ValueError("x_f and x_v must have the same batch structure")
-    return x_v
-
-
 def forward_dlgn(
     arch: ArchSpec,
     params_f: Mapping,
@@ -419,13 +398,13 @@ def forward_dlgn(
     x_f,
     x_v=None,
     mode: str = SOFT,
-    routing: GateRouting = IDENTITY_ROUTING,
     source: str = "linear",
 ) -> ForwardResult:
     """DGN or DLGN: the `source` feature network (see :func:`feature_gates`)
-    on x_f gates a GaLU value network on x_v."""
+    on x_f gates a GaLU value network on x_v (x_f by default), which must
+    have x_f's rows."""
     gates = feature_gates(arch, params_f, x_f, source, mode)
-    return forward_gated(arch, params_v, gates, routing, _value_input(x_f, x_v))
+    return forward_gated(arch, params_v, gates, x_f if x_v is None else x_v)
 
 
 def stack_vjp(arch: ArchSpec, params: Mapping, tape: Tape, dy: np.ndarray | None,

@@ -3,17 +3,18 @@
 One binary, four subcommands:
 
 * ``dualview verify``     — check the closed forms on small probe networks
-  (NPK invariances, the path oracle within ``verify.max_paths``, MC NTK),
-  emit JSON
+  (rotation invariance, MC NTK and, within ``verify.max_paths``, the checks
+  on each family's path table), emit JSON
 * ``dualview train``      — train one regime, emit TrainReport JSON + params
 * ``dualview kernel``     — emit the NPK Gram of any family (tag
   ``npk-<family>``) as CSV and NPKG binary
 * ``dualview experiment`` — run a named bundle (permutation-sweep,
   constant-one, width-sweep) and emit combined JSON + per-figure CSVs
 
-Configs are JSON documents; every field has a default and the parsed form
-round-trips losslessly. ``--override key.path=value`` (repeatable) patches
-individual fields; values are parsed as JSON with a plain-string fallback.
+Configs are JSON documents read by :meth:`ExperimentConfig.load`, which
+reads back what ``to_json`` writes; every field has a default. ``--override
+key.path=value`` (repeatable) patches individual fields; values are parsed
+as JSON with a plain-string fallback.
 An unknown key, a non-object section or a value whose JSON type differs
 from its default's (for a list, an item whose type differs from the
 default's first item) or below its ``MINIMUM`` is a usage error; so is a
@@ -45,11 +46,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .arch import RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
+from .arch import FC, RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
-from .kernels import gate_correlations, gram, mc_target, npk, npk_fc, ntk_expectation_mc, rot
+from .kernels import gate_correlations, gram, mc_target, npk, ntk_expectation_mc, rot
 from .numerics import make_rng
-from .paths import PathBudgetError, count_paths, dual_vectors, enumerate_paths
+from .paths import DEFAULT_BUDGET, PathBudgetError, count_paths, dual_vectors, enumerate_paths
 from .training import TrainConfig, train
 
 DEFAULT_CONFIG: dict = {
@@ -75,7 +76,7 @@ DEFAULT_CONFIG: dict = {
     "verify": {
         "eq1_samples": 12,
         "mc_samples": 200,
-        "max_paths": 1_000_000,
+        "max_paths": DEFAULT_BUDGET,
     },
     "kernel": {
         "n": 64,
@@ -151,12 +152,6 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = copy.deepcopy(DEFAULT_CONFIG)
-        _merge(doc, _as_object(json.loads(text), "config text"))
-        return cls(doc=doc)
 
     def arch(self) -> ArchSpec:
         return ArchSpec(**self.doc["arch"])
@@ -273,20 +268,8 @@ def _record(check: str, deviation: float, tol: float, **extra) -> dict:
             "passed": bool(deviation <= tol), **extra}
 
 
-def _structure_checks(probes) -> dict:
-    """Closed-form structure checks that need no path table."""
-    arch, params, x, x2 = probes["fc"]
-    gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
-    corr = gate_correlations(gx, gx2)
-    base = npk_fc(x, x2, gx, gx2)
-    worst = max(abs(float(x @ x2) * float(np.prod(corr[list(perm)])) - base)
-                for perm in itertools.permutations(range(len(corr))))
-    report = {"permutation": _record("layer permutation invariance", worst, 1e-12)}
-    ones = np.ones(arch.d_in)
-    const1, expected = npk_fc(ones, ones, gx, gx2), arch.d_in * float(np.prod(corr))
-    report["constant_one"] = _record("constant-1 NPK keeps gate information",
-                                     abs(const1 - expected), 1e-12, value=const1,
-                                     expected=expected)
+def _rotation_check(probes) -> dict:
+    """The conv NPK's invariance under rotating both inputs, from the closed form."""
     arch, params, x, x2 = probes["conv"]
     # gates of the rotated inputs come from their own forward passes, so
     # this also checks the shift-equivariance npk_conv_rotsum relies on
@@ -294,17 +277,41 @@ def _structure_checks(probes) -> dict:
                   forward_relu(arch, params, b).gates)
               for a, b in ((rot(x, s), rot(x2, s)) for s in range(arch.d_in))]
     worst = max(abs(v - values[0]) for v in values)
-    report["rotation"] = _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9,
-                                 value=values[0])
-    return report
+    return _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9, value=values[0])
 
 
-def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
-    """Path identity and npk = <phi(x), phi(x')> from one path table per
-    family; a family with more than `max_paths` paths is never enumerated."""
+FC_TABLE_CHECKS = {"permutation": "layer permutation invariance",
+                   "constant_one": "constant-1 NPK keeps gate information"}
+
+
+def _fc_table_checks(arch, params, table, x, x2, gx, gx2) -> dict:
+    """Two claims on the fc path table's <phi(x), phi(x')>: it does not
+    change when the gates of both inputs are routed through any order of
+    the gated layers, and on a constant-1 input it keeps the gates'
+    information, d_in * prod_l <G_l(x), G_l(x')>."""
+    def table_npk(a, b, ga, gb):
+        return float(dual_vectors(arch, params, a, ga, table).npf
+                     @ dual_vectors(arch, params, b, gb, table).npf)
+
+    orders = itertools.permutations(range(len(gx)))  # the unpermuted order first
+    npks = [table_npk(x, x2, [gx[i] for i in p], [gx2[i] for i in p]) for p in orders]
+    ones = np.ones(arch.d_in)
+    const1 = table_npk(ones, ones, gx, gx2)
+    expected = arch.d_in * float(np.prod(gate_correlations(gx, gx2)))
+    return {"permutation": _record(FC_TABLE_CHECKS["permutation"],
+                                   max(abs(v - npks[0]) for v in npks), 1e-12),
+            "constant_one": _record(FC_TABLE_CHECKS["constant_one"], abs(const1 - expected),
+                                    1e-12, value=const1, expected=expected)}
+
+
+def _oracle_checks(probes, n_samples, max_paths, seed) -> tuple[dict, dict]:
+    """The checks on each family's path table: :func:`_fc_table_checks`, the
+    path identity and npk = <phi(x), phi(x')>. A family with more than
+    `max_paths` paths is never enumerated, and the checks on its table skip."""
     rng = make_rng(seed, stream=202)
     worst_eq1 = worst_npk = 0.0
-    checked, skipped, extra = [], {}, {}
+    checked, skipped, extra, values = [], {}, {}, {}
+    fc_report = {k: {"check": check, "skipped": True} for k, check in FC_TABLE_CHECKS.items()}
     for name, (arch, params, x, x2) in probes.items():
         n_paths = count_paths(arch)
         if n_paths > max_paths:
@@ -319,8 +326,10 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
         gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
         phi = dual_vectors(arch, params, x, gx, table=table).npf
         phi2 = dual_vectors(arch, params, x2, gx2, table=table).npf
-        brute = float(phi @ phi2)
+        brute = values[name] = float(phi @ phi2)
         worst_npk = max(worst_npk, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
+        if arch.family == FC:
+            fc_report = _fc_table_checks(arch, params, table, x, x2, gx, gx2)
         if arch.family == RES:
             extra["per_mask"] = {str(m.included): float(phi[s] @ phi2[s])
                                  for m, s in table.sub_blocks}
@@ -329,11 +338,12 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> dict:
     report = {
         "path_identity": _record("path identity y = <phi, v>", worst_eq1, 1e-9, **scope,
                                  samples=n_samples * len(checked)),
-        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, **scope, **extra),
+        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, **scope, values=values,
+                       **extra),
     }
     if not checked:
-        return {k: {"check": r["check"], **scope, "skipped": True} for k, r in report.items()}
-    return report
+        report = {k: {"check": r["check"], **scope, "skipped": True} for k, r in report.items()}
+    return fc_report, report
 
 
 def _mc_check(probes, n_samples, seed):
@@ -350,8 +360,8 @@ def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
-    report = {**_structure_checks(probes),
-              **_oracle_checks(probes, v["eq1_samples"], v["max_paths"], seed),
+    fc_table, oracle = _oracle_checks(probes, v["eq1_samples"], v["max_paths"], seed)
+    report = {**fc_table, "rotation": _rotation_check(probes), **oracle,
               "mc_ntk": _mc_check(probes, v["mc_samples"], seed)}
 
     out = _ensure_out(config.doc["out"])

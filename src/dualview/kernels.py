@@ -368,7 +368,7 @@ class GramMatrix:
             fh.write(self.matrix.astype("<f8").tobytes(order="C"))
 
     @classmethod
-    def load_npkg(cls, path, tag: str = "") -> "GramMatrix":
+    def load_npkg(cls, path) -> "GramMatrix":
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != NPKG_MAGIC:
@@ -377,7 +377,7 @@ class GramMatrix:
             if os.fstat(fh.fileno()).st_size != 8 + 8 * n * n:
                 raise ValueError(f"{path}: file size does not fit the header's n={n}")
             data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-        return cls(matrix=data.reshape(n, n).copy(), tag=tag, fingerprint="")
+        return cls(matrix=data.reshape(n, n).copy(), tag="", fingerprint="")
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:

@@ -70,29 +70,15 @@ class SubFcnMask:
 
     included: tuple[int, ...]  # block ids in 1..b
 
-    def depth_blocks(self) -> int:
-        return len(self.included) + 2
 
-
-def enumerate_subfcns(arch: ArchSpec) -> list[tuple[SubFcnMask, ArchSpec]]:
-    """All 2^b sub-FCN masks with the equivalent FC spec for each."""
+def enumerate_subfcns(arch: ArchSpec) -> list[SubFcnMask]:
+    """All 2^b sub-FCN masks of a res arch, in the order of the bits of
+    0..2^b - 1 (bit j includes block j + 1). The sub-FCN of a mask is an fc
+    chain of `(len(mask.included) + 2) * arch.d_blk` weight layers."""
     if arch.family != RES:
         raise ValueError("enumerate_subfcns requires the res family")
-    out = []
-    for m in range(2 ** arch.b):
-        included = tuple(j + 1 for j in range(arch.b) if (m >> j) & 1)
-        mask = SubFcnMask(included)
-        fc = ArchSpec(
-            family=FC,
-            d_in=arch.d_in,
-            depth=mask.depth_blocks() * arch.d_blk,
-            width=arch.width,
-            n_out=arch.n_out,
-            c_scale=arch.c_scale,
-            beta=arch.beta,
-        )
-        out.append((mask, fc))
-    return out
+    return [SubFcnMask(tuple(j + 1 for j in range(arch.b) if (m >> j) & 1))
+            for m in range(2 ** arch.b)]
 
 
 def res_gate_indices(arch: ArchSpec, mask: SubFcnMask) -> list[int]:
@@ -119,14 +105,6 @@ class PathTable:
     # None; conv tables leave it empty
     sub_blocks: list[tuple[SubFcnMask | None, slice]] = field(default_factory=list)
 
-    @property
-    def n_paths(self) -> int:
-        return self.node.size
-
-    @property
-    def n_bundles(self) -> int:
-        return self.bundle_start.size
-
 
 def _offsets(shapes) -> list[int]:
     """Start of each array in a flat concatenation; the last entry indexes the trailing 1."""
@@ -150,7 +128,7 @@ def enumerate_paths(arch: ArchSpec, budget: int = DEFAULT_BUDGET) -> PathTable:
         chains = [(None, list(range(arch.depth)))]
     else:
         chains = [(m, [*res_gate_indices(arch, m), len(shapes) - 1])
-                  for m, _ in enumerate_subfcns(arch)]
+                  for m in enumerate_subfcns(arch)]
     # fc and every res sub-FCN: a chain of weight layers where gate layer k
     # gates weight layer k, except the chain's last layer
     node = np.empty(n, np.int32)

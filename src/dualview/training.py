@@ -15,8 +15,8 @@ linear maps of the input).
 
 The value net always trains. A frozen feature net is checked to be
 bit-identical after training; soft gates are the logistic gate with the
-architecture's beta. The gate routing permutation and the constant-1 value
-input are applied identically during training and evaluation.
+architecture's beta. ``Model`` alone applies the gate routing permutation
+and the constant-1 value input, identically in training and evaluation.
 
 ``Model.gates`` returns the gates the value network uses, one per gated
 layer: a DNN's own ReLU gates, or those of the regime's feature network,
@@ -98,14 +98,11 @@ LOGITS_BLOCK_ROWS = 256
 def loss_softmax_ce(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
-    logits: (n, k) or (k,); labels: (n,) integer array or a scalar.
-    The gradient is (softmax - onehot) / n, matching the mean loss.
+    logits: (n, k); labels: (n,) integer array. The gradient is
+    (softmax - onehot) / n, matching the mean loss.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    if single:
-        logits = logits[None, :]
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match {n} logit rows")
@@ -117,8 +114,7 @@ def loss_softmax_ce(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels]))
     p /= total
     p[np.arange(n), labels] -= 1.0
-    grad = p / n
-    return loss, (grad[0] if single else grad)
+    return loss, p / n
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +263,6 @@ class TrainReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainReport":
-        return cls(**json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,14 @@ def finite_diff_grad(
 
 def logits_node(model: Model, X) -> Node:
     """Logits of X as a Node, differentiable in any parameter that is a Node:
-    ``forward_relu`` for a DNN, ``forward_gated`` on the regime's
-    ``feature_gates`` otherwise."""
+    ``forward_relu`` for a DNN, ``forward_gated`` on the regime's routed
+    ``feature_gates`` otherwise, on ones for a constant-1 value input."""
     source, mode, _ = REGIME_TABLE[model.regime]
     if source == "self":
         return forward_relu(model.arch, model.params_v, X).y_node
-    gates = feature_gates(model.arch, model.params_f, X, source, mode)
-    return forward_gated(model.arch, model.params_v, gates, model.routing, X).y_node
+    gates = model.routing.apply(feature_gates(model.arch, model.params_f, X, source, mode))
+    X_v = np.ones_like(X) if model.routing.constant_one_input else X
+    return forward_gated(model.arch, model.params_v, gates, X_v).y_node
 
 
 def batch_grads(model: Model, Xb, yb):
@@ -125,9 +126,10 @@ def iter_paths(table: PathTable):
             yield Path(arch, i, hidden=tuple(idx[n_cv:]), windows=tuple(idx[0:n_cv:2]),
                        filters=tuple(idx[1:n_cv:2]))
         return
-    chains = enumerate_subfcns(arch) if arch.family == RES else [(None, arch)]
-    for mask, fc in chains:
-        for i, *hidden in itertools.product(range(arch.d_in), *units * (fc.depth - 1)):
+    chains = ([(m, (len(m.included) + 2) * arch.d_blk) for m in enumerate_subfcns(arch)]
+              if arch.family == RES else [(None, arch.depth)])
+    for mask, depth in chains:
+        for i, *hidden in itertools.product(range(arch.d_in), *units * (depth - 1)):
             yield Path(arch, i, hidden=tuple(hidden), subfcn=mask)
 
 
@@ -180,9 +182,10 @@ def path_value(params: Mapping[str, np.ndarray], p: Path) -> float:
 
 def conv_path_npf(table: PathTable, x, gates: Gates) -> np.ndarray:
     """Unbundled per-path NPF, shape (d_in, B): bundle b's path from input node i at (i, b)."""
-    sizes = np.diff(table.bundle_start, append=table.n_paths)
-    out = np.zeros((table.arch.d_in, table.n_bundles))
-    out[table.node, np.repeat(np.arange(table.n_bundles), sizes)] = _path_npf(table, x, gates)
+    n_bundles = table.bundle_start.size
+    sizes = np.diff(table.bundle_start, append=table.node.size)
+    out = np.zeros((table.arch.d_in, n_bundles))
+    out[table.node, np.repeat(np.arange(n_bundles), sizes)] = _path_npf(table, x, gates)
     return out
 
 

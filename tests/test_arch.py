@@ -118,16 +118,6 @@ def test_forward_gated_external_gates():
     assert np.allclose(res.y, again.y, atol=1e-14)
 
 
-def test_forward_gated_ones_input():
-    rng = make_rng(6)
-    p = normal_params(FC_SMALL, rng)
-    x = rng.normal(size=3)
-    gates = forward_relu(FC_SMALL, p, x).gates
-    y = forward_gated(FC_SMALL, p, gates, GateRouting(constant_one_input=True), x_v=x).y
-    expect = forward_gated(FC_SMALL, p, gates, x_v=np.ones(3)).y
-    assert np.allclose(y, expect, atol=1e-14)
-
-
 def test_routing_validation():
     GateRouting(perm=(1, 0)).validate(FC_SMALL)
     with pytest.raises(ValueError):
@@ -135,17 +125,6 @@ def test_routing_validation():
     with pytest.raises(ValueError):
         # conv gate layers have unequal shapes; cannot swap conv with fc
         GateRouting(perm=(2, 1, 0)).validate(CONV_SMALL)
-
-
-def test_routing_permutes_gates():
-    rng = make_rng(7)
-    arch = ArchSpec(family="fc", d_in=3, depth=4, width=4)
-    p = normal_params(arch, rng)
-    x = rng.normal(size=3)
-    gates = forward_relu(arch, p, x).gates
-    direct = forward_gated(arch, p, [gates[2], gates[0], gates[1]], x_v=x).y
-    routed = forward_gated(arch, p, gates, routing=GateRouting(perm=(2, 0, 1)), x_v=x).y
-    assert np.allclose(direct, routed, atol=1e-14)
 
 
 def test_dlgn_feature_net_is_linear_in_input():

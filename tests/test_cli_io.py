@@ -198,9 +198,10 @@ def test_unknown_format(tmp_path):
 # -- config ------------------------------------------------------------------
 
 
-def test_config_roundtrip():
+def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig()
-    back = ExperimentConfig.from_json(cfg.to_json())
+    (tmp_path / "c.json").write_text(cfg.to_json())
+    back = ExperimentConfig.load(tmp_path / "c.json")
     assert back.doc == cfg.doc == DEFAULT_CONFIG
 
 
@@ -291,7 +292,7 @@ def test_cli_kernel_artifacts(tmp_path):
                  "--override", "kernel.n=12",
                  "--override", "dataset.n=50"]) == 0
     g = GramMatrix.load_csv(out / "gram.csv")
-    b = GramMatrix.load_npkg(out / "gram.npkg", tag=g.tag)
+    b = GramMatrix.load_npkg(out / "gram.npkg")
     assert g.n == 12
     assert np.max(np.abs(g.matrix - b.matrix)) <= 1e-12
     assert g.is_psd()
@@ -414,7 +415,7 @@ def test_cli_config_must_be_an_object(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}: a config must be a JSON object" in err
         with pytest.raises(ValueError, match="a config must be a JSON object"):
-            ExperimentConfig.from_json(text)
+            ExperimentConfig.load(path)
     assert not (tmp_path / "v").exists()
 
 
@@ -504,7 +505,7 @@ def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
         raise AssertionError("ran a check before the usage error")
 
     # every value below is refused before any check runs
-    monkeypatch.setattr(cli, "_structure_checks", refuse)
+    monkeypatch.setattr(cli, "_rotation_check", refuse)
     # a sample count or path budget below 1 would check nothing and pass
     for spec in ("verify.eq1_samples=0", "verify.eq1_samples=-1", "verify.max_paths=0",
                  "verify.max_paths=-1"):
@@ -783,3 +784,46 @@ def test_cli_verify_budget_bounds_every_enumeration(tmp_path, monkeypatch):
     for key in ("path_identity", "npk"):
         assert report[key]["skipped"] and report[key]["families"] == []
         assert list(report[key]["skipped_families"]) == ["fc", "conv", "res"]
+    # the two records on the fc table go with it
+    assert report["permutation"]["skipped"] and report["constant_one"]["skipped"]
+
+
+def test_cli_verify_npk_compares_nonzero_kernels(tmp_path):
+    # probe inputs that share no active path have an NPK of exactly 0, and
+    # then the npk record compares 0 with 0
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--override", "verify.mc_samples=100",
+                 "--override", "verify.eq1_samples=2"]) == 0
+    values = json.loads((out / "verify.json").read_text())["npk"]["values"]
+    assert list(values) == ["fc", "conv", "res"] and all(v != 0 for v in values.values())
+
+
+def _misroute_step_1(table):
+    """Gated step 1 reads layer 0's gates, so the NPK depends on the layer order."""
+    table.gate_idx[1] -= table.arch.width
+
+
+def _ungate_step_0(table):
+    """Gated step 0 reads the constant 1 that pads the gates, so the NPK
+    loses layer 0's gate information."""
+    table.gate_idx[0] = table.arch.n_gate_layers() * table.arch.width
+
+
+@pytest.mark.parametrize("record, fault", [("permutation", _misroute_step_1),
+                                           ("constant_one", _ungate_step_0)])
+def test_cli_verify_fc_table_records_catch_their_fault(tmp_path, monkeypatch, record, fault):
+    enumerate_paths = cli.enumerate_paths
+
+    def faulty(arch, **kwargs):
+        table = enumerate_paths(arch, **kwargs)
+        if arch.family == "fc":
+            fault(table)
+        return table
+
+    monkeypatch.setattr(cli, "enumerate_paths", faulty)
+    # at seed 2 the fc probe's gated layers have the distinct gate
+    # correlations 1, 3, 2; at seed 0 they are all 1 and hide either fault
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--seed", "2", "--override", "verify.mc_samples=100",
+                 "--override", "verify.eq1_samples=2"]) == 1
+    assert not json.loads((out / "verify.json").read_text())[record]["passed"]

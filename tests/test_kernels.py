@@ -308,7 +308,7 @@ def test_gram_npkg_roundtrip(tmp_path):
     g, _ = _toy_gram()
     path = tmp_path / "g.npkg"
     g.save_npkg(path)
-    back = GramMatrix.load_npkg(path, tag=g.tag)
+    back = GramMatrix.load_npkg(path)
     assert np.array_equal(back.matrix, g.matrix)  # binary format is exact
     with open(path, "rb") as fh:
         assert fh.read(4) == b"NPKG"

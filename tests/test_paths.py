@@ -29,7 +29,7 @@ def test_count_paths_closed_forms():
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_table_sizes_match_count(arch):
     table = enumerate_paths(arch)
-    assert table.n_paths == count_paths(arch)
+    assert table.node.size == count_paths(arch)
 
 
 def test_budget_refusal():
@@ -44,20 +44,23 @@ def test_budget_refusal():
 
 def test_conv_bundles_have_d_in_paths():
     table = enumerate_paths(CONV_SMALL)
-    assert table.n_paths == table.n_bundles * CONV_SMALL.d_in
+    n_bundles = table.bundle_start.size
+    assert table.node.size == n_bundles * CONV_SMALL.d_in
     # each bundle holds one contiguous path from every input node
-    members = table.node.reshape(table.n_bundles, CONV_SMALL.d_in)
-    assert np.array_equal(members, np.tile(np.arange(CONV_SMALL.d_in), (table.n_bundles, 1)))
+    members = table.node.reshape(n_bundles, CONV_SMALL.d_in)
+    assert np.array_equal(members, np.tile(np.arange(CONV_SMALL.d_in), (n_bundles, 1)))
 
 
 def test_subfcn_enumeration():
-    masks = [m for m, _ in enumerate_subfcns(RES_SMALL)]
-    assert len(masks) == 2**RES_SMALL.b
-    assert SubFcnMask(included=()) in masks
-    # sub-FCN depth counts the always-on first and last blocks
-    sub = dict(enumerate_subfcns(RES_SMALL))
-    assert sub[SubFcnMask(included=())].depth == 2 * RES_SMALL.d_blk
-    assert sub[SubFcnMask(included=(1, 2))].depth == 4 * RES_SMALL.d_blk
+    masks = enumerate_subfcns(RES_SMALL)
+    assert masks == [SubFcnMask(()), SubFcnMask((1,)), SubFcnMask((2,)), SubFcnMask((1, 2))]
+    # sub-FCN depth counts the always-on first and last blocks: the table
+    # holds d_in * width^(depth - 1) paths per sub-FCN, in mask order
+    table = enumerate_paths(RES_SMALL)
+    assert [m for m, _ in table.sub_blocks] == masks
+    for mask, s in table.sub_blocks:
+        depth = (len(mask.included) + 2) * RES_SMALL.d_blk
+        assert s.stop - s.start == RES_SMALL.d_in * RES_SMALL.width ** (depth - 1)
     # gate indices partition consistently: full mask uses every gate layer
     full = res_gate_indices(RES_SMALL, SubFcnMask(included=(1, 2)))
     assert full == list(range(RES_SMALL.n_gate_layers()))

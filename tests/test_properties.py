@@ -201,7 +201,7 @@ def test_path_table_matches_the_independent_walk(arch, seed):
     gx, gx2 = forward_relu(arch, p, x).gates, forward_relu(arch, p, x2).gates
     table = enumerate_paths(arch)
     walk = list(iter_paths(table))
-    assert len(walk) == table.n_paths == count_paths(arch)
+    assert len(walk) == table.node.size == count_paths(arch)
     conv = arch.family == "conv_gap"
 
     def bundle(q):  # a conv bundle's paths differ only in their input node
@@ -209,7 +209,7 @@ def test_path_table_matches_the_independent_walk(arch, seed):
 
     ids = np.cumsum([i == 0 or bundle(q) != bundle(walk[i - 1]) for i, q in enumerate(walk)]) - 1
     dv = dual_vectors(arch, p, x, gx, table=table)
-    assert ids[-1] + 1 == table.n_bundles
+    assert ids[-1] + 1 == table.bundle_start.size
     npf = np.bincount(ids, [x[q.input_node] * path_activity(gx, q) for q in walk])
     assert np.allclose(npf, dv.npf, rtol=0, atol=1e-12)
     assert np.allclose([path_value(p, q) for q in walk], dv.npv[ids], rtol=1e-12, atol=0)
@@ -242,8 +242,9 @@ def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
     arch, x, x2, gx, gx2 = case
     s = arch.init_sigma("fc") if sigma is None else sigma
     corr = gate_correlations(gx, gx2)
-    terms = [(fc.depth, float(x @ x2) * float(np.prod(corr[res_gate_indices(arch, mask)])))
-             for mask, fc in enumerate_subfcns(arch)]
+    terms = [((len(mask.included) + 2) * arch.d_blk,
+              float(x @ x2) * float(np.prod(corr[res_gate_indices(arch, mask)])))
+             for mask in enumerate_subfcns(arch)]
     want_npk = sum(k for _, k in terms)
     want_mc = sum(d * s ** (2 * (d - 1)) * k for d, k in terms)
     assert abs(npk(arch, x, x2, gx, gx2) - want_npk) <= 1e-12 * abs(want_npk)
@@ -436,7 +437,7 @@ def test_blocked_logits_match_one_forward_pass(case):
 def test_model_gates_replay_the_logits(case):
     # the value network on Model.gates is the model, for DNN's own gates too
     model, ds = case
-    gated = forward_gated(model.arch, model.params_v, model.gates(ds.X), model.routing, ds.X)
+    gated = forward_gated(model.arch, model.params_v, model.gates(ds.X), ds.X)
     assert gated.y.tobytes() == logits_node(model, ds.X).value.tobytes()
 
 

@@ -51,14 +51,14 @@ def _circles(n=600, seed=0):
 
 
 def test_loss_uniform_logits():
-    loss, _ = loss_softmax_ce(np.zeros(2), 0)
+    loss, _ = loss_softmax_ce(np.zeros((1, 2)), np.array([0]))
     assert np.isclose(loss, np.log(2.0))
     loss3, _ = loss_softmax_ce(np.zeros((4, 3)), np.zeros(4, dtype=int))
     assert np.isclose(loss3, np.log(3.0))
 
 
 def test_loss_confident_limit():
-    loss, _ = loss_softmax_ce(np.array([50.0, 0.0]), 0)
+    loss, _ = loss_softmax_ce(np.array([[50.0, 0.0]]), np.array([0]))
     assert loss < 1e-20
 
 
@@ -79,7 +79,7 @@ def test_loss_gradient_matches_finite_differences():
 
 def test_loss_label_out_of_range():
     with pytest.raises(ValueError):
-        loss_softmax_ce(np.zeros(2), 2)
+        loss_softmax_ce(np.zeros((1, 2)), np.array([2]))
     with pytest.raises(ValueError):
         loss_softmax_ce(np.zeros((1, 2)), np.array([-1]))
 
@@ -597,7 +597,7 @@ def test_train_report_json_roundtrip():
                       train_loss=[0.5, 0.2], train_accuracy=[0.7, 0.9],
                       test_accuracy=[0.6, 0.8], final_test_accuracy=0.8,
                       wall_clock_s=1.5)
-    back = TrainReport.from_json(rep.to_json())
+    back = TrainReport(**json.loads(rep.to_json()))
     assert back == rep
     doc = json.loads(rep.to_json())
     assert doc["regime"] == "DNN" and len(doc["train_loss"]) == 2
