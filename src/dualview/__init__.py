@@ -9,7 +9,6 @@ desk-scale training experiments.
 from .arch import (
     ArchSpec,
     ForwardResult,
-    GateRouting,
     forward_dlgn,
     forward_gated,
     forward_relu,

@@ -185,29 +185,19 @@ def init_params(
     return params
 
 
-@dataclass(frozen=True)
-class GateRouting:
-    """Optional permutation of the gate layers and constant-1 value input."""
-
-    perm: tuple[int, ...] | None = None
-    constant_one_input: bool = False
-
-    def validate(self, arch: ArchSpec) -> None:
-        if self.perm is None:
-            return
-        shapes = arch.gate_layer_shapes()
-        if sorted(self.perm) != list(range(len(shapes))):
-            raise ValueError(f"perm must be a permutation of 0..{len(shapes) - 1}")
-        for i, j in enumerate(self.perm):
-            if shapes[i] != shapes[j]:
-                raise ValueError(
-                    f"routing permutes layers of unequal gate shape: {shapes[i]} vs {shapes[j]}"
-                )
-
-    def apply(self, gates: Sequence) -> list:
-        if self.perm is None:
-            return list(gates)
-        return [gates[j] for j in self.perm]
+def check_perm(arch: ArchSpec, perm: Sequence[int] | None) -> None:
+    """Refuse a gate routing permutation that is not one of arch's gate
+    layers, or that moves a gate to a layer of another shape."""
+    if perm is None:
+        return
+    shapes = arch.gate_layer_shapes()
+    if sorted(perm) != list(range(len(shapes))):
+        raise ValueError(f"perm must be a permutation of 0..{len(shapes) - 1}")
+    for i, j in enumerate(perm):
+        if shapes[i] != shapes[j]:
+            raise ValueError(
+                f"routing permutes layers of unequal gate shape: {shapes[i]} vs {shapes[j]}"
+            )
 
 
 # Hard or soft gate values, one array per gated layer in forward order.

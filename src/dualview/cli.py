@@ -46,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .arch import FC, RES, ArchSpec, GateRouting, forward_relu, init_params, weight_layer_specs
+from .arch import FC, RES, ArchSpec, check_perm, forward_relu, init_params, weight_layer_specs
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, ntk_expectation_mc, rot
 from .numerics import make_rng
@@ -108,7 +108,7 @@ class ExperimentConfig:
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
     typed as the field's default, and a key in MINIMUM must reach its bound.
-    The ArchSpec, TrainConfig and its routing, `experiment.bundle` and a
+    The ArchSpec, TrainConfig and its `perm`, `experiment.bundle` and a
     file dataset's path are checked for every command; the dataset generator
     or loader checks the other dataset values.
     """
@@ -138,7 +138,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
         if self.doc["dataset"]["kind"] == "file" and not self.doc["dataset"]["path"]:
             raise ValueError("dataset.kind == 'file' requires dataset.path")
-        self.train_config().routing().validate(self.arch())
+        check_perm(self.arch(), self.train_config().perm)
 
     @classmethod
     def load(cls, path=None, overrides=()) -> "ExperimentConfig":
@@ -331,7 +331,7 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> tuple[dict, dict]:
         if arch.family == FC:
             fc_report = _fc_table_checks(arch, params, table, x, x2, gx, gx2)
         if arch.family == RES:
-            extra["per_mask"] = {str(m.included): float(phi[s] @ phi2[s])
+            extra["per_mask"] = {str(m): float(phi[s] @ phi2[s])
                                  for m, s in table.sub_blocks}
         checked.append(name)
     scope = {"families": checked, "skipped_families": skipped}
@@ -465,7 +465,7 @@ def _bundle_permutation_sweep(config: ExperimentConfig) -> tuple[list, list, lis
     arch = config.arch()
     perms = list(itertools.permutations(range(arch.n_gate_layers())))
     for perm in perms:  # an arch that cannot route every permutation fails before training
-        GateRouting(perm=perm).validate(arch)
+        check_perm(arch, perm)
     return _train_sweep(config, {"regime": "DLGN"},
                         {"perm": [list(p) for p in perms]})
 

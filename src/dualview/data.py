@@ -38,12 +38,11 @@ class DatasetError(ValueError):
 
 @dataclass
 class Dataset:
-    """Inputs (n, d_in), integer labels in [0, k), and a provenance tag."""
+    """Inputs (n, d_in) and integer labels in [0, k)."""
 
     X: np.ndarray
     y: np.ndarray
     k: int
-    provenance: str
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -71,7 +70,7 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx], self.k, self.provenance)
+        return Dataset(self.X[idx], self.y[idx], self.k)
 
     def split(self, train_fraction: float, rng: np.random.Generator):
         """Shuffled (train, test) split; neither side may be empty."""
@@ -160,11 +159,7 @@ def generate_synthetic(kind: str, n: int, seed: int, **params) -> Dataset:
         if not has_type_of(value, defaults[key]):
             raise DatasetError(f"{kind} parameter {key!r} must have the type of its default "
                                f"{defaults[key]!r}, got {value!r}")
-    X, y, k = gen(n, make_rng(seed, stream=101), **params)
-    tag = f"synthetic:{kind}:n={n}:seed={seed}"
-    if params:
-        tag += ":" + ",".join(f"{a}={b}" for a, b in sorted(params.items()))
-    return Dataset(X, y, k, tag)
+    return Dataset(*gen(n, make_rng(seed, stream=101), **params))
 
 
 CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixel bytes
@@ -202,7 +197,7 @@ def _load_csv(path):
     y = labels.astype(np.int64)
     if y.min() < 0:
         raise DatasetError(f"{path}: negative label {y.min()}")
-    return Dataset(X, y, int(y.max()) + 1, f"file:{path}")
+    return Dataset(X, y, int(y.max()) + 1)
 
 
 def _load_cifar_binary(path):
@@ -217,4 +212,4 @@ def _load_cifar_binary(path):
     records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     y = records[:, 0].astype(np.int64)
     X = records[:, 1:].astype(np.float64) / 255.0
-    return Dataset(X, y, int(y.max()) + 1, f"file:{path}")
+    return Dataset(X, y, int(y.max()) + 1)

@@ -64,30 +64,23 @@ def count_paths(arch: ArchSpec) -> int:
     return arch.d_in * total
 
 
-@dataclass(frozen=True)
-class SubFcnMask:
-    """Subset of the b skipped blocks included in one sub-FCN."""
-
-    included: tuple[int, ...]  # block ids in 1..b
-
-
-def enumerate_subfcns(arch: ArchSpec) -> list[SubFcnMask]:
-    """All 2^b sub-FCN masks of a res arch, in the order of the bits of
+def enumerate_subfcns(arch: ArchSpec) -> list[tuple[int, ...]]:
+    """All 2^b sub-FCN masks of a res arch, each the tuple of the skipped
+    blocks (ids in 1..b) it includes, in the order of the bits of
     0..2^b - 1 (bit j includes block j + 1). The sub-FCN of a mask is an fc
-    chain of `(len(mask.included) + 2) * arch.d_blk` weight layers."""
+    chain of `(len(mask) + 2) * arch.d_blk` weight layers."""
     if arch.family != RES:
         raise ValueError("enumerate_subfcns requires the res family")
-    return [SubFcnMask(tuple(j + 1 for j in range(arch.b) if (m >> j) & 1))
-            for m in range(2 ** arch.b)]
+    return [tuple(j + 1 for j in range(arch.b) if (m >> j) & 1) for m in range(2 ** arch.b)]
 
 
-def res_gate_indices(arch: ArchSpec, mask: SubFcnMask) -> list[int]:
+def res_gate_indices(arch: ArchSpec, mask: tuple[int, ...]) -> list[int]:
     """Global gated-layer indices (into the ResNet gate list) for one sub-FCN.
 
     The sub-FCN's own final layer is ungated, so the last traversed layer is
     dropped; every other traversed layer maps to block_id * d_blk + layer.
     """
-    idxs = [j * arch.d_blk + l for j in (0, *mask.included, arch.b + 1) for l in range(arch.d_blk)]
+    idxs = [j * arch.d_blk + l for j in (0, *mask, arch.b + 1) for l in range(arch.d_blk)]
     return idxs[:-1]
 
 
@@ -103,7 +96,7 @@ class PathTable:
     pool: float = 1.0  # pooling scale of every activity
     # (sub-FCN mask, path slice) per res sub-FCN; fc: one block with mask
     # None; conv tables leave it empty
-    sub_blocks: list[tuple[SubFcnMask | None, slice]] = field(default_factory=list)
+    sub_blocks: list[tuple[tuple[int, ...] | None, slice]] = field(default_factory=list)
 
 
 def _offsets(shapes) -> list[int]:

@@ -15,8 +15,9 @@ linear maps of the input).
 
 The value net always trains. A frozen feature net is checked to be
 bit-identical after training; soft gates are the logistic gate with the
-architecture's beta. ``Model`` alone applies the gate routing permutation
-and the constant-1 value input, identically in training and evaluation.
+architecture's beta. ``Model`` alone routes the gates, by its ``perm``
+(checked by ``arch.check_perm``) and its constant-1 value input
+``ones_input``, identically in training and evaluation.
 
 ``Model.gates`` returns the gates the value network uses, one per gated
 layer: a DNN's own ReLU gates, or those of the regime's feature network,
@@ -53,11 +54,11 @@ import numpy as np
 from .arch import (
     ArchSpec,
     FeatureNet,
-    GateRouting,
     HARD,
     SOFT,
     Tape,
     _ensure_batch,
+    check_perm,
     init_params,
     run_stack,
     self_gate,
@@ -245,9 +246,6 @@ class TrainConfig:
                     raise ValueError(f"train.{key}={getattr(self, key)!r} needs a gated regime; "
                                      f"{self.regime} uses its own ReLU gates")
 
-    def routing(self) -> GateRouting:
-        return GateRouting(perm=self.perm, constant_one_input=(self.x_v == "ones"))
-
 
 @dataclass
 class TrainReport:
@@ -273,16 +271,17 @@ class TrainReport:
 @dataclass(frozen=True)
 class Model:
     """A trained (or initialized) network plus everything needed to run it.
-    Frozen, so the routing it checks when built is the one it runs."""
+    Frozen, so the ``perm`` it checks when built is the one it runs."""
 
     arch: ArchSpec
     regime: str
     params_f: dict[str, np.ndarray] | None
     params_v: dict[str, np.ndarray]
-    routing: GateRouting
+    perm: tuple[int, ...] | None = None
+    ones_input: bool = False
 
     def __post_init__(self):
-        self.routing.validate(self.arch)
+        check_perm(self.arch, self.perm)
 
     def _features(self) -> FeatureNet | None:
         """The regime's feature network on arrays; None for a DNN, which gates itself."""
@@ -296,8 +295,8 @@ class Model:
         if features is None:
             return run_stack(arch, self.params_v, X, self_gate), None
         gates, state = features.gates(X, REGIME_TABLE[self.regime][1])
-        routed = self.routing.apply(gates)
-        X_v = np.ones_like(X) if self.routing.constant_one_input else X
+        routed = gates if self.perm is None else [gates[j] for j in self.perm]
+        X_v = np.ones_like(X) if self.ones_input else X
         return run_stack(arch, self.params_v, X_v, lambda i, q: routed[i]), state
 
     def gates(self, X: np.ndarray) -> list[np.ndarray]:
@@ -381,8 +380,7 @@ def _batch_grads(model: Model, Xb, yb):
     if REGIME_TABLE[model.regime][2]:
         # gate i of the value net is feature gate perm[i]
         routed = [d * q for d, q in zip(dgated, tape.qs)]
-        perm = model.routing.perm
-        dgates = routed if perm is None else [routed[i] for i in np.argsort(perm)]
+        dgates = routed if model.perm is None else [routed[i] for i in np.argsort(model.perm)]
         grads_f = features.vjp(Xb, state, dgates)
         grads += [grads_f[k] for k in model.params_f]
     return loss, dict(zip(_trained(model), grads))
@@ -445,14 +443,13 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
         arch, make_rng(config.seed, stream=1), config.init, source)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
                   params_v=_init_net(arch, make_rng(config.seed, stream=2), config.init),
-                  routing=config.routing())
+                  perm=config.perm, ones_input=config.x_v == "ones")
     report = TrainReport(regime=config.regime, seed=config.seed, config=asdict(config))
 
     if config.regime == DGN_FL:
         # pre-train the feature net as a plain ReLU classifier on y_hat_f,
         # same loss and optimizer family as the main run
-        pre = Model(arch=arch, regime=DNN, params_f=None, params_v=params_f,
-                    routing=GateRouting())
+        pre = Model(arch=arch, regime=DNN, params_f=None, params_v=params_f)
         _run_epochs(pre, dataset, config, config.pretrain_epochs, make_rng(config.seed, stream=4))
 
     trained = _trained(model)

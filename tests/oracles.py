@@ -24,7 +24,7 @@ from dualview.arch import (ArchSpec, CONV_GAP, FC, RES, Gates, feature_gates, fo
                            forward_relu)
 from dualview.autodiff import Node, backward
 from dualview.numerics import ParamDict
-from dualview.paths import PathTable, SubFcnMask, _activities, _path_npf, enumerate_subfcns, \
+from dualview.paths import PathTable, _activities, _path_npf, enumerate_subfcns, \
     res_gate_indices
 from dualview.training import REGIME_TABLE, Model, _trained, loss_softmax_ce
 
@@ -73,8 +73,9 @@ def logits_node(model: Model, X) -> Node:
     source, mode, _ = REGIME_TABLE[model.regime]
     if source == "self":
         return forward_relu(model.arch, model.params_v, X).y_node
-    gates = model.routing.apply(feature_gates(model.arch, model.params_f, X, source, mode))
-    X_v = np.ones_like(X) if model.routing.constant_one_input else X
+    gates = feature_gates(model.arch, model.params_f, X, source, mode)
+    gates = gates if model.perm is None else [gates[j] for j in model.perm]
+    X_v = np.ones_like(X) if model.ones_input else X
     return forward_gated(model.arch, model.params_v, gates, X_v).y_node
 
 
@@ -112,7 +113,7 @@ class Path:
     hidden: tuple[int, ...] = ()  # fc/res hidden unit indices per gated layer
     windows: tuple[int, ...] = ()  # conv window offsets, 0-based
     filters: tuple[int, ...] = ()  # conv filter indices
-    subfcn: SubFcnMask | None = None  # res only
+    subfcn: tuple[int, ...] | None = None  # res only: the included blocks
 
 
 def iter_paths(table: PathTable):
@@ -126,7 +127,7 @@ def iter_paths(table: PathTable):
             yield Path(arch, i, hidden=tuple(idx[n_cv:]), windows=tuple(idx[0:n_cv:2]),
                        filters=tuple(idx[1:n_cv:2]))
         return
-    chains = ([(m, (len(m.included) + 2) * arch.d_blk) for m in enumerate_subfcns(arch)]
+    chains = ([(m, (len(m) + 2) * arch.d_blk) for m in enumerate_subfcns(arch)]
               if arch.family == RES else [(None, arch.depth)])
     for mask, depth in chains:
         for i, *hidden in itertools.product(range(arch.d_in), *units * (depth - 1)):
@@ -169,7 +170,7 @@ def path_value(params: Mapping[str, np.ndarray], p: Path) -> float:
         for m in range(arch.d_fc):
             v *= float(params[f"fc{m + 1}"][chain[m], chain[m + 1]])
         return v
-    blocks = (0, *p.subfcn.included, arch.b + 1)
+    blocks = (0, *p.subfcn, arch.b + 1)
     names = [f"b{j}l{l}" for j in blocks for l in range(1, arch.d_blk + 1)]
     chain = (p.input_node, *p.hidden, 0)
     return float(np.prod([params[n][chain[l], chain[l + 1]] for l, n in enumerate(names)]))

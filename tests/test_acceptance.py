@@ -16,7 +16,6 @@ from oracles import conv_path_npf, finite_diff_grad, overlap_vector
 
 from dualview.arch import (
     ArchSpec,
-    GateRouting,
     forward_dlgn,
     forward_relu,
     init_params,
@@ -37,7 +36,6 @@ from dualview.kernels import (
 )
 from dualview.numerics import grad, make_rng
 from dualview.paths import (
-    SubFcnMask,
     count_paths,
     dual_vectors,
     enumerate_paths,

@@ -11,10 +11,10 @@ from dualview.arch import (
     ARRAYS,
     ArchSpec,
     FeatureNet,
-    GateRouting,
     HARD,
     SOFT,
     _collapse_pays,
+    check_perm,
     feature_gates,
     forward_dlgn,
     forward_gated,
@@ -119,12 +119,12 @@ def test_forward_gated_external_gates():
 
 
 def test_routing_validation():
-    GateRouting(perm=(1, 0)).validate(FC_SMALL)
+    check_perm(FC_SMALL, (1, 0))
     with pytest.raises(ValueError):
-        GateRouting(perm=(0, 0)).validate(FC_SMALL)
+        check_perm(FC_SMALL, (0, 0))
     with pytest.raises(ValueError):
         # conv gate layers have unequal shapes; cannot swap conv with fc
-        GateRouting(perm=(2, 1, 0)).validate(CONV_SMALL)
+        check_perm(CONV_SMALL, (2, 1, 0))
 
 
 def test_dlgn_feature_net_is_linear_in_input():

@@ -36,11 +36,11 @@ from dualview.training import TrainConfig
 
 def test_dataset_validation():
     with pytest.raises(DatasetError):
-        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), 2, "t")
+        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), 2)
     with pytest.raises(DatasetError):
-        Dataset(np.ones((2, 2)), np.array([0, 5]), 2, "t")
+        Dataset(np.ones((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(DatasetError):
-        Dataset(np.ones((2, 2)), np.array([0]), 2, "t")
+        Dataset(np.ones((2, 2)), np.array([0]), 2)
 
 
 def test_blobs_separation():

@@ -8,7 +8,6 @@ from dualview.arch import ArchSpec, forward_relu
 from dualview.numerics import make_rng
 from dualview.paths import (
     PathBudgetError,
-    SubFcnMask,
     count_paths,
     dual_vectors,
     enumerate_paths,
@@ -53,16 +52,16 @@ def test_conv_bundles_have_d_in_paths():
 
 def test_subfcn_enumeration():
     masks = enumerate_subfcns(RES_SMALL)
-    assert masks == [SubFcnMask(()), SubFcnMask((1,)), SubFcnMask((2,)), SubFcnMask((1, 2))]
+    assert masks == [(), (1,), (2,), (1, 2)]
     # sub-FCN depth counts the always-on first and last blocks: the table
     # holds d_in * width^(depth - 1) paths per sub-FCN, in mask order
     table = enumerate_paths(RES_SMALL)
     assert [m for m, _ in table.sub_blocks] == masks
     for mask, s in table.sub_blocks:
-        depth = (len(mask.included) + 2) * RES_SMALL.d_blk
+        depth = (len(mask) + 2) * RES_SMALL.d_blk
         assert s.stop - s.start == RES_SMALL.d_in * RES_SMALL.width ** (depth - 1)
     # gate indices partition consistently: full mask uses every gate layer
-    full = res_gate_indices(RES_SMALL, SubFcnMask(included=(1, 2)))
+    full = res_gate_indices(RES_SMALL, (1, 2))
     assert full == list(range(RES_SMALL.n_gate_layers()))
 
 

@@ -12,7 +12,7 @@ from oracles import (batch_grads, iter_paths, logits_node, overlap_vector, path_
                      path_value)
 
 from dualview import autodiff as ad
-from dualview.arch import (HARD, SOFT, ArchSpec, FeatureNet, GateRouting, _collapse_pays,
+from dualview.arch import (HARD, SOFT, ArchSpec, FeatureNet, _collapse_pays,
                            feature_gates, forward_gated, forward_relu, init_params,
                            shallow_layer_specs, weight_layer_specs)
 from dualview.autodiff import conv_circular, matmul, value_of
@@ -242,7 +242,7 @@ def test_res_closed_forms_match_sub_fcn_sums(case, sigma):
     arch, x, x2, gx, gx2 = case
     s = arch.init_sigma("fc") if sigma is None else sigma
     corr = gate_correlations(gx, gx2)
-    terms = [((len(mask.included) + 2) * arch.d_blk,
+    terms = [((len(mask) + 2) * arch.d_blk,
               float(x @ x2) * float(np.prod(corr[res_gate_indices(arch, mask)])))
              for mask in enumerate_subfcns(arch)]
     want_npk = sum(k for _, k in terms)
@@ -411,9 +411,9 @@ def model_batch(draw):
     source = REGIME_TABLE[regime][0]
     params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
     model = Model(arch=arch, regime=regime, params_f=params_f,
-                  params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+                  params_v=_init_net(arch, rng, "normal"))
     k = max(2, arch.n_out)
-    return model, Dataset(rng.normal(size=(n, arch.d_in)), rng.integers(0, k, size=n), k, "rows")
+    return model, Dataset(rng.normal(size=(n, arch.d_in)), rng.integers(0, k, size=n), k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,7 +472,7 @@ def engine_case(draw):
     params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
     model = Model(arch=arch, regime=regime, params_f=params_f,
                   params_v=_init_net(arch, rng, "normal"),
-                  routing=GateRouting(perm=perm, constant_one_input=ones))
+                  perm=perm, ones_input=ones)
     return model, rng.normal(size=(n, arch.d_in)), rng.integers(0, arch.n_out, size=n)
 
 

@@ -197,12 +197,10 @@ def test_dgn_shared_init_first_loss_matches_dnn():
     # DGN_FR draws feature params from stream 1 and value params from stream 2;
     # replicate the value init into the feature net for a shared-init run
     from dualview.training import _init_net, _run_epochs
-    from dualview.arch import GateRouting
-
     params_v = _init_net(ARCH, make_rng(3, stream=2), "normal")
     model = Model(arch=ARCH, regime=DGN_FR,
                   params_f={k: v.copy() for k, v in params_v.items()},
-                  params_v=params_v, routing=GateRouting())
+                  params_v=params_v)
     rep = TrainReport(regime=DGN_FR, seed=3, config={})
     _run_epochs(model, tr, cfg, 1, make_rng(3, stream=3), rep)
     assert np.isclose(rep.train_loss[0], rep_dnn.train_loss[0], atol=1e-12)
@@ -259,7 +257,7 @@ def test_conv_batch_loss_gradient_through_hyperplanes():
     # a DLGN batch wide enough for the collapse differentiates the feature
     # parameters through the hyperplane matrices; compare with central
     # differences of the batch loss
-    from dualview.arch import GateRouting, _collapse_pays
+    from dualview.arch import _collapse_pays
     from dualview.training import _batch_grads, _init_net
 
     arch = ArchSpec(family="conv_gap", d_in=5, w_cv=3, width=6, d_cv=2, d_fc=2, n_out=2,
@@ -268,7 +266,7 @@ def test_conv_batch_loss_gradient_through_hyperplanes():
     assert _collapse_pays(arch, n)
     rng = make_rng(21)
     model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
-                  params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+                  params_v=_init_net(arch, rng, "normal"))
     X, y = rng.normal(size=(n, arch.d_in)), rng.integers(0, 2, size=n)
     _, grads = _batch_grads(model, X, y)
     got = np.concatenate([grads[f"f.{name}"].ravel() for name in model.params_f])
@@ -319,11 +317,10 @@ def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeyp
     # only the value net's arrays get gradients; the frozen feature net is
     # read, never differentiated or written, and no graph node is built
     from dualview import training
-    from dualview.arch import GateRouting
 
     rng = make_rng(5, stream=47)
     model = Model(arch=ARCH, regime=regime, params_f=training._init_net(ARCH, rng, "normal"),
-                  params_v=training._init_net(ARCH, rng, "normal"), routing=GateRouting())
+                  params_v=training._init_net(ARCH, rng, "normal"))
     frozen = dict(model.params_f)
     frozen_bytes = {k: v.tobytes() for k, v in frozen.items()}
     built = _count_nodes(monkeypatch)
@@ -338,7 +335,6 @@ def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeyp
 @pytest.mark.parametrize("regime", REGIMES)
 def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
     # training and inference run the explicit forward and VJP on arrays
-    from dualview.arch import GateRouting
     from dualview.training import REGIME_TABLE, _batch_grads, _init_net
 
     source = REGIME_TABLE[regime][0]
@@ -349,7 +345,7 @@ def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
                  ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
         params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
         model = Model(arch=arch, regime=regime, params_f=params_f,
-                      params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+                      params_v=_init_net(arch, rng, "normal"))
         X = rng.normal(size=(300, arch.d_in))
         _batch_grads(model, X[:40], rng.integers(0, 2, size=40))
         model.logits(X)
@@ -359,13 +355,13 @@ def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
 def test_model_logits_builds_the_hyperplanes_once_per_call(monkeypatch):
     # the hyperplanes U_l are the linear feature maps run on eye(d_in); one
     # evaluation reuses them across its 256-row blocks
-    from dualview.arch import GateRouting, _collapse_pays
+    from dualview.arch import _collapse_pays
     from dualview.training import LOGITS_BLOCK_ROWS, _init_net
 
     arch = ArchSpec(family="conv_gap", d_in=8, w_cv=3, width=16, d_cv=2, d_fc=2, n_out=2)
     rng = make_rng(17, stream=49)
     model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
-                  params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+                  params_v=_init_net(arch, rng, "normal"))
     X = rng.normal(size=(1600, arch.d_in))
     assert _collapse_pays(arch, len(X) % LOGITS_BLOCK_ROWS)
     eye, sizes = np.eye, []
@@ -429,7 +425,6 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     # only Node operands join the autodiff graph; wrapping the input and the
     # fixed gates in Nodes, as every operand once was, changes no bit
     from dualview import autodiff as ad
-    from dualview.arch import GateRouting
     from dualview.training import REGIME_TABLE, _init_net
 
     source = REGIME_TABLE[regime][0]
@@ -440,7 +435,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
                  ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
         params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
         model = Model(arch=arch, regime=regime, params_f=params_f,
-                      params_v=_init_net(arch, rng, "normal"), routing=GateRouting())
+                      params_v=_init_net(arch, rng, "normal"))
         cases.append((model, rng.normal(size=(8, arch.d_in)), rng.integers(0, 2, size=8)))
     plain = [batch_grads(*case) for case in cases]
 
@@ -537,12 +532,12 @@ def test_sgd_schedule_spans_every_step(monkeypatch):
 def test_soft_gates_of_a_far_input_raise_no_overflow_warning():
     # the logistic of beta q below about -709 is exactly 0, but exp(-beta q)
     # overflows on the way; a gate of exactly 0 shows that it did
-    from dualview.arch import SOFT, GateRouting, feature_gates
+    from dualview.arch import SOFT, feature_gates
     from dualview.training import _init_net
 
     rng = make_rng(3, stream=50)
     model = Model(arch=ARCH, regime=DLGN, params_f=_init_net(ARCH, rng, "normal"),
-                  params_v=_init_net(ARCH, rng, "normal"), routing=GateRouting())
+                  params_v=_init_net(ARCH, rng, "normal"))
     x = np.array([[1e3, -1e3, 5e2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -558,10 +553,9 @@ def test_untrained_accuracy_near_chance():
 
     X = rng.normal(size=(1000, 3))
     y = rng.integers(0, 2, size=1000)
-    ds = Dataset(X, y, 2, "random")
+    ds = Dataset(X, y, 2)
     model = Model(arch=ARCH, regime=DNN, params_f=None,
-                  params_v=normal_params(ARCH, rng), routing=__import__(
-                      "dualview.arch", fromlist=["GateRouting"]).GateRouting())
+                  params_v=normal_params(ARCH, rng))
     acc = evaluate(model, ds)
     assert abs(acc - 0.5) <= 0.05
 
@@ -574,14 +568,14 @@ def test_routing_fixed_train_and_test():
                       lr=3e-3, seed=4)
     report, model = train(perm_arch, tr, cfg, test=te)
     trained = evaluate(model, te)
-    from dualview.arch import GateRouting
-
-    other = evaluate(replace(model, routing=GateRouting(perm=(0, 1, 2))), te)
+    other = evaluate(replace(model, perm=(0, 1, 2)), te)
     assert trained >= 0.9
     assert other <= trained  # mismatched routing never helps here
-    # a Model checks its routing once, when built
+    # a Model checks its perm whenever it is built, through train() or not
     with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2"):
         train(perm_arch, tr, replace(cfg, perm=(0, 0, 1)))
+    with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2"):
+        replace(model, perm=(0, 0, 1))
 
 
 def test_constant_one_value_input():
