@@ -4,7 +4,8 @@ One binary, four subcommands:
 
 * ``dualview verify``     — check the closed forms on small probe networks
   (rotation invariance, MC NTK and, within ``verify.max_paths``, the checks
-  on each family's path table), emit JSON
+  on each family's path table), each redrawn until no check is vacuous,
+  emit JSON
 * ``dualview train``      — train one regime, emit TrainReport JSON + params
 * ``dualview kernel``     — emit the NPK Gram of any family (tag
   ``npk-<family>``) as CSV and NPKG binary
@@ -250,16 +251,33 @@ def _mc_estimate(arch: ArchSpec, x, x2, rng, n_samples: int, mc_rng):
                                       rng=mc_rng, sigma=0.5)
 
 
+PROBE_DRAWS = 100  # draws of (x, x', params) per probe family
+
+
 def _verify_probes(seed: int):
+    """Each family's first draw of (x, x', params) whose closed-form NPK is
+    nonzero and, for fc, whose gated layers have pairwise distinct gate
+    correlations, so that no record compares 0 with 0 and a layer mix-up
+    changes the fc NPK. A family with none in PROBE_DRAWS draws fails."""
     rng = make_rng(seed, stream=201)
     fc = ArchSpec(family="fc", d_in=3, depth=4, width=4)
     cv = ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2)
     rs = ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4)
     probes = {}
     for name, arch in (("fc", fc), ("conv", cv), ("res", rs)):
-        x = rng.normal(size=arch.d_in)
-        x2 = x + 0.4 * rng.normal(size=arch.d_in)
-        probes[name] = (arch, _normal_params(arch, rng), x, x2)
+        for _ in range(PROBE_DRAWS):
+            x = rng.normal(size=arch.d_in)
+            x2 = x + 0.4 * rng.normal(size=arch.d_in)
+            params = _normal_params(arch, rng)
+            gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
+            corr = gate_correlations(gx, gx2).tolist() if arch.family == FC else []
+            if npk(arch, x, x2, gx, gx2) != 0 and len(set(corr)) == len(corr):
+                probes[name] = (arch, params, x, x2)
+                break
+        else:
+            also = " and distinct gate correlations" if arch.family == FC else ""
+            raise FloatingPointError(f"no {name} probe in {PROBE_DRAWS} draws has a nonzero NPK"
+                                     + also)
     return probes
 
 

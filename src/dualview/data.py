@@ -14,6 +14,9 @@ rays, which such a function cannot separate. The circles generator therefore
 appends a constant-1 homogeneous coordinate by default (append_one=True),
 which restores the expressive power of biases without breaking the
 path-product decomposition.
+
+A :class:`Dataset` holds the inputs, labels and class count alone; the
+resolved config of a run names the dataset it was built from.
 """
 
 from __future__ import annotations

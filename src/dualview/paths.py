@@ -20,8 +20,9 @@ table it reads.
 
 Path ordering is lexicographic in (input node, layer-1 index, layer-2
 index, ...) so dual vectors align across calls. Res paths are grouped by
-sub-FCN in the mask order of :func:`enumerate_subfcns`. Conv paths are
-ordered bundle-major, lexicographic in (window offset, filter) per conv
+sub-FCN in the mask order of :func:`enumerate_subfcns`, where a mask is the
+tuple of the skipped blocks (ids 1..b) that a sub-FCN includes. Conv paths
+are ordered bundle-major, lexicographic in (window offset, filter) per conv
 layer then the hidden fc units, with the d_in member paths (one per input
 node) contiguous.
 
@@ -65,8 +66,7 @@ def count_paths(arch: ArchSpec) -> int:
 
 
 def enumerate_subfcns(arch: ArchSpec) -> list[tuple[int, ...]]:
-    """All 2^b sub-FCN masks of a res arch, each the tuple of the skipped
-    blocks (ids in 1..b) it includes, in the order of the bits of
+    """All 2^b sub-FCN masks of a res arch, in the order of the bits of
     0..2^b - 1 (bit j includes block j + 1). The sub-FCN of a mask is an fc
     chain of `(len(mask) + 2) * arch.d_blk` weight layers."""
     if arch.family != RES:

@@ -25,7 +25,8 @@ from dualview.data import (
     generate_synthetic,
     load_dataset,
 )
-from dualview.kernels import GramMatrix, dataset_fingerprint, npk, ntk_expectation_mc
+from dualview.kernels import (GramMatrix, dataset_fingerprint, gate_correlations, npk,
+                              ntk_expectation_mc)
 from dualview.numerics import make_rng
 from dualview.paths import dual_vectors, enumerate_paths
 from dualview.training import TrainConfig
@@ -575,8 +576,40 @@ GOLDEN_MC = {
 }
 
 
+# (command, overrides, digest per output file) of the outputs no other test
+# pins: verify.json at seed 0, recorded once verify redrew its probes until
+# each can fail, and each bundle at a small size.
+SMALL_BUNDLE = ["dataset.n=300", "train.epochs=2", "experiment.seeds=1",
+                "experiment.widths=[16,64]"]
+GOLDEN_OUTPUTS = {
+    "verify": ("verify", ["verify.eq1_samples=2", "verify.mc_samples=100"], {
+        "verify.json": "c28e037b65a1e4bce10edae8b76b41d8fae1cd51af1d9ae1a7803533d364a5aa"}),
+    **{bundle: ("experiment", [*SMALL_BUNDLE, f"experiment.bundle={bundle}"], {
+        "experiment.json": doc, bundle.replace("-", "_") + ".csv": csv})
+       for bundle, doc, csv in (
+           ("permutation-sweep",
+            "c66a604e0dc11d9a06ffcdc3f655cf0b99db597e0980b87d4f3b548b3126db3f",
+            "ee9b001a8d5d35bbb6c4fef76b61b55e87f8eac15433d9868a92a116a4807f48"),
+           ("constant-one",
+            "00de83498b128ef459547ed23fbac17621d4b7f5e602e1923141021d46372188",
+            "dc149971805c99614d83e679c913c0c88d5a6310479b19996bf633885d910b43"),
+           ("width-sweep",
+            "4a1c9130bde10ac7edc5505a8e2602c661b50ca63b627ff3e27a18a88b73596f",
+            "a554c1242ecf6af12a374f9cc6f414a2e827aebee67b80a9f0762b7e9221271f"))},
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("run", list(GOLDEN_OUTPUTS))
+def test_cli_outputs_match_their_golden_digests(tmp_path, run):
+    command, overrides, digests = GOLDEN_OUTPUTS[run]
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out), "--seed", "0",
+                 *[arg for ov in overrides for arg in ("--override", ov)]]) == 0
+    assert {name: _sha256((out / name).read_bytes()) for name in digests} == digests
 
 
 @pytest.mark.parametrize("family", list(GOLDEN_GRAMS))
@@ -790,12 +823,31 @@ def test_cli_verify_budget_bounds_every_enumeration(tmp_path, monkeypatch):
 
 def test_cli_verify_npk_compares_nonzero_kernels(tmp_path):
     # probe inputs that share no active path have an NPK of exactly 0, and
-    # then the npk record compares 0 with 0
-    out = tmp_path / "v"
-    assert main(["verify", "--out", str(out), "--override", "verify.mc_samples=100",
-                 "--override", "verify.eq1_samples=2"]) == 0
-    values = json.loads((out / "verify.json").read_text())["npk"]["values"]
-    assert list(values) == ["fc", "conv", "res"] and all(v != 0 for v in values.values())
+    # then the npk record compares 0 with 0; fc gate correlations that are
+    # all equal hide a permutation of the gated layers
+    for seed in range(12):
+        out = tmp_path / f"v{seed}"
+        assert main(["verify", "--out", str(out), "--seed", str(seed),
+                     "--override", "verify.mc_samples=100",
+                     "--override", "verify.eq1_samples=2"]) == 0
+        values = json.loads((out / "verify.json").read_text())["npk"]["values"]
+        assert list(values) == ["fc", "conv", "res"] and all(v != 0 for v in values.values())
+        arch, params, x, x2 = cli._verify_probes(seed)["fc"]
+        corr = gate_correlations(forward_relu(arch, params, x).gates,
+                                 forward_relu(arch, params, x2).gates)
+        assert len(set(corr.tolist())) == len(corr), (seed, corr)
+
+
+@pytest.mark.parametrize("family, name", [("fc", "fc"), ("conv_gap", "conv"), ("res", "res")])
+def test_cli_verify_fails_when_no_probe_draw_qualifies(tmp_path, capsys, monkeypatch,
+                                                       family, name):
+    closed_form = cli.npk
+    monkeypatch.setattr(cli, "npk", lambda arch, *args: (
+        0.0 if arch.family == family else closed_form(arch, *args)))
+    assert main(["verify", "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert f"no {name} probe in {cli.PROBE_DRAWS} draws has a nonzero NPK" in err
+    assert not (tmp_path / "v").exists()
 
 
 def _misroute_step_1(table):
@@ -821,9 +873,9 @@ def test_cli_verify_fc_table_records_catch_their_fault(tmp_path, monkeypatch, re
         return table
 
     monkeypatch.setattr(cli, "enumerate_paths", faulty)
-    # at seed 2 the fc probe's gated layers have the distinct gate
-    # correlations 1, 3, 2; at seed 0 they are all 1 and hide either fault
+    # the fc probe's gated layers have distinct gate correlations at every
+    # seed, so the default seed shows either fault
     out = tmp_path / "v"
-    assert main(["verify", "--out", str(out), "--seed", "2", "--override", "verify.mc_samples=100",
+    assert main(["verify", "--out", str(out), "--override", "verify.mc_samples=100",
                  "--override", "verify.eq1_samples=2"]) == 1
     assert not json.loads((out / "verify.json").read_text())[record]["passed"]
