@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -300,6 +299,10 @@ def _check_tag(tag: str) -> None:
 
 @dataclass
 class GramMatrix:
+    """A kernel matrix and its files. CSV: a ``# tag= n= fingerprint=`` header over
+    lines of ``%.17g`` values that numpy parses into one float64 buffer, bit for bit.
+    NPKG: ``NPKG``, n (uint32), then that buffer in C order, all little-endian."""
+
     matrix: np.ndarray
     tag: str
     fingerprint: str
@@ -325,12 +328,8 @@ class GramMatrix:
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(f"# tag={self.tag} n={self.n} fingerprint={self.fingerprint}\n")
-            # one format string for every row; rows are written one at a
-            # time, so no more than one row is held as Python floats or text
-            row_format = ",".join(["{:.17g}"] * self.n) + "\n"
-            for row in self.matrix:
-                fh.write(row_format.format(*row.tolist()))
+            np.savetxt(fh, self.matrix, fmt="%.17g", delimiter=",", comments="# ",
+                       header=f"tag={self.tag} n={self.n} fingerprint={self.fingerprint}")
 
     @classmethod
     def load_csv(cls, path) -> "GramMatrix":
@@ -345,27 +344,30 @@ class GramMatrix:
             if not meta["n"].isdecimal():
                 raise ValueError(f"{path}: gram header n={meta['n']!r} is not an integer")
             n = int(meta["n"])
-            rows = []
+            # n rows of n values and n - 1 commas: refuse a shorter file before allocating
+            if os.fstat(fh.fileno()).st_size < n * (2 * n - 1):
+                raise ValueError(f"{path}: file is too short for n={n} rows of n values")
+            m, rows = np.empty((n, n)), 0
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 row = line.split(",")
                 if len(row) != n:
                     raise ValueError(f"{path}: line {line_no} has {len(row)} values, not n={n}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        m = np.array(rows).reshape(len(rows), n)
-        if m.shape != (n, n):
-            raise ValueError(f"{path}: matrix shape {m.shape} != n={n}")
+                if rows < n:
+                    try:
+                        m[rows] = np.array(row, dtype=np.float64)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                rows += 1
+        if rows != n:
+            raise ValueError(f"{path}: matrix shape ({rows}, {n}) != n={n}")
         return cls(matrix=m, tag=meta["tag"], fingerprint=meta.get("fingerprint", ""))
 
     def save_npkg(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(NPKG_MAGIC)
-            fh.write(struct.pack("<I", self.n))
-            fh.write(self.matrix.astype("<f8").tobytes(order="C"))
+            fh.write(NPKG_MAGIC + self.n.to_bytes(4, "little"))
+            fh.write(np.ascontiguousarray(self.matrix, "<f8").data)
 
     @classmethod
     def load_npkg(cls, path) -> "GramMatrix":
@@ -376,8 +378,7 @@ class GramMatrix:
             n = int.from_bytes(fh.read(4), "little")
             if os.fstat(fh.fileno()).st_size != 8 + 8 * n * n:
                 raise ValueError(f"{path}: file size does not fit the header's n={n}")
-            data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-        return cls(matrix=data.reshape(n, n).copy(), tag="", fingerprint="")
+            return cls(np.fromfile(fh, "<f8", count=n * n).reshape(n, n), tag="", fingerprint="")
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:

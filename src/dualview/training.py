@@ -23,7 +23,7 @@ architecture's beta. ``Model`` alone routes the gates, by its ``perm``
 layer: a DNN's own ReLU gates, or those of the regime's feature network,
 an ``arch.FeatureNet``. A DNN reads neither the routing nor a separate
 value input, so ``TrainConfig`` refuses ``x_v="ones"`` and a ``perm`` for
-it when it is built.
+it, and ``Model`` a ``perm`` and ``ones_input=True``, when built.
 
 Every pass here runs on plain arrays (``arch.ARRAYS``), with no autodiff
 graph: the value network is ``arch.run_stack`` under the regime's gates and
@@ -239,12 +239,16 @@ class TrainConfig:
                     for p in self.perm):
                 raise ValueError(f"train.perm must be null or a list of ints, got {self.perm!r}")
             self.perm = tuple(int(p) for p in self.perm)
-        if REGIME_TABLE[self.regime][0] == "self":
-            # a DNN gates itself, so nothing reads the value input or the routing
-            for key, default in (("x_v", "data"), ("perm", None)):
-                if getattr(self, key) != default:
-                    raise ValueError(f"train.{key}={getattr(self, key)!r} needs a gated regime; "
-                                     f"{self.regime} uses its own ReLU gates")
+        _refuse_routing(self.regime, **{"train.x_v": (self.x_v, "data"),
+                                         "train.perm": (self.perm, None)})
+
+
+def _refuse_routing(regime: str, **fields: tuple) -> None:
+    """Refuse each ``name=(value, default)`` off its default for a DNN, which gates itself."""
+    for key, (value, default) in fields.items():
+        if REGIME_TABLE[regime][0] == "self" and value != default:
+            raise ValueError(f"{key}={value!r} needs a gated regime; "
+                             f"{regime} uses its own ReLU gates")
 
 
 @dataclass
@@ -282,6 +286,7 @@ class Model:
 
     def __post_init__(self):
         check_perm(self.arch, self.perm)
+        _refuse_routing(self.regime, perm=(self.perm, None), ones_input=(self.ones_input, False))
 
     def _features(self) -> FeatureNet | None:
         """The regime's feature network on arrays; None for a DNN, which gates itself."""

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,13 +285,21 @@ def test_gram_raises_the_kernel_error_itself():
     assert info.value is err
 
 
+# signed zero, the smallest subnormal, huge, infinite, nan and inexact values
+SPECIAL_VALUES = [-0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 0.1, -2.0 / 3.0]
+
+
 def test_gram_csv_roundtrip(tmp_path):
-    g, _ = _toy_gram()
-    path = tmp_path / "g.csv"
-    g.save_csv(path)
-    back = GramMatrix.load_csv(path)
-    assert back.tag == g.tag and back.fingerprint == g.fingerprint
-    assert np.max(np.abs(back.matrix - g.matrix)) <= 1e-12
+    # bit for bit: a tolerance would hide a parser that loses the last digit
+    # or the sign of zero
+    special = np.array(SPECIAL_VALUES).reshape(3, 3)
+    for g in (_toy_gram()[0], GramMatrix(matrix=special, tag="t", fingerprint="")):
+        path = tmp_path / "g.csv"
+        g.save_csv(path)
+        back = GramMatrix.load_csv(path)
+        assert back.tag == g.tag and back.fingerprint == g.fingerprint
+        assert back.matrix.dtype == np.float64
+        assert back.matrix.tobytes() == g.matrix.tobytes()
 
 
 def test_gram_csv_bytes_match_per_value_formatting(tmp_path):
@@ -312,6 +321,19 @@ def test_gram_npkg_roundtrip(tmp_path):
     assert np.array_equal(back.matrix, g.matrix)  # binary format is exact
     with open(path, "rb") as fh:
         assert fh.read(4) == b"NPKG"
+
+
+def test_gram_npkg_writes_c_order_little_endian_float64(tmp_path):
+    # a transposed (Fortran-order) view and a float32 matrix are written as
+    # their C-order float64 values, and read back bit for bit
+    special = np.array(SPECIAL_VALUES).reshape(3, 3)
+    for matrix in (special.T, (np.arange(16.0).reshape(4, 4) / 7.0).astype(np.float32)):
+        path = tmp_path / "g.npkg"
+        GramMatrix(matrix=matrix, tag="t", fingerprint="").save_npkg(path)
+        want = matrix.astype("<f8").tobytes("C")
+        n = matrix.shape[0]
+        assert path.read_bytes() == b"NPKG" + n.to_bytes(4, "little") + want
+        assert GramMatrix.load_npkg(path).matrix.tobytes() == want
 
 
 def test_gram_npkg_bad_magic(tmp_path):
@@ -349,6 +371,49 @@ def test_gram_csv_non_numeric_value(tmp_path):
     path.write_text("# tag=t n=2\n1,0\n0,one\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 3: could not convert string to float"):
         GramMatrix.load_csv(path)
+
+
+@pytest.mark.parametrize("body, rows, n", [("", 0, 2), ("1,0\n\n", 1, 2), ("1\n2\n", 2, 1)],
+                         ids=["header_only", "fewer_rows_than_n", "more_rows_than_n"])
+def test_gram_csv_row_count(tmp_path, body, rows, n):
+    # every warning is an error here, so none may escape the reader either
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# tag=t n={n}\n" + body)
+    with pytest.raises(ValueError, match=rf"bad\.csv: matrix shape \({rows}, {n}\) != n={n}"):
+        GramMatrix.load_csv(path)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_csv_huge_n_fails_before_allocating(tmp_path):
+    # an n x n buffer for this header would take 8 TB
+    path = tmp_path / "bad.csv"
+    path.write_text("# tag=t n=1000000\n1\n")
+    def load():
+        with pytest.raises(ValueError, match=r"bad\.csv: file is too short for n=1000000 rows"):
+            GramMatrix.load_csv(path)
+    assert _peak_bytes(load) < 1 << 20
+
+
+def test_gram_readers_hold_one_matrix(tmp_path):
+    # each reader peaks near the matrix itself: no Python float per CSV
+    # entry and no second copy of the NPKG payload
+    g = GramMatrix(matrix=make_rng(5, stream=37).normal(size=(512, 512)), tag="t",
+                   fingerprint="")
+    g.save_csv(tmp_path / "g.csv")
+    g.save_npkg(tmp_path / "g.npkg")
+    for load, path in ((GramMatrix.load_csv, "g.csv"), (GramMatrix.load_npkg, "g.npkg")):
+        assert _peak_bytes(lambda: load(tmp_path / path)) < 1.5 * g.matrix.nbytes, path
 
 
 def test_gram_npkg_payload_length(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -545,6 +546,16 @@ def test_soft_gates_of_a_far_input_raise_no_overflow_warning():
         gates = feature_gates(ARCH, model.params_f, x, "linear", SOFT)
     assert np.isfinite(logits).all()
     assert any((g.value == 0.0).any() for g in gates)
+
+
+@pytest.mark.parametrize("field, value", [("perm", (2, 1, 0)), ("ones_input", True)])
+def test_dnn_model_refuses_routing(field, value):
+    # a DNN runs on its own gates and its input, so it would ignore both
+    params = normal_params(ARCH, make_rng(9, stream=49))
+    message = f"{field}={value!r} needs a gated regime; DNN uses its own ReLU gates"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Model(arch=ARCH, regime=DNN, params_f=None, params_v=params, **{field: value})
+    Model(arch=ARCH, regime=DLGN, params_f=params, params_v=params, **{field: value})
 
 
 def test_untrained_accuracy_near_chance():
