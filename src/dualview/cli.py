@@ -3,9 +3,8 @@
 One binary, four subcommands:
 
 * ``dualview verify``     — check the closed forms on small probe networks
-  (rotation invariance, MC NTK and, within ``verify.max_paths``, the checks
-  on each family's path table), each redrawn until no check is vacuous,
-  emit JSON
+  (rotation invariance, MC NTK and the checks on each family's path table),
+  each redrawn until no check is vacuous, emit JSON
 * ``dualview train``      — train one regime, emit TrainReport JSON + params
 * ``dualview kernel``     — emit the NPK Gram of any family (tag
   ``npk-<family>``) as CSV and NPKG binary
@@ -51,7 +50,7 @@ from .arch import FC, RES, ArchSpec, check_perm, forward_relu, init_params, weig
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, ntk_expectation_mc, rot
 from .numerics import make_rng
-from .paths import DEFAULT_BUDGET, PathBudgetError, count_paths, dual_vectors, enumerate_paths
+from .paths import dual_vectors, enumerate_paths
 from .training import TrainConfig, train
 
 DEFAULT_CONFIG: dict = {
@@ -77,7 +76,6 @@ DEFAULT_CONFIG: dict = {
     "verify": {
         "eq1_samples": 12,
         "mc_samples": 200,
-        "max_paths": DEFAULT_BUDGET,
     },
     "kernel": {
         "n": 64,
@@ -94,7 +92,7 @@ DEFAULT_CONFIG: dict = {
 # Lower bound of each int config key; a list key also must not be empty.
 MINIMUM: dict = {
     "seed": 0, "dataset.seed": 0,
-    "verify.eq1_samples": 1, "verify.max_paths": 1, "verify.mc_samples": 100,
+    "verify.eq1_samples": 1, "verify.mc_samples": 100,
     "kernel.n": 1,
     "experiment.seeds": 1, "experiment.widths": 1, "experiment.mc_deviation_samples": 100,
 }
@@ -298,10 +296,6 @@ def _rotation_check(probes) -> dict:
     return _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9, value=values[0])
 
 
-FC_TABLE_CHECKS = {"permutation": "layer permutation invariance",
-                   "constant_one": "constant-1 NPK keeps gate information"}
-
-
 def _fc_table_checks(arch, params, table, x, x2, gx, gx2) -> dict:
     """Two claims on the fc path table's <phi(x), phi(x')>: it does not
     change when the gates of both inputs are routed through any order of
@@ -316,26 +310,19 @@ def _fc_table_checks(arch, params, table, x, x2, gx, gx2) -> dict:
     ones = np.ones(arch.d_in)
     const1 = table_npk(ones, ones, gx, gx2)
     expected = arch.d_in * float(np.prod(gate_correlations(gx, gx2)))
-    return {"permutation": _record(FC_TABLE_CHECKS["permutation"],
+    return {"permutation": _record("layer permutation invariance",
                                    max(abs(v - npks[0]) for v in npks), 1e-12),
-            "constant_one": _record(FC_TABLE_CHECKS["constant_one"], abs(const1 - expected),
-                                    1e-12, value=const1, expected=expected)}
+            "constant_one": _record("constant-1 NPK keeps gate information",
+                                    abs(const1 - expected), 1e-12, value=const1, expected=expected)}
 
 
-def _oracle_checks(probes, n_samples, max_paths, seed) -> tuple[dict, dict]:
-    """The checks on each family's path table: :func:`_fc_table_checks`, the
-    path identity and npk = <phi(x), phi(x')>. A family with more than
-    `max_paths` paths is never enumerated, and the checks on its table skip."""
+def _oracle_checks(probes, n_samples, seed) -> tuple[dict, dict]:
+    """The fc table checks, the path identity and npk = <phi(x), phi(x')> on every path table."""
     rng = make_rng(seed, stream=202)
     worst_eq1 = worst_npk = 0.0
-    checked, skipped, extra, values = [], {}, {}, {}
-    fc_report = {k: {"check": check, "skipped": True} for k, check in FC_TABLE_CHECKS.items()}
+    values = {}
     for name, (arch, params, x, x2) in probes.items():
-        n_paths = count_paths(arch)
-        if n_paths > max_paths:
-            skipped[name] = f"path count {n_paths} exceeds budget {max_paths}"
-            continue
-        table = enumerate_paths(arch, budget=max_paths)
+        table = enumerate_paths(arch)
         for _ in range(n_samples):
             xs = rng.normal(size=arch.d_in)
             res = forward_relu(arch, params, xs)
@@ -349,19 +336,13 @@ def _oracle_checks(probes, n_samples, max_paths, seed) -> tuple[dict, dict]:
         if arch.family == FC:
             fc_report = _fc_table_checks(arch, params, table, x, x2, gx, gx2)
         if arch.family == RES:
-            extra["per_mask"] = {str(m): float(phi[s] @ phi2[s])
-                                 for m, s in table.sub_blocks}
-        checked.append(name)
-    scope = {"families": checked, "skipped_families": skipped}
-    report = {
-        "path_identity": _record("path identity y = <phi, v>", worst_eq1, 1e-9, **scope,
-                                 samples=n_samples * len(checked)),
-        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, **scope, values=values,
-                       **extra),
+            per_mask = {str(m): float(phi[s] @ phi2[s]) for m, s in table.sub_blocks}
+    return fc_report, {
+        "path_identity": _record("path identity y = <phi, v>", worst_eq1, 1e-9,
+                                 samples=n_samples * len(probes)),
+        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, values=values,
+                       per_mask=per_mask),
     }
-    if not checked:
-        report = {k: {"check": r["check"], **scope, "skipped": True} for k, r in report.items()}
-    return fc_report, report
 
 
 def _mc_check(probes, n_samples, seed):
@@ -378,7 +359,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
-    fc_table, oracle = _oracle_checks(probes, v["eq1_samples"], v["max_paths"], seed)
+    fc_table, oracle = _oracle_checks(probes, v["eq1_samples"], seed)
     report = {**fc_table, "rotation": _rotation_check(probes), **oracle,
               "mc_ntk": _mc_check(probes, v["mc_samples"], seed)}
 
@@ -386,17 +367,13 @@ def cmd_verify(config: ExperimentConfig) -> int:
     with open(os.path.join(out, "verify.json"), "w") as fh:
         json.dump(report, fh, indent=2)
 
-    failed = [k for k, r in report.items() if not r.get("skipped") and not r.get("passed")]
-    skipped = [k for k, r in report.items() if r.get("skipped")]
+    failed = [k for k, r in report.items() if not r["passed"]]
     for k, r in report.items():
-        status = "SKIP" if r.get("skipped") else ("PASS" if r.get("passed") else "FAIL")
-        partial = r.get("skipped_families")
-        note = f" (skipped for {', '.join(partial)})" if partial else ""
-        print(f"[{status}] {k}: {r.get('check', k)}{note}")
+        print(f"[{'PASS' if r['passed'] else 'FAIL'}] {k}: {r['check']}")
     if failed:
         print(f"verify: {len(failed)} check(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print(f"verify: all checks passed ({len(skipped)} skipped)")
+    print("verify: all checks passed")
     return 0
 
 
@@ -611,7 +588,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"dualview {args.command}: IO error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, PathBudgetError) as exc:
+    except ValueError as exc:
         print(f"dualview {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

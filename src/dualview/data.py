@@ -22,7 +22,6 @@ resolved config of a run names the dataset it was built from.
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,15 +182,26 @@ def load_dataset(path, format: str) -> Dataset:
 
 
 def _load_csv(path):
-    try:
-        with warnings.catch_warnings():
-            # an empty file is refused below, in one line
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except Exception as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-    if raw.shape[0] == 0:
+    """``np.loadtxt(path, delimiter=",", ndmin=2)``, parsed line by line so that each error
+    names its line; unlike loadtxt, numpy's cast alone takes 1_0 and non-ASCII digits."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            values = line.decode().split("#", 1)[0].split(",")
+            if values == [""]:  # an empty or comment line
+                continue
+            if rows and len(values) != rows[0].size:
+                raise ValueError(f"{len(values)} values, not {rows[0].size} as on the lines before")
+            if bad := [v for v in values if "_" in v or not v.strip().isascii()]:
+                raise ValueError(f"could not convert string to float: {bad[0]!r}")
+            rows.append(np.array(values, dtype=np.float64))
+        except ValueError as exc:
+            raise DatasetError(f"{path}: line {line_no}: {exc}") from None
+    if not rows:
         raise DatasetError(f"{path}: no data rows")
+    raw = np.array(rows)
     if raw.shape[1] < 2:
         raise DatasetError(f"{path}: need at least one feature column plus a label")
     X, labels = raw[:, :-1], raw[:, -1]

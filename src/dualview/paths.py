@@ -2,8 +2,8 @@
 
 Everything here is the oracle side: neural path features / values are built
 by explicit enumeration and checked against the closed-form kernels
-elsewhere. Enumeration is exponential, so a hard budget applies;
-production-scale kernels must use the closed forms.
+elsewhere. Enumeration is exponential, so it refuses more than
+``DEFAULT_BUDGET`` paths; production-scale kernels must use the closed forms.
 
 Every family enumerates into one :class:`PathTable`. Each path stores its
 input node and, per gated step, the flat index of the gate it passes in the
@@ -44,12 +44,7 @@ DEFAULT_BUDGET = 10**6
 
 
 class PathBudgetError(RuntimeError):
-    """Requested enumeration exceeds the configured path budget."""
-
-    def __init__(self, n_paths: int, budget: int):
-        super().__init__(f"enumeration of {n_paths} paths exceeds budget {budget}")
-        self.n_paths = n_paths
-        self.budget = budget
+    """Requested enumeration exceeds ``DEFAULT_BUDGET`` paths."""
 
 
 def count_paths(arch: ArchSpec) -> int:
@@ -108,11 +103,11 @@ def _flat(arrays) -> np.ndarray:
     return np.concatenate([*(np.ravel(a) for a in arrays), [1.0]])
 
 
-def enumerate_paths(arch: ArchSpec, budget: int = DEFAULT_BUDGET) -> PathTable:
-    """Full path table for the architecture; refuses beyond `budget` paths."""
+def enumerate_paths(arch: ArchSpec) -> PathTable:
+    """Full path table for the architecture; refuses beyond ``DEFAULT_BUDGET`` paths."""
     n = count_paths(arch)
-    if n > budget:
-        raise PathBudgetError(n, budget)
+    if n > DEFAULT_BUDGET:
+        raise PathBudgetError(f"enumeration of {n} paths exceeds budget {DEFAULT_BUDGET}")
     shapes = [s for _, s, _ in weight_layer_specs(arch)]
     g_off, w_off = _offsets(arch.gate_layer_shapes()), _offsets(shapes)
     if arch.family == CONV_GAP:

@@ -379,9 +379,7 @@ def _batch_grads(model: Model, Xb, yb):
     arch, features = model.arch, model._features()
     tape, state = model._run(Xb, features)
     loss, dlogits = loss_softmax_ce(tape.y, yb)
-    grads_v, dgated = stack_vjp(arch, model.params_v, tape, dlogits)
-    by_layer = {name: g for (name, _, _), g in zip(weight_layer_specs(arch), grads_v)}
-    grads = [by_layer[k] for k in model.params_v]
+    grads, dgated = stack_vjp(arch, model.params_v, tape, dlogits)
     if REGIME_TABLE[model.regime][2]:
         # gate i of the value net is feature gate perm[i]
         routed = [d * q for d, q in zip(dgated, tape.qs)]

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dualview import cli, paths
+from dualview import cli
 from dualview.arch import ArchSpec, forward_relu, init_params
 from dualview.cli import (
     DEFAULT_CONFIG,
@@ -152,6 +152,34 @@ def test_load_csv_header_and_errors(tmp_path):
         load_dataset(bad, "csv")
 
 
+def test_load_csv_parses_as_loadtxt(tmp_path):
+    # blank lines, comment lines, inline comments and whitespace around values
+    p = tmp_path / "d.csv"
+    p.write_text("# x0,x1,label\n 0.1 ,\t-2.5e-3,0\n\n#\n1e300,.5,1 # tail\n-0.0,4.9e-324,2\n")
+    ds = load_dataset(p, "csv")
+    raw = np.loadtxt(p, delimiter=",", ndmin=2)
+    assert ds.X.tobytes() == raw[:, :-1].tobytes() and ds.y.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("1.0,2.0,0\nx,4.0,1\n", "line 2: could not convert string to float: 'x'"),
+    ("1.0,2.0,0\n\n3.0,1\n", "line 3: 2 values, not 3 as on the lines before"),
+    ("1.0,2.0,0\n1_0,2.0,1\n", "line 2: could not convert string to float: '1_0'"),
+    ("1.0,\u0661,0\n", "line 1: could not convert string to float: '\u0661'"),
+], ids=["non_numeric", "ragged", "underscore", "non_ascii_digit"])
+def test_load_csv_errors_name_the_file_line(tmp_path, text, msg):
+    # loadtxt's messages counted data rows from 0, so a bad value on line 2
+    # read "at row 1"; numpy's string cast also takes 1_0 and non-ASCII
+    # digits, which loadtxt refuses
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(p, "csv")
+    assert str(err.value) == f"{p}: {msg}"
+    with pytest.raises(ValueError):
+        np.loadtxt(p, delimiter=",", ndmin=2)
+
+
 def test_cli_empty_csv_prints_one_line(tmp_path):
     # numpy's "input contained no data" warning once reached stderr ahead
     # of the error; a fresh interpreter shows everything the command prints
@@ -250,8 +278,11 @@ def test_cli_verify_passes(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert set(report) == {"permutation", "constant_one", "rotation", "path_identity", "npk",
                            "mc_ntk"}
+    # every check runs on every family: no record is skipped
+    assert all({"check", "passed"} <= set(r) and "skipped" not in r for r in report.values())
     assert all(r["passed"] for r in report.values())
-    assert report["npk"]["families"] == ["fc", "conv", "res"]
+    assert list(report["npk"]["values"]) == ["fc", "conv", "res"]
+    assert report["path_identity"]["samples"] == 4 * 3
     per_mask = report["npk"]["per_mask"]
     assert set(per_mask) == {"()", "(1,)", "(2,)", "(1, 2)"}
     # the per-sub-FCN blocks of <phi, phi'> add up to the closed-form res NPK
@@ -507,9 +538,8 @@ def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
 
     # every value below is refused before any check runs
     monkeypatch.setattr(cli, "_rotation_check", refuse)
-    # a sample count or path budget below 1 would check nothing and pass
-    for spec in ("verify.eq1_samples=0", "verify.eq1_samples=-1", "verify.max_paths=0",
-                 "verify.max_paths=-1"):
+    # a sample count below 1 would check nothing and pass
+    for spec in ("verify.eq1_samples=0", "verify.eq1_samples=-1"):
         assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{spec.split('=')[0]} must be >= 1" in err
@@ -517,7 +547,9 @@ def test_cli_verify_usage_errors(tmp_path, capsys, monkeypatch):
     # the MC check's own limits, named by their config keys
     for spec, msg in (("verify.mc_samples=99", "verify.mc_samples must be >= 100, got 99"),
                       ("verify.mc_sigma_scale=1.5",
-                       "unknown config key verify.mc_sigma_scale")):
+                       "unknown config key verify.mc_sigma_scale"),
+                      # verify checks every family, and has no path budget
+                      ("verify.max_paths=5", "unknown config key verify.max_paths")):
         assert main(["verify", "--out", str(tmp_path / "v"), "--override", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and msg in err
@@ -577,13 +609,15 @@ GOLDEN_MC = {
 
 
 # (command, overrides, digest per output file) of the outputs no other test
-# pins: verify.json at seed 0, recorded once verify redrew its probes until
-# each can fail, and each bundle at a small size.
+# pins: verify.json at seed 0, re-recorded when verify.max_paths went and
+# path_identity and npk lost their always-complete `families` and
+# `skipped_families` keys (every other value is unchanged), and each bundle
+# at a small size.
 SMALL_BUNDLE = ["dataset.n=300", "train.epochs=2", "experiment.seeds=1",
                 "experiment.widths=[16,64]"]
 GOLDEN_OUTPUTS = {
     "verify": ("verify", ["verify.eq1_samples=2", "verify.mc_samples=100"], {
-        "verify.json": "c28e037b65a1e4bce10edae8b76b41d8fae1cd51af1d9ae1a7803533d364a5aa"}),
+        "verify.json": "c33a36689a41fbbfd24fc0027b9273c820535efb41ae4492e1738d239f9bc74f"}),
     **{bundle: ("experiment", [*SMALL_BUNDLE, f"experiment.bundle={bundle}"], {
         "experiment.json": doc, bundle.replace("-", "_") + ".csv": csv})
        for bundle, doc, csv in (
@@ -790,37 +824,6 @@ def test_cli_heap_policy_is_optional(tmp_path, monkeypatch):
         assert outputs(name) == outputs("glibc")
 
 
-def test_cli_verify_skips_path_identity_per_family(tmp_path):
-    # path counts of the probes: fc 192, res 300, conv 540
-    out = tmp_path / "v"
-    assert main(["verify", "--out", str(out), "--override", "verify.max_paths=400",
-                 "--override", "verify.mc_samples=100", "--override", "verify.eq1_samples=2"]) == 0
-    report = json.loads((out / "verify.json").read_text())
-    eq1, npk = report["path_identity"], report["npk"]
-    assert eq1["families"] == npk["families"] == ["fc", "res"]
-    assert list(eq1["skipped_families"]) == list(npk["skipped_families"]) == ["conv"]
-    assert eq1["passed"] and eq1["samples"] == 4
-    assert npk["passed"] and "per_mask" in npk
-
-
-def test_cli_verify_budget_bounds_every_enumeration(tmp_path, monkeypatch):
-    # no probe fits 100 paths, so verify enumerates no path table at all
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated a path table beyond verify.max_paths")
-
-    monkeypatch.setattr(cli, "enumerate_paths", refuse)
-    monkeypatch.setattr(paths, "enumerate_paths", refuse)
-    out = tmp_path / "v"
-    assert main(["verify", "--out", str(out), "--override", "verify.max_paths=100",
-                 "--override", "verify.mc_samples=100", "--override", "verify.eq1_samples=2"]) == 0
-    report = json.loads((out / "verify.json").read_text())
-    for key in ("path_identity", "npk"):
-        assert report[key]["skipped"] and report[key]["families"] == []
-        assert list(report[key]["skipped_families"]) == ["fc", "conv", "res"]
-    # the two records on the fc table go with it
-    assert report["permutation"]["skipped"] and report["constant_one"]["skipped"]
-
-
 def test_cli_verify_npk_compares_nonzero_kernels(tmp_path):
     # probe inputs that share no active path have an NPK of exactly 0, and
     # then the npk record compares 0 with 0; fc gate correlations that are
@@ -866,8 +869,8 @@ def _ungate_step_0(table):
 def test_cli_verify_fc_table_records_catch_their_fault(tmp_path, monkeypatch, record, fault):
     enumerate_paths = cli.enumerate_paths
 
-    def faulty(arch, **kwargs):
-        table = enumerate_paths(arch, **kwargs)
+    def faulty(arch):
+        table = enumerate_paths(arch)
         if arch.family == "fc":
             fault(table)
         return table

@@ -4,6 +4,7 @@ import pytest
 from conftest import ALL_SMALL, CONV_SMALL, FC_SMALL, RES_SMALL, normal_params
 from oracles import conv_path_npf, iter_paths, overlap_vector, path_activity, path_value
 
+from dualview import paths
 from dualview.arch import ArchSpec, forward_relu
 from dualview.numerics import make_rng
 from dualview.paths import (
@@ -31,14 +32,16 @@ def test_table_sizes_match_count(arch):
     assert table.node.size == count_paths(arch)
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
     big = ArchSpec(family="fc", d_in=10, depth=8, width=12)
     assert count_paths(big) > 10**6
     with pytest.raises(PathBudgetError):
         enumerate_paths(big)
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", count_paths(FC_SMALL) - 1)
     with pytest.raises(PathBudgetError):
-        enumerate_paths(FC_SMALL, budget=count_paths(FC_SMALL) - 1)
-    enumerate_paths(FC_SMALL, budget=count_paths(FC_SMALL))  # exact budget is allowed
+        enumerate_paths(FC_SMALL)
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", count_paths(FC_SMALL))
+    enumerate_paths(FC_SMALL)  # exact budget is allowed
 
 
 def test_conv_bundles_have_d_in_paths():
