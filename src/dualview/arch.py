@@ -126,11 +126,16 @@ class ArchSpec:
         """Every weight layer but the last is gated."""
         return len(self._weight_layers) - 1
 
+    @cached_property
+    def _gate_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """The gate shapes, built once per spec (see :meth:`gate_layer_shapes`)."""
+        return tuple((self.d_in, shape[-1]) if kind == "conv" else (shape[-1],)
+                     for _, shape, kind in self._weight_layers[:-1])
+
     def gate_layer_shapes(self) -> list[tuple[int, ...]]:
         """Per gated layer, the shape of one sample's gate array: the layer's
         output, (d_in, c_out) for a conv layer and (c_out,) for a dense one."""
-        return [(self.d_in, shape[-1]) if kind == "conv" else (shape[-1],)
-                for _, shape, kind in self._weight_layers[:-1]]
+        return list(self._gate_shapes)
 
     def init_sigma(self, kind: str) -> float:
         """Fan-in weight scale: c/sqrt(w) for dense layers, c/sqrt(w * w_cv) for conv."""
@@ -163,16 +168,25 @@ def init_params(
     rng: np.random.Generator,
     sigma: float | None = None,
     specs: list[tuple[str, tuple[int, ...], str]] | None = None,
+    init: str = "bernoulli",
 ) -> dict[str, np.ndarray]:
-    """Bernoulli +/-sigma weights of the value network, or of `specs` when
-    given; default sigma is `arch.init_sigma(kind)` per layer.
+    """Normal or Bernoulli +/-sigma weights (`init`) of the value network, or
+    of `specs` when given; sigma is `arch.init_sigma(kind)` per layer unless
+    a float `sigma` overrides every layer.
 
-    One `init_bernoulli` draw covers all layers, in order: of +/-sigma when
-    a float `sigma` overrides every layer, else of +/-1 signs that each
-    layer scales by its own sigma.
+    "normal" draws each layer in turn with `rng.normal`; "bernoulli" makes
+    one `init_bernoulli` draw for all layers, of +/-sigma for a float
+    `sigma`, else of +/-1 signs that each layer scales by its own sigma.
     """
     if specs is None:
         specs = weight_layer_specs(arch)
+    if init == "normal":
+        if sigma is not None:
+            check_positive("sigma", sigma)
+        return {name: rng.normal(scale=sigma or arch.init_sigma(kind), size=shape)
+                for name, shape, kind in specs}
+    if init != "bernoulli":
+        raise ValueError(f"init must be 'normal' or 'bernoulli', got {init!r}")
     sizes = [math.prod(shape) for _, shape, _ in specs]
     values = init_bernoulli((sum(sizes),), 1.0 if sigma is None else sigma, rng)
     params, start = {}, 0
@@ -202,6 +216,15 @@ def check_perm(arch: ArchSpec, perm: Sequence[int] | None) -> None:
 
 # Hard or soft gate values, one array per gated layer in forward order.
 Gates = Sequence[np.ndarray]
+
+
+def check_gates(arch: ArchSpec, gates: Gates) -> None:
+    """Refuse a gate list that is not one sample's gates of `arch`: one
+    array per gated layer, of the shape `arch.gate_layer_shapes()` gives."""
+    if tuple(g.shape for g in gates) != arch._gate_shapes:
+        raise ValueError(f"gate shapes {[g.shape for g in gates]} do not fit the {arch.family} "
+                         f"network: expected {list(arch._gate_shapes)}")
+
 
 # The op set of :func:`run_stack` and :class:`FeatureNet` on plain arrays:
 # numpy under the names of the graph ops of :mod:`dualview.autodiff`, which
@@ -301,11 +324,6 @@ class ForwardResult:
             gates = [g[0] for g in gates]
         self.y, self.gates, self.y_node, self.tape = y, gates, tape.y, tape
 
-    @property
-    def layers(self) -> list[tuple[np.ndarray | Node, Node]]:
-        """Per weight layer, in forward order: (layer input, pre-activation Node)."""
-        return list(zip(self.tape.zs, self.tape.qs))
-
 
 def forward_relu(arch: ArchSpec, params: Mapping, x) -> ForwardResult:
     """Plain DNN with ReLUs: every hidden unit is q * 1{q > 0}."""
@@ -373,10 +391,6 @@ def feature_gates(arch: ArchSpec, params_f: Mapping, x_f, source: str, mode: str
     logistic Nodes, differentiable in whichever of `params_f` are Nodes;
     hard gates are constant arrays.
     """
-    if mode not in (HARD, SOFT):
-        raise ValueError(f"gate mode must be hard or soft, got {mode!r}")
-    if source not in ("relu", "linear", "shallow"):
-        raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
     X, _ = _ensure_batch(x_f, arch.d_in)
     return FeatureNet(arch, params_f, source, ops=ad).gates(X, mode)[0]
 
@@ -451,6 +465,8 @@ class FeatureNet:
     """
 
     def __init__(self, arch: ArchSpec, params: Mapping, source: str, ops=ARRAYS):
+        if source not in ("relu", "linear", "shallow"):
+            raise ValueError(f"unknown feature source {source!r}; choose relu, linear or shallow")
         self.arch, self.params, self.source, self.ops = arch, params, source, ops
         self.planes: list | None = None
         self.plane_tape: Tape | None = None
@@ -494,6 +510,8 @@ class FeatureNet:
 
     def gates(self, X: np.ndarray, mode: str) -> tuple[list, tuple]:
         """The gates of the rows X, one per gated layer, and what :meth:`vjp` needs."""
+        if mode not in (HARD, SOFT):
+            raise ValueError(f"gate mode must be hard or soft, got {mode!r}")
         qs, tape = self._preacts(X)
         if mode == HARD:
             gates = [self_gate(i, q) for i, q in enumerate(qs)]

@@ -46,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .arch import FC, RES, ArchSpec, check_perm, forward_relu, init_params, weight_layer_specs
+from .arch import FC, RES, ArchSpec, check_perm, forward_relu, init_params
 from .data import Dataset, generate_synthetic, has_type_of, load_dataset
 from .kernels import gate_correlations, gram, mc_target, npk, ntk_expectation_mc, rot
 from .numerics import make_rng
@@ -232,17 +232,12 @@ def _ensure_out(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _normal_params(arch: ArchSpec, rng) -> dict:
-    """Normal(0, 0.8) weights for every weight layer of `arch`, drawn in layer order."""
-    return {n: rng.normal(scale=0.8, size=s) for n, s, _ in weight_layer_specs(arch)}
-
-
 def _mc_estimate(arch: ArchSpec, x, x2, rng, n_samples: int, mc_rng):
     """The closed-form NTK target at sigma 0.5 and its MC estimate from
     `n_samples` value-weight draws of `mc_rng`, under the fixed gates that a
-    ReLU feature network with weights from `_normal_params(arch, rng)`
-    puts on x and x2."""
-    pf = _normal_params(arch, rng)
+    ReLU feature network with Normal(0, 0.8) weights drawn from `rng` puts
+    on x and x2."""
+    pf = init_params(arch, rng, sigma=0.8, init="normal")
     gx, gx2 = forward_relu(arch, pf, x).gates, forward_relu(arch, pf, x2).gates
     target = mc_target(arch, x, x2, gx, gx2, sigma=0.5)
     return target, ntk_expectation_mc(arch, gx, gx2, x, x2, n_samples=n_samples,
@@ -266,7 +261,7 @@ def _verify_probes(seed: int):
         for _ in range(PROBE_DRAWS):
             x = rng.normal(size=arch.d_in)
             x2 = x + 0.4 * rng.normal(size=arch.d_in)
-            params = _normal_params(arch, rng)
+            params = init_params(arch, rng, sigma=0.8, init="normal")
             gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
             corr = gate_correlations(gx, gx2).tolist() if arch.family == FC else []
             if npk(arch, x, x2, gx, gx2) != 0 and len(set(corr)) == len(corr):

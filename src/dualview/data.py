@@ -205,7 +205,7 @@ def _load_csv(path):
     if raw.shape[1] < 2:
         raise DatasetError(f"{path}: need at least one feature column plus a label")
     X, labels = raw[:, :-1], raw[:, -1]
-    if np.any(labels != np.round(labels)):
+    if not np.all((labels == np.round(labels)) & (np.abs(labels) < 2.0**63)):  # finite, int64
         raise DatasetError(f"{path}: final column must hold integer labels")
     y = labels.astype(np.int64)
     if y.min() < 0:

@@ -37,8 +37,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, forward_gated, init_params,
-                   weight_layer_specs)
+from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, forward_gated,
+                   init_params, weight_layer_specs)
 from .autodiff import backward, value_of
 from .numerics import check_positive
 
@@ -149,10 +149,12 @@ def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> 
 
 
 def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
-    """<phi(x), phi(x')> for any family, from the hard gates of x and x'."""
+    """<phi(x), phi(x')> for any family, from one sample's hard gates of x and of x'."""
+    check_gates(arch, gates_x)  # fc and res correlations check that gates_x2 matches
     if arch.family == FC:
         return npk_fc(x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
+        check_gates(arch, gates_x2)
         return npk_conv_rotsum(arch, x, x2, gates_x, gates_x2) / arch.d_in**2
     return npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
 
@@ -172,7 +174,7 @@ def _layer_cotangents(arch: ArchSpec, params_v, gates: Gates, x) -> list:
     """
     out = forward_gated(arch, params_v, gates, x_v=x)
     cot = backward(out.y_node)
-    return [(value_of(z)[0], cot[id(q)][0]) for z, q in out.layers]
+    return [(value_of(z)[0], cot[id(q)][0]) for z, q in zip(out.tape.zs, out.tape.qs)]
 
 
 def ntk_fixed_gates(
@@ -274,6 +276,7 @@ def mc_target(
               for _, _, kind in weight_layer_specs(arch)]
     if arch.family != RES:
         return _limit_factor(sigmas) * npk(arch, x, x2, gates_x, gates_x2)
+    check_gates(arch, gates_x)
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     c = _block_correlations(arch, gates_x, gates_x2)
     e = np.zeros(arch.b + 1)

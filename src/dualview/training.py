@@ -64,7 +64,6 @@ from .arch import (
     self_gate,
     shallow_layer_specs,
     stack_vjp,
-    weight_layer_specs,
 )
 from .numerics import check_positive, make_rng
 
@@ -353,17 +352,6 @@ def _timed_evaluate(report: TrainReport, model: Model, dataset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _init_net(arch: ArchSpec, rng, how: str, source: str | None = None) -> dict[str, np.ndarray]:
-    """Normal or Bernoulli +/-sigma parameters at the fan-in scale: the
-    per-layer shallow maps for feature source "shallow", else the weight
-    layers (the value network and the other feature networks)."""
-    specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
-    if how == "bernoulli":
-        return init_params(arch, rng, specs=specs)
-    return {name: rng.normal(scale=arch.init_sigma(kind), size=shape)
-            for name, shape, kind in specs}
-
-
 def _trained(model: Model) -> dict[str, np.ndarray]:
     """The named arrays the regime trains: the value net's, which
     `Model.named_params` lists first, and the feature net's unless it is frozen."""
@@ -442,10 +430,11 @@ def train(arch: ArchSpec, dataset, config: TrainConfig, test=None):
 
     t0 = time.perf_counter()
     source = REGIME_TABLE[config.regime][0]
-    params_f = None if source == "self" else _init_net(
-        arch, make_rng(config.seed, stream=1), config.init, source)
+    specs_f = shallow_layer_specs(arch) if source == "shallow" else None
+    params_f = None if source == "self" else init_params(
+        arch, make_rng(config.seed, stream=1), specs=specs_f, init=config.init)
     model = Model(arch=arch, regime=config.regime, params_f=params_f,
-                  params_v=_init_net(arch, make_rng(config.seed, stream=2), config.init),
+                  params_v=init_params(arch, make_rng(config.seed, stream=2), init=config.init),
                   perm=config.perm, ones_input=config.x_v == "ones")
     report = TrainReport(regime=config.regime, seed=config.seed, config=asdict(config))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualview.arch import ArchSpec, weight_layer_specs
+from dualview.arch import ArchSpec, init_params, shallow_layer_specs
 from dualview.numerics import make_rng
 
 
@@ -12,7 +12,17 @@ def normal_params(arch, rng, scale=0.8):
     puts pre-activations exactly on gate boundaries; a continuous draw does
     not.
     """
-    return {n: rng.normal(scale=scale, size=s) for n, s, _ in weight_layer_specs(arch)}
+    return init_params(arch, rng, sigma=scale, init="normal")
+
+
+def feature_params(arch, rng, source):
+    """Normal weights at the fan-in scale of the `source` feature network, as
+    `train` draws them: None for a DNN's own gates, the per-layer maps for
+    "shallow", else the weight layers."""
+    if source == "self":
+        return None
+    specs = shallow_layer_specs(arch) if source == "shallow" else None
+    return init_params(arch, rng, specs=specs, init="normal")
 
 
 @pytest.fixture

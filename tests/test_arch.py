@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,9 +78,40 @@ def test_init_params_default_sigma():
 
 
 def test_init_params_rejects_bad_sigma():
-    for sigma in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="sigma must be"):
-            init_params(FC_SMALL, make_rng(0), sigma=sigma)
+    for init in ("bernoulli", "normal"):
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="sigma must be"):
+                init_params(FC_SMALL, make_rng(0), sigma=sigma, init=init)
+
+
+def test_init_params_rejects_an_unknown_law():
+    for init in ("uniform", "Normal", ""):
+        msg = f"^init must be 'normal' or 'bernoulli', got '{init}'$"
+        with pytest.raises(ValueError, match=msg):
+            init_params(FC_SMALL, make_rng(0), init=init)
+
+
+def _weight_draw_sites(tree, scope):
+    """The scope of every call in `tree` that draws weights: `normal(...)`
+    with a `scale=` keyword, or `init_bernoulli(...)`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "init_bernoulli" or (
+                    name == "normal" and any(k.arg == "scale" for k in node.keywords)):
+                yield scope
+        inner = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _weight_draw_sites(node, f"{scope}.{node.name}" if inner else scope)
+
+
+def test_weights_are_drawn_only_in_init_params():
+    # one weight initialiser: every other site asks init_params for its law
+    from dualview import arch
+
+    sites = set()
+    for source in Path(arch.__file__).parent.glob("*.py"):
+        sites.update(_weight_draw_sites(ast.parse(source.read_text()), source.stem))
+    assert sites == {"arch.init_params"}
 
 
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
@@ -183,6 +216,17 @@ def test_feature_gates_reject_unknown_source_and_mode():
         FeatureNet(FC_SMALL, pf, "relu", ad).hyperplanes()
     with pytest.raises(ValueError, match="gate mode must be hard or soft"):
         forward_dlgn(FC_SMALL, pf, pf, x, mode="sof", source="relu")
+
+
+@pytest.mark.parametrize("ops", [ARRAYS, ad], ids=["arrays", "graph"])
+def test_feature_net_checks_its_own_source_and_mode(ops):
+    # built directly, a FeatureNet once gated an unknown source as "linear"
+    # and an unknown mode as "soft"
+    pf = normal_params(FC_SMALL, make_rng(15))
+    with pytest.raises(ValueError, match="unknown feature source 'bogus'"):
+        FeatureNet(FC_SMALL, pf, "bogus", ops)
+    with pytest.raises(ValueError, match="gate mode must be hard or soft, got 'hardd'"):
+        FeatureNet(FC_SMALL, pf, "linear", ops).gates(np.ones((2, 3)), "hardd")
 
 
 def test_array_ops_equal_the_graph_ops_bit_for_bit():

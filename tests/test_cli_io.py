@@ -180,6 +180,24 @@ def test_load_csv_errors_name_the_file_line(tmp_path, text, msg):
         np.loadtxt(p, delimiter=",", ndmin=2)
 
 
+@pytest.mark.parametrize("label,msg", [
+    ("inf", "final column must hold integer labels"),
+    ("-inf", "final column must hold integer labels"),
+    ("1e300", "final column must hold integer labels"),
+    ("-1e300", "final column must hold integer labels"),
+    ("-3", "negative label -3"),
+])
+def test_load_csv_label_errors(tmp_path, label, msg):
+    # infinite and huge labels passed the integer test, then the int64 cast
+    # warned and gave "negative label -9223372036854775808"; warnings are
+    # errors here
+    p = tmp_path / "d.csv"
+    p.write_text(f"1,2,0\n3,4,{label}\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(p, "csv")
+    assert str(err.value) == f"{p}: {msg}"
+
+
 def test_cli_empty_csv_prints_one_line(tmp_path):
     # numpy's "input contained no data" warning once reached stderr ahead
     # of the error; a fresh interpreter shows everything the command prints

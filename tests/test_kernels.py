@@ -42,6 +42,29 @@ def _pair(arch, seed, spread=0.4):
     return p, x, x2, gx, gx2
 
 
+@pytest.mark.parametrize("fault", ["missing_layer", "extra_unit", "batched"])
+@pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
+def test_gate_lists_that_do_not_fit_arch_are_refused(arch, fault):
+    # a short list, a wider layer or a batch of gates once gave numbers
+    p, x, x2, gx, gx2 = _pair(arch, 3)
+    if fault == "missing_layer":
+        bad, bad2 = gx[:-1], gx2[:-1]
+    elif fault == "extra_unit":
+        bad, bad2 = ([np.concatenate([g, g[..., :1]], axis=-1) for g in gs] for gs in (gx, gx2))
+    else:
+        bad = bad2 = forward_relu(arch, p, np.stack([x, x2])).gates
+    table = enumerate_paths(arch)
+    calls = [lambda: npk(arch, x, x2, bad, bad2), lambda: mc_target(arch, x, x2, bad, bad2),
+             lambda: dual_vectors(arch, p, x, bad, table)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"do not fit the \w+ network: expected \["):
+            call()
+    # a bad second list alone is refused too
+    for call in (lambda: npk(arch, x, x2, gx, bad2), lambda: mc_target(arch, x, x2, gx, bad2)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_rot_composition():
     x = np.arange(7.0)
     assert np.array_equal(rot(rot(x, 2), 3), rot(x, 5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import normal_params
+from conftest import feature_params, normal_params
 from oracles import (batch_grads, iter_paths, logits_node, overlap_vector, path_activity,
                      path_value)
 
@@ -22,7 +22,7 @@ from dualview.kernels import (gate_correlations, mc_target, npk, npk_fc, npk_res
 from dualview.numerics import grad, make_rng
 from dualview.paths import (count_paths, dual_vectors, enumerate_paths, enumerate_subfcns,
                             res_gate_indices)
-from dualview.training import REGIME_TABLE, REGIMES, Model, _batch_grads, _init_net, evaluate
+from dualview.training import REGIME_TABLE, REGIMES, Model, _batch_grads, evaluate
 
 
 @st.composite
@@ -57,8 +57,8 @@ def test_gate_layers_follow_the_weight_layer_chain(case):
     arch, p, X = case
     relu = forward_relu(arch, p, X)
     assert len(relu.gates) == arch.n_gate_layers()
-    assert len(relu.layers) == len(weight_layer_specs(arch))
-    for g, shape, (_, q) in zip(relu.gates, arch.gate_layer_shapes(), relu.layers):
+    assert len(relu.tape.qs) == len(weight_layer_specs(arch))
+    for g, shape, q in zip(relu.gates, arch.gate_layer_shapes(), relu.tape.qs):
         assert g.shape[1:] == shape == q.value.shape[1:]
     # a table of an architecture that differs only in n_out is refused
     other = replace(arch, n_out=3 - arch.n_out)
@@ -167,8 +167,8 @@ def test_hyperplanes_reproduce_the_feature_preactivations(case):
     arch, source, pf, X = case
     n, shapes = len(X), arch.gate_layer_shapes()
     if source == "linear":
-        layers = forward_gated(arch, pf, [np.ones(s) for s in shapes], x_v=X).layers
-        direct = [q.value for _, q in layers[:-1]]
+        qs = forward_gated(arch, pf, [np.ones(s) for s in shapes], x_v=X).tape.qs
+        direct = [q.value for q in qs[:-1]]
     else:
         direct = [(conv_circular(X[:, :, None], pf[name]) if kind == "conv"
                    else matmul(X, pf[name])).value for name, _, kind in shallow_layer_specs(arch)]
@@ -409,9 +409,9 @@ def model_batch(draw):
     n = draw(st.sampled_from((1, 255, 256, 257, 519)))
     rng = make_rng(draw(st.integers(0, 2**16)))
     source = REGIME_TABLE[regime][0]
-    params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+    params_f = feature_params(arch, rng, source)
     model = Model(arch=arch, regime=regime, params_f=params_f,
-                  params_v=_init_net(arch, rng, "normal"))
+                  params_v=init_params(arch, rng, init="normal"))
     k = max(2, arch.n_out)
     return model, Dataset(rng.normal(size=(n, arch.d_in)), rng.integers(0, k, size=n), k)
 
@@ -469,9 +469,9 @@ def engine_case(draw):
     pays = [n for n in range(1, 65) if _collapse_pays(arch, n)]
     n = draw(st.sampled_from([1, 5] + (pays[:1] + [pays[0] - 1] if pays else [])))
     rng = make_rng(draw(st.integers(0, 2**16)))
-    params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+    params_f = feature_params(arch, rng, source)
     model = Model(arch=arch, regime=regime, params_f=params_f,
-                  params_v=_init_net(arch, rng, "normal"),
+                  params_v=init_params(arch, rng, init="normal"),
                   perm=perm, ones_input=ones)
     return model, rng.normal(size=(n, arch.d_in)), rng.integers(0, arch.n_out, size=n)
 

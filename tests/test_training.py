@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import normal_params
+from conftest import feature_params, normal_params
 from oracles import batch_grads, finite_diff_grad, logits_node
 
-from dualview.arch import ArchSpec
+from dualview.arch import ArchSpec, init_params
 from dualview.autodiff import Node
 from dualview.cli import main
 from dualview.data import generate_synthetic
@@ -197,8 +197,8 @@ def test_dgn_shared_init_first_loss_matches_dnn():
     cfg = TrainConfig(regime=DGN_FR, epochs=1, batch_size=tr.n, seed=3)
     # DGN_FR draws feature params from stream 1 and value params from stream 2;
     # replicate the value init into the feature net for a shared-init run
-    from dualview.training import _init_net, _run_epochs
-    params_v = _init_net(ARCH, make_rng(3, stream=2), "normal")
+    from dualview.training import _run_epochs
+    params_v = init_params(ARCH, make_rng(3, stream=2), init="normal")
     model = Model(arch=ARCH, regime=DGN_FR,
                   params_f={k: v.copy() for k, v in params_v.items()},
                   params_v=params_v)
@@ -208,13 +208,12 @@ def test_dgn_shared_init_first_loss_matches_dnn():
 
 
 @pytest.mark.parametrize("source", ["relu", "shallow"])
-def test_init_net_bernoulli_draws_fan_in_sigma(source):
+def test_init_params_bernoulli_draws_fan_in_sigma(source):
     from dualview.arch import shallow_layer_specs, weight_layer_specs
-    from dualview.training import _init_net
 
     arch = ArchSpec(family="conv_gap", d_in=6, w_cv=3, width=4, d_cv=2, d_fc=2, c_scale=1.5)
     specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
-    params = _init_net(arch, make_rng(0, stream=1), "bernoulli", source)
+    params = init_params(arch, make_rng(0, stream=1), specs=specs)
     assert list(params) == [name for name, _, _ in specs]
     assert {kind for _, _, kind in specs} == {"conv", "fc"}
     for name, shape, kind in specs:
@@ -230,23 +229,25 @@ def test_init_net_bernoulli_draws_fan_in_sigma(source):
     ArchSpec(family="conv_gap", d_in=6, w_cv=3, width=4, d_cv=2, d_fc=2, c_scale=1.5),
     ArchSpec(family="res", d_in=3, b=1, d_blk=2, width=5),
 ], ids=["fc", "conv_gap", "res"])
-def test_init_net_draws_one_network_as_init_params(arch, source):
-    # bernoulli: one init_params draw over the layer specs, and the same
-    # stream afterwards; normal: one rng.normal draw per layer, in order
-    from dualview.arch import init_params, shallow_layer_specs, weight_layer_specs
-    from dualview.training import _init_net
+def test_init_params_draws_one_network_in_layer_order(arch, source):
+    # bernoulli: one init_bernoulli draw of signs over the layer specs, each
+    # layer scaled by its fan-in sigma; normal: one rng.normal draw per
+    # layer, in order; and the same stream afterwards
+    from dualview.arch import shallow_layer_specs, weight_layer_specs
+    from dualview.numerics import init_bernoulli
 
+    specs = shallow_layer_specs(arch) if source == "shallow" else weight_layer_specs(arch)
     rng, ref = make_rng(4, stream=2), make_rng(4, stream=2)
-    got = _init_net(arch, rng, "bernoulli", source)
-    if source == "shallow":
-        specs = shallow_layer_specs(arch)
-        want = init_params(arch, ref, specs=specs)
-    else:
-        specs = weight_layer_specs(arch)
-        want = init_params(arch, ref)
+    got = init_params(arch, rng, specs=specs if source == "shallow" else None)
+    signs = init_bernoulli((sum(np.prod(shape) for _, shape, _ in specs),), 1.0, ref)
+    want, start = {}, 0
+    for name, shape, kind in specs:
+        size = int(np.prod(shape))
+        want[name] = (signs[start:start + size] * arch.init_sigma(kind)).reshape(shape)
+        start += size
     assert list(got) == list(want)
     assert all(got[name].tobytes() == want[name].tobytes() for name in want)
-    got = _init_net(arch, rng, "normal", source)
+    got = init_params(arch, rng, specs=specs if source == "shallow" else None, init="normal")
     want = {name: ref.normal(scale=arch.init_sigma(kind), size=shape)
             for name, shape, kind in specs}
     assert list(got) == list(want)
@@ -259,15 +260,15 @@ def test_conv_batch_loss_gradient_through_hyperplanes():
     # parameters through the hyperplane matrices; compare with central
     # differences of the batch loss
     from dualview.arch import _collapse_pays
-    from dualview.training import _batch_grads, _init_net
+    from dualview.training import _batch_grads
 
     arch = ArchSpec(family="conv_gap", d_in=5, w_cv=3, width=6, d_cv=2, d_fc=2, n_out=2,
                     beta=2.0)
     n = 12
     assert _collapse_pays(arch, n)
     rng = make_rng(21)
-    model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
-                  params_v=_init_net(arch, rng, "normal"))
+    model = Model(arch=arch, regime=DLGN, params_f=init_params(arch, rng, init="normal"),
+                  params_v=init_params(arch, rng, init="normal"))
     X, y = rng.normal(size=(n, arch.d_in)), rng.integers(0, 2, size=n)
     _, grads = _batch_grads(model, X, y)
     got = np.concatenate([grads[f"f.{name}"].ravel() for name in model.params_f])
@@ -320,8 +321,8 @@ def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeyp
     from dualview import training
 
     rng = make_rng(5, stream=47)
-    model = Model(arch=ARCH, regime=regime, params_f=training._init_net(ARCH, rng, "normal"),
-                  params_v=training._init_net(ARCH, rng, "normal"))
+    model = Model(arch=ARCH, regime=regime, params_f=init_params(ARCH, rng, init="normal"),
+                  params_v=init_params(ARCH, rng, init="normal"))
     frozen = dict(model.params_f)
     frozen_bytes = {k: v.tobytes() for k, v in frozen.items()}
     built = _count_nodes(monkeypatch)
@@ -336,7 +337,7 @@ def test_frozen_feature_net_enters_the_batch_graph_as_a_constant(regime, monkeyp
 @pytest.mark.parametrize("regime", REGIMES)
 def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
     # training and inference run the explicit forward and VJP on arrays
-    from dualview.training import REGIME_TABLE, _batch_grads, _init_net
+    from dualview.training import REGIME_TABLE, _batch_grads
 
     source = REGIME_TABLE[regime][0]
     rng = make_rng(13, stream=48)
@@ -344,9 +345,9 @@ def test_batch_grads_and_logits_build_no_graph_node(regime, monkeypatch):
     for arch in (ARCH, ArchSpec(family="conv_gap", d_in=5, w_cv=4, width=4, d_cv=2, d_fc=2,
                                 n_out=2),
                  ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
-        params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+        params_f = feature_params(arch, rng, source)
         model = Model(arch=arch, regime=regime, params_f=params_f,
-                      params_v=_init_net(arch, rng, "normal"))
+                      params_v=init_params(arch, rng, init="normal"))
         X = rng.normal(size=(300, arch.d_in))
         _batch_grads(model, X[:40], rng.integers(0, 2, size=40))
         model.logits(X)
@@ -357,12 +358,12 @@ def test_model_logits_builds_the_hyperplanes_once_per_call(monkeypatch):
     # the hyperplanes U_l are the linear feature maps run on eye(d_in); one
     # evaluation reuses them across its 256-row blocks
     from dualview.arch import _collapse_pays
-    from dualview.training import LOGITS_BLOCK_ROWS, _init_net
+    from dualview.training import LOGITS_BLOCK_ROWS
 
     arch = ArchSpec(family="conv_gap", d_in=8, w_cv=3, width=16, d_cv=2, d_fc=2, n_out=2)
     rng = make_rng(17, stream=49)
-    model = Model(arch=arch, regime=DLGN, params_f=_init_net(arch, rng, "normal"),
-                  params_v=_init_net(arch, rng, "normal"))
+    model = Model(arch=arch, regime=DLGN, params_f=init_params(arch, rng, init="normal"),
+                  params_v=init_params(arch, rng, init="normal"))
     X = rng.normal(size=(1600, arch.d_in))
     assert _collapse_pays(arch, len(X) % LOGITS_BLOCK_ROWS)
     eye, sizes = np.eye, []
@@ -426,7 +427,7 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     # only Node operands join the autodiff graph; wrapping the input and the
     # fixed gates in Nodes, as every operand once was, changes no bit
     from dualview import autodiff as ad
-    from dualview.training import REGIME_TABLE, _init_net
+    from dualview.training import REGIME_TABLE
 
     source = REGIME_TABLE[regime][0]
     rng = make_rng(11, stream=46)
@@ -434,9 +435,9 @@ def test_constant_operands_leave_parameter_cotangents_bit_identical(regime, monk
     for arch in (ARCH, ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2,
                                 n_out=2),
                  ArchSpec(family="res", d_in=3, b=2, d_blk=1, width=4, n_out=2)):
-        params_f = None if source == "self" else _init_net(arch, rng, "normal", source)
+        params_f = feature_params(arch, rng, source)
         model = Model(arch=arch, regime=regime, params_f=params_f,
-                      params_v=_init_net(arch, rng, "normal"))
+                      params_v=init_params(arch, rng, init="normal"))
         cases.append((model, rng.normal(size=(8, arch.d_in)), rng.integers(0, 2, size=8)))
     plain = [batch_grads(*case) for case in cases]
 
@@ -534,11 +535,9 @@ def test_soft_gates_of_a_far_input_raise_no_overflow_warning():
     # the logistic of beta q below about -709 is exactly 0, but exp(-beta q)
     # overflows on the way; a gate of exactly 0 shows that it did
     from dualview.arch import SOFT, feature_gates
-    from dualview.training import _init_net
-
     rng = make_rng(3, stream=50)
-    model = Model(arch=ARCH, regime=DLGN, params_f=_init_net(ARCH, rng, "normal"),
-                  params_v=_init_net(ARCH, rng, "normal"))
+    model = Model(arch=ARCH, regime=DLGN, params_f=init_params(ARCH, rng, init="normal"),
+                  params_v=init_params(ARCH, rng, init="normal"))
     x = np.array([[1e3, -1e3, 5e2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
