@@ -226,6 +226,14 @@ def check_gates(arch: ArchSpec, gates: Gates) -> None:
                          f"network: expected {list(arch._gate_shapes)}")
 
 
+def check_input(arch: ArchSpec, x) -> None:
+    """Refuse an input that is not one sample of `arch`, of shape (arch.d_in,)."""
+    # an array's .shape first: np.shape is about four times slower, and npk runs per Gram entry
+    if getattr(x, "shape", None) != (arch.d_in,) and np.shape(x) != (arch.d_in,):
+        raise ValueError(f"input shape {np.shape(x)} does not fit the {arch.family} network: "
+                         f"expected ({arch.d_in},)")
+
+
 # The op set of :func:`run_stack` and :class:`FeatureNet` on plain arrays:
 # numpy under the names of the graph ops of :mod:`dualview.autodiff`, which
 # is the other op set.

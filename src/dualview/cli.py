@@ -251,7 +251,8 @@ def _verify_probes(seed: int):
     """Each family's first draw of (x, x', params) whose closed-form NPK is
     nonzero and, for fc, whose gated layers have pairwise distinct gate
     correlations, so that no record compares 0 with 0 and a layer mix-up
-    changes the fc NPK. A family with none in PROBE_DRAWS draws fails."""
+    changes the fc NPK. A family with none in PROBE_DRAWS draws fails. A
+    probe is (arch, params, x, x2, gx, gx2, table), computed once and read by every record."""
     rng = make_rng(seed, stream=201)
     fc = ArchSpec(family="fc", d_in=3, depth=4, width=4)
     cv = ArchSpec(family="conv_gap", d_in=5, w_cv=2, width=3, d_cv=2, d_fc=2)
@@ -265,7 +266,7 @@ def _verify_probes(seed: int):
             gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
             corr = gate_correlations(gx, gx2).tolist() if arch.family == FC else []
             if npk(arch, x, x2, gx, gx2) != 0 and len(set(corr)) == len(corr):
-                probes[name] = (arch, params, x, x2)
+                probes[name] = (arch, params, x, x2, gx, gx2, enumerate_paths(arch))
                 break
         else:
             also = " and distinct gate correlations" if arch.family == FC else ""
@@ -279,23 +280,13 @@ def _record(check: str, deviation: float, tol: float, **extra) -> dict:
             "passed": bool(deviation <= tol), **extra}
 
 
-def _rotation_check(probes) -> dict:
-    """The conv NPK's invariance under rotating both inputs, from the closed form."""
-    arch, params, x, x2 = probes["conv"]
-    # gates of the rotated inputs come from their own forward passes, so
-    # this also checks the shift-equivariance npk_conv_rotsum relies on
-    values = [npk(arch, a, b, forward_relu(arch, params, a).gates,
-                  forward_relu(arch, params, b).gates)
-              for a, b in ((rot(x, s), rot(x2, s)) for s in range(arch.d_in))]
-    worst = max(abs(v - values[0]) for v in values)
-    return _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9, value=values[0])
-
-
-def _fc_table_checks(arch, params, table, x, x2, gx, gx2) -> dict:
+def _fc_table_checks(probes) -> dict:
     """Two claims on the fc path table's <phi(x), phi(x')>: it does not
     change when the gates of both inputs are routed through any order of
     the gated layers, and on a constant-1 input it keeps the gates'
     information, d_in * prod_l <G_l(x), G_l(x')>."""
+    arch, params, x, x2, gx, gx2, table = probes["fc"]
+
     def table_npk(a, b, ga, gb):
         return float(dual_vectors(arch, params, a, ga, table).npf
                      @ dual_vectors(arch, params, b, gb, table).npf)
@@ -311,37 +302,46 @@ def _fc_table_checks(arch, params, table, x, x2, gx, gx2) -> dict:
                                     abs(const1 - expected), 1e-12, value=const1, expected=expected)}
 
 
-def _oracle_checks(probes, n_samples, seed) -> tuple[dict, dict]:
-    """The fc table checks, the path identity and npk = <phi(x), phi(x')> on every path table."""
+def _rotation_check(probes) -> dict:
+    """The conv NPK's invariance under rotating both inputs, from the closed form."""
+    arch, params, x, x2, *_ = probes["conv"]
+    # gates of the rotated inputs come from their own forward passes, so
+    # this also checks the shift-equivariance npk_conv_rotsum relies on
+    values = [npk(arch, a, b, forward_relu(arch, params, a).gates,
+                  forward_relu(arch, params, b).gates)
+              for a, b in ((rot(x, s), rot(x2, s)) for s in range(arch.d_in))]
+    worst = max(abs(v - values[0]) for v in values)
+    return _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9, value=values[0])
+
+
+def _path_identity_check(probes, n_samples, seed) -> dict:
+    """y = <phi(x), v> on `n_samples` Normal inputs per probe network."""
     rng = make_rng(seed, stream=202)
-    worst_eq1 = worst_npk = 0.0
-    values = {}
-    for name, (arch, params, x, x2) in probes.items():
-        table = enumerate_paths(arch)
+    worst = 0.0
+    for arch, params, *_, table in probes.values():
         for _ in range(n_samples):
             xs = rng.normal(size=arch.d_in)
             res = forward_relu(arch, params, xs)
-            y, dv = float(res.y), dual_vectors(arch, params, xs, res.gates, table=table)
-            worst_eq1 = max(worst_eq1, abs(y - dv.output()) / (1.0 + abs(y)))
-        gx, gx2 = forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates
-        phi = dual_vectors(arch, params, x, gx, table=table).npf
-        phi2 = dual_vectors(arch, params, x2, gx2, table=table).npf
+            y, dv = float(res.y), dual_vectors(arch, params, xs, res.gates, table)
+            worst = max(worst, abs(y - dv.output()) / (1.0 + abs(y)))
+    return _record("path identity y = <phi, v>", worst, 1e-9, samples=n_samples * len(probes))
+
+
+def _npk_check(probes) -> dict:
+    """npk = <phi(x), phi(x')> on every probe's path table, the res one also per sub-FCN."""
+    worst, values = 0.0, {}
+    for name, (arch, params, x, x2, gx, gx2, table) in probes.items():
+        phi = dual_vectors(arch, params, x, gx, table).npf
+        phi2 = dual_vectors(arch, params, x2, gx2, table).npf
         brute = values[name] = float(phi @ phi2)
-        worst_npk = max(worst_npk, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
-        if arch.family == FC:
-            fc_report = _fc_table_checks(arch, params, table, x, x2, gx, gx2)
+        worst = max(worst, abs(npk(arch, x, x2, gx, gx2) - brute) / (1.0 + abs(brute)))
         if arch.family == RES:
             per_mask = {str(m): float(phi[s] @ phi2[s]) for m, s in table.sub_blocks}
-    return fc_report, {
-        "path_identity": _record("path identity y = <phi, v>", worst_eq1, 1e-9,
-                                 samples=n_samples * len(probes)),
-        "npk": _record("npk = <phi(x), phi(x')>", worst_npk, 1e-9, values=values,
-                       per_mask=per_mask),
-    }
+    return _record("npk = <phi(x), phi(x')>", worst, 1e-9, values=values, per_mask=per_mask)
 
 
 def _mc_check(probes, n_samples, seed):
-    arch, params, x, x2 = probes["fc"]
+    arch, _, x, x2, *_ = probes["fc"]
     arch = ArchSpec(family="fc", d_in=arch.d_in, depth=2, width=64)
     target, res = _mc_estimate(arch, x, x2, make_rng(seed, stream=203), n_samples,
                                make_rng(seed, stream=204))
@@ -354,9 +354,9 @@ def cmd_verify(config: ExperimentConfig) -> int:
     v = config.doc["verify"]
     seed = config.doc["seed"]
     probes = _verify_probes(seed)
-    fc_table, oracle = _oracle_checks(probes, v["eq1_samples"], seed)
-    report = {**fc_table, "rotation": _rotation_check(probes), **oracle,
-              "mc_ntk": _mc_check(probes, v["mc_samples"], seed)}
+    report = {**_fc_table_checks(probes), "rotation": _rotation_check(probes),
+              "path_identity": _path_identity_check(probes, v["eq1_samples"], seed),
+              "npk": _npk_check(probes), "mc_ntk": _mc_check(probes, v["mc_samples"], seed)}
 
     out = _ensure_out(config.doc["out"])
     with open(os.path.join(out, "verify.json"), "w") as fh:
@@ -414,7 +414,8 @@ def cmd_kernel(config: ExperimentConfig) -> int:
         return npk(arch, a, b, ga, gb)
 
     tag = f"npk-{arch.family}"
-    g = gram(X, kernel, tag=tag)
+    with np.errstate(over="raise", invalid="raise"):  # a NaN pre-activation would gate to 0
+        g = gram(X, kernel, tag=tag)
     out = _ensure_out(config.doc["out"])
     g.save_csv(os.path.join(out, "gram.csv"))
     g.save_npkg(os.path.join(out, "gram.npkg"))
@@ -432,7 +433,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _train_sweep(config: ExperimentConfig, fixed: dict, grid: dict) -> tuple[list, list, list]:
+def _train_sweep(config: ExperimentConfig, fixed: dict, grid: dict) -> tuple[list, list]:
     """Final test accuracy per grid point (last key fastest) and seed, with
     `fixed`, the point and the seed patched into the `train` section."""
     arch = config.arch()
@@ -446,12 +447,10 @@ def _train_sweep(config: ExperimentConfig, fixed: dict, grid: dict) -> tuple[lis
             report, _ = train(arch, tr, TrainConfig(**{**config.doc["train"], **fixed, **point}),
                               test=te)
             records.append({**point, "test_accuracy": report.final_test_accuracy})
-    rows = [["-".join(map(str, v)) if isinstance(v, list) else v for v in r.values()]
-            for r in records]
-    return records, [*grid, "seed", "test_accuracy"], rows
+    return records, [*grid, "seed", "test_accuracy"]
 
 
-def _bundle_permutation_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
+def _bundle_permutation_sweep(config: ExperimentConfig) -> tuple[list, list]:
     arch = config.arch()
     perms = list(itertools.permutations(range(arch.n_gate_layers())))
     for perm in perms:  # an arch that cannot route every permutation fails before training
@@ -460,12 +459,12 @@ def _bundle_permutation_sweep(config: ExperimentConfig) -> tuple[list, list, lis
                         {"perm": [list(p) for p in perms]})
 
 
-def _bundle_constant_one(config: ExperimentConfig) -> tuple[list, list, list]:
+def _bundle_constant_one(config: ExperimentConfig) -> tuple[list, list]:
     return _train_sweep(config, {},
                         {"regime": ["DGN_STANDALONE", "DLGN"], "x_v": ["data", "ones"]})
 
 
-def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
+def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list]:
     """Single-sample NTK relative deviation from its closed-form mean vs width."""
     ex = config.doc["experiment"]
     seed = config.doc["seed"]
@@ -473,7 +472,7 @@ def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
     d_in, depth = 3, 2
     x = rng.normal(size=d_in)
     x2 = x + 0.4 * rng.normal(size=d_in)
-    rows, records = [], []
+    records = []
     for w in ex["widths"]:
         arch = ArchSpec(family="fc", d_in=d_in, depth=depth, width=w)
         target, res = _mc_estimate(arch, x, x2, rng, ex["mc_deviation_samples"],
@@ -484,10 +483,9 @@ def _bundle_width_sweep(config: ExperimentConfig) -> tuple[list, list, list]:
         rel = np.abs(res.samples - target) / abs(target)
         med = float(np.median(rel))
         stderr = float(rel.std(ddof=1) / np.sqrt(rel.size))
-        rows.append([w, med, stderr])
         records.append({"width": w, "median_rel_dev": med, "stderr": stderr,
                         "target": target, "mc_mean": res.mean})
-    return records, ["width", "median_rel_dev", "stderr"], rows
+    return records, ["width", "median_rel_dev", "stderr"]
 
 
 BUNDLES = {
@@ -499,13 +497,14 @@ BUNDLES = {
 
 def cmd_experiment(config: ExperimentConfig) -> int:
     bundle = config.doc["experiment"]["bundle"]
-    # a bundle returns (records, csv header, csv rows); the out directory is
-    # created only once there are results to write
-    records, header, rows = BUNDLES[bundle](config)
+    # a bundle returns (records, columns), and a CSV row is a record's values under
+    # its columns (a list joined with "-"); out is created once there are results
+    records, columns = BUNDLES[bundle](config)
     out = _ensure_out(config.doc["out"])
     with open(os.path.join(out, bundle.replace("-", "_") + ".csv"), "w") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for row in [columns, *([r[c] for c in columns] for r in records)]:
+            fh.write(",".join("-".join(map(str, v)) if isinstance(v, list) else str(v)
+                              for v in row) + "\n")
     with open(os.path.join(out, "experiment.json"), "w") as fh:
         json.dump({"bundle": bundle, "records": records}, fh, indent=2)
     print(f"experiment: bundle {bundle} wrote {len(records)} records -> {out}")

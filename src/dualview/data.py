@@ -181,9 +181,17 @@ def load_dataset(path, format: str) -> Dataset:
     raise DatasetError(f"unknown dataset format {format!r}")
 
 
+def parse_floats(values: list[str]) -> np.ndarray:
+    """One line's split values as float64, refusing 1_0 and non-ASCII digits as
+    ``np.loadtxt`` does; numpy's string cast alone takes both."""
+    if bad := [v for v in values if "_" in v or not v.strip().isascii()]:
+        raise ValueError(f"could not convert string to float: {bad[0]!r}")
+    return np.array(values, dtype=np.float64)
+
+
 def _load_csv(path):
     """``np.loadtxt(path, delimiter=",", ndmin=2)``, parsed line by line so that each error
-    names its line; unlike loadtxt, numpy's cast alone takes 1_0 and non-ASCII digits."""
+    names its line."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
     rows = []
@@ -194,9 +202,7 @@ def _load_csv(path):
                 continue
             if rows and len(values) != rows[0].size:
                 raise ValueError(f"{len(values)} values, not {rows[0].size} as on the lines before")
-            if bad := [v for v in values if "_" in v or not v.strip().isascii()]:
-                raise ValueError(f"could not convert string to float: {bad[0]!r}")
-            rows.append(np.array(values, dtype=np.float64))
+            rows.append(parse_floats(values))
         except ValueError as exc:
             raise DatasetError(f"{path}: line {line_no}: {exc}") from None
     if not rows:

@@ -37,9 +37,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, forward_gated,
-                   init_params, weight_layer_specs)
+from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input,
+                   forward_gated, init_params, weight_layer_specs)
 from .autodiff import backward, value_of
+from .data import parse_floats
 from .numerics import check_positive
 
 
@@ -151,6 +152,8 @@ def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> 
 def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """<phi(x), phi(x')> for any family, from one sample's hard gates of x and of x'."""
     check_gates(arch, gates_x)  # fc and res correlations check that gates_x2 matches
+    check_input(arch, x)
+    check_input(arch, x2)
     if arch.family == FC:
         return npk_fc(x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
@@ -277,6 +280,8 @@ def mc_target(
     if arch.family != RES:
         return _limit_factor(sigmas) * npk(arch, x, x2, gates_x, gates_x2)
     check_gates(arch, gates_x)
+    check_input(arch, x)
+    check_input(arch, x2)
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     c = _block_correlations(arch, gates_x, gates_x2)
     e = np.zeros(arch.b + 1)
@@ -354,12 +359,12 @@ class GramMatrix:
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                row = line.split(",")
+                row = line.rstrip("\n").split(",")
                 if len(row) != n:
                     raise ValueError(f"{path}: line {line_no} has {len(row)} values, not n={n}")
                 if rows < n:
                     try:
-                        m[rows] = np.array(row, dtype=np.float64)
+                        m[rows] = parse_floats(row)
                     except ValueError as exc:
                         raise ValueError(f"{path}: line {line_no}: {exc}") from None
                 rows += 1

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arch import ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, weight_layer_specs
+from .arch import ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input, weight_layer_specs
 
 DEFAULT_BUDGET = 10**6
 
@@ -202,6 +202,7 @@ def dual_vectors(
     if table.arch != arch:
         raise ValueError(f"path table is for {table.arch}, not {arch}")
     check_gates(arch, gates)
+    check_input(arch, x)
     weights = _flat(params[name] for name, _, _ in weight_layer_specs(arch))
     return DualVectors(np.add.reduceat(_path_npf(table, x, gates), table.bundle_start),
                        _products(weights, table.weight_idx))

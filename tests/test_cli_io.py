@@ -304,7 +304,7 @@ def test_cli_verify_passes(tmp_path):
     per_mask = report["npk"]["per_mask"]
     assert set(per_mask) == {"()", "(1,)", "(2,)", "(1, 2)"}
     # the per-sub-FCN blocks of <phi, phi'> add up to the closed-form res NPK
-    arch, params, x, x2 = cli._verify_probes(3)["res"]
+    arch, params, x, x2, *_ = cli._verify_probes(3)["res"]
     k = npk(arch, x, x2, forward_relu(arch, params, x).gates, forward_relu(arch, params, x2).gates)
     assert abs(sum(per_mask.values()) - k) <= 1e-12 * abs(k)
 
@@ -761,6 +761,20 @@ def test_cli_kernel_fails_a_gram_that_is_not_finite(tmp_path, capsys):
     assert (out / "gram.npkg").exists()
 
 
+@pytest.mark.parametrize("arch, dataset", [
+    ({"family": "fc", "d_in": 3, "depth": 4, "width": 16, "c_scale": 1e200}, "circles"),
+    ({"family": "conv_gap", "d_in": 8, "w_cv": 3, "width": 4, "d_cv": 2, "d_fc": 2,
+      "c_scale": 1e200}, "shifted_pulses"),
+], ids=["fc", "conv_gap"])
+def test_cli_kernel_fails_a_network_that_overflows(tmp_path, capsys, arch, dataset):
+    # NaN pre-activations gated to 0, and an all-zero Gram passed with exit 0
+    out = tmp_path / "k"
+    assert main(["kernel", "--out", str(out), "--override", f"arch={json.dumps(arch)}",
+                 "--override", f"dataset.kind={dataset}", "--override", "kernel.n=4"]) == 1
+    assert capsys.readouterr().err == "dualview kernel: overflow encountered in matmul\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "train", "kernel", "experiment"])
 @pytest.mark.parametrize("key", list(MINIMUM))
 def test_cli_refuses_a_value_below_its_minimum(tmp_path, capsys, key, command):
@@ -853,7 +867,7 @@ def test_cli_verify_npk_compares_nonzero_kernels(tmp_path):
                      "--override", "verify.eq1_samples=2"]) == 0
         values = json.loads((out / "verify.json").read_text())["npk"]["values"]
         assert list(values) == ["fc", "conv", "res"] and all(v != 0 for v in values.values())
-        arch, params, x, x2 = cli._verify_probes(seed)["fc"]
+        arch, params, x, x2, *_ = cli._verify_probes(seed)["fc"]
         corr = gate_correlations(forward_relu(arch, params, x).gates,
                                  forward_relu(arch, params, x2).gates)
         assert len(set(corr.tolist())) == len(corr), (seed, corr)
@@ -900,3 +914,41 @@ def test_cli_verify_fc_table_records_catch_their_fault(tmp_path, monkeypatch, re
     assert main(["verify", "--out", str(out), "--override", "verify.mc_samples=100",
                  "--override", "verify.eq1_samples=2"]) == 1
     assert not json.loads((out / "verify.json").read_text())[record]["passed"]
+
+
+def _scale_npk(family, factor):
+    """cli.npk with the values of one family's networks scaled by factor(x)."""
+    closed_form = cli.npk
+    return lambda arch, x, *args: closed_form(arch, x, *args) * (
+        factor(x) if arch.family == family else 1.0)
+
+
+def _misweigh_first_res_path(monkeypatch):
+    """The res path table reads the wrong weight on step 0."""
+    enumerate_paths = cli.enumerate_paths
+
+    def faulty(arch):
+        table = enumerate_paths(arch)
+        if arch.family == "res":
+            table.weight_idx[0] += 1
+        return table
+
+    monkeypatch.setattr(cli, "enumerate_paths", faulty)
+
+
+@pytest.mark.parametrize("failing, fault", [
+    # an NPK that depends on where the conv input starts is not rotation
+    # invariant, and no longer the table's <phi, phi'>
+    ({"rotation", "npk"}, lambda mp: mp.setattr(
+        cli, "npk", _scale_npk("conv_gap", lambda x: 1 + 1e-3 * x[0]))),
+    ({"npk"}, lambda mp: mp.setattr(cli, "npk", _scale_npk("res", lambda x: 1 + 1e-6))),
+    ({"path_identity"}, _misweigh_first_res_path),
+], ids=["rotation", "npk", "path_identity"])
+def test_cli_verify_records_catch_their_fault(tmp_path, monkeypatch, failing, fault):
+    # the fault named by the id fails its record, and no record it does not touch
+    fault(monkeypatch)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--override", "verify.mc_samples=100",
+                 "--override", "verify.eq1_samples=2"]) == 1
+    report = json.loads((out / "verify.json").read_text())
+    assert {k for k, r in report.items() if not r["passed"]} == failing

@@ -65,6 +65,24 @@ def test_gate_lists_that_do_not_fit_arch_are_refused(arch, fault):
             call()
 
 
+@pytest.mark.parametrize("length", ["long", "short"])
+@pytest.mark.parametrize("function", ["npk", "mc_target", "dual_vectors"])
+@pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
+def test_inputs_that_do_not_fit_arch_are_refused(arch, function, length):
+    # a longer input once gave numbers, and a shorter one numbers or a bare IndexError
+    p, x, x2, gx, gx2 = _pair(arch, 3)
+    bad = np.append(x, 1.0) if length == "long" else x[:-1]
+    table = enumerate_paths(arch)
+    call = {"npk": lambda a, b: npk(arch, a, b, gx, gx2),
+            "mc_target": lambda a, b: mc_target(arch, a, b, gx, gx2),
+            "dual_vectors": lambda a, b: dual_vectors(arch, p, a, gx, table)}[function]
+    msg = (rf"input shape \({bad.size},\) does not fit the {arch.family} network: "
+           rf"expected \({arch.d_in},\)")
+    for pair in [(bad, x2)] + ([(x, bad)] if function != "dual_vectors" else []):
+        with pytest.raises(ValueError, match=msg):
+            call(*pair)
+
+
 def test_rot_composition():
     x = np.arange(7.0)
     assert np.array_equal(rot(rot(x, 2), 3), rot(x, 5))
@@ -394,6 +412,19 @@ def test_gram_csv_non_numeric_value(tmp_path):
     path.write_text("# tag=t n=2\n1,0\n0,one\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 3: could not convert string to float"):
         GramMatrix.load_csv(path)
+
+
+@pytest.mark.parametrize("body, line, bad", [("1_0,2\n2,3\n", 2, "1_0"),
+                                             ("1,2\n2,\u0663\n", 3, "\u0663")],
+                         ids=["underscore", "non_ascii_digit"])
+def test_gram_csv_refuses_what_the_dataset_reader_refuses(tmp_path, body, line, bad):
+    # numpy's string cast takes 1_0 and non-ASCII digits, which loadtxt and
+    # the dataset reader refuse; the Gram reader once loaded them
+    path = tmp_path / "bad.csv"
+    path.write_text("# tag=t n=2\n" + body)
+    with pytest.raises(ValueError) as err:
+        GramMatrix.load_csv(path)
+    assert str(err.value) == f"{path}: line {line}: could not convert string to float: {bad!r}"
 
 
 @pytest.mark.parametrize("body, rows, n", [("", 0, 2), ("1,0\n\n", 1, 2), ("1\n2\n", 2, 1)],
