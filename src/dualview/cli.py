@@ -304,12 +304,13 @@ def _fc_table_checks(probes) -> dict:
 
 def _rotation_check(probes) -> dict:
     """The conv NPK's invariance under rotating both inputs, from the closed form."""
-    arch, params, x, x2, *_ = probes["conv"]
-    # gates of the rotated inputs come from their own forward passes, so
-    # this also checks the shift-equivariance npk_conv_rotsum relies on
-    values = [npk(arch, a, b, forward_relu(arch, params, a).gates,
-                  forward_relu(arch, params, b).gates)
-              for a, b in ((rot(x, s), rot(x2, s)) for s in range(arch.d_in))]
+    arch, params, x, x2, gx, gx2, _ = probes["conv"]
+    # shift 0 reads the probe's gates and every other shift runs its own forward
+    # passes, which checks the shift-equivariance npk_conv_rotsum relies on
+    values = [npk(arch, x, x2, gx, gx2)]
+    values += [npk(arch, a, b, forward_relu(arch, params, a).gates,
+                   forward_relu(arch, params, b).gates)
+               for a, b in ((rot(x, s), rot(x2, s)) for s in range(1, arch.d_in))]
     worst = max(abs(v - values[0]) for v in values)
     return _record("rotation invariance", worst / (1.0 + abs(values[0])), 1e-9, value=values[0])
 

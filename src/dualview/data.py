@@ -183,9 +183,13 @@ def load_dataset(path, format: str) -> Dataset:
 
 def parse_floats(values: list[str]) -> np.ndarray:
     """One line's split values as float64, refusing 1_0 and non-ASCII digits as
-    ``np.loadtxt`` does; numpy's string cast alone takes both."""
-    if bad := [v for v in values if "_" in v or not v.strip().isascii()]:
-        raise ValueError(f"could not convert string to float: {bad[0]!r}")
+    ``np.loadtxt`` does; numpy's string cast alone takes both. Each value is
+    checked only when the joined values hold ``_`` or a non-ASCII character, so
+    that values padded with non-ASCII whitespace still parse."""
+    joined = "".join(values)
+    if "_" in joined or not joined.isascii():
+        if bad := [v for v in values if "_" in v or not v.strip().isascii()]:
+            raise ValueError(f"could not convert string to float: {bad[0]!r}")
     return np.array(values, dtype=np.float64)
 
 

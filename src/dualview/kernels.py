@@ -5,7 +5,8 @@ The closed forms here are checked against the enumeration oracle in
 never calls that oracle. Conventions:
 
 * Gates are plain lists with one array per gated layer, as
-  ``ForwardResult.gates`` holds them.
+  ``ForwardResult.gates`` holds them. Any hard or soft gate array, bool
+  included, counts as float64.
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
   of x and x'; ``mc_target`` is its width limit: a chain of weight layers
   scales its NPK by sum_k prod_{j != k} sigma_j^2 (per sub-FCN for res).
@@ -22,9 +23,9 @@ never calls that oracle. Conventions:
 * ``ntk_fixed_gates`` contracts per-layer cotangents instead of taking the
   inner product of two flat weight gradients: one forward and one backward
   pass per input give each weight layer's input z and the cotangent delta
-  at its pre-activation, and the NTK is sum_l <z_{l-1}, z'_{l-1}> *
-  <delta_l, delta'_l> (conv layers sum this over filter taps and position
-  pairs).
+  at its pre-activation; a dense layer adds <z, z'> <delta, delta'> and
+  never forms its weight gradient, a conv layer adds the inner product of
+  its two (w_cv, c_in, c_out) filter gradients.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input,
                    forward_gated, init_params, weight_layer_specs)
-from .autodiff import backward, value_of
+from .autodiff import backward, circular_conv_vjp_theta, value_of
 from .data import parse_floats
 from .numerics import check_positive
 
@@ -55,14 +56,20 @@ def rot(x: np.ndarray, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _correlations(gates_x: Gates, gates_x2: Gates) -> list[float]:
-    """Per-layer <G_l(x), G_l(x')> of two lists of gate arrays, as floats."""
+    """Per-layer <G_l(x), G_l(x')> of two lists of gate arrays, as floats; every
+    gate array counts as float64 (numpy's @ of two bool arrays is an OR of ANDs)."""
     if len(gates_x) != len(gates_x2):
         raise ValueError("gate lists have different layer counts")
     out = []
     for g, g2 in zip(gates_x, gates_x2):
         if g.shape != g2.shape:
             raise ValueError(f"gate shape mismatch {g.shape} vs {g2.shape}")
+        if g.dtype is not _F64 or g2.dtype is not _F64:  # numpy's builtin dtypes are singletons
+            g, g2 = np.asarray(g, dtype=np.float64), np.asarray(g2, dtype=np.float64)
         out.append(float(g.ravel() @ g2.ravel()))
     return out
 
@@ -130,23 +137,23 @@ def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> f
     return float(np.sum(x * x2[shifted] * counts))
 
 
-def _block_correlations(arch: ArchSpec, gates_x: Gates, gates_x2: Gates) -> list[float]:
-    """C_j, the product of <G_l(x), G_l(x')> over block j's layers, j = 0..b+1,
-    as floats multiplied in layer order.
+def _res_blocks(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates):
+    """(<x, x'>, [C_0, ..., C_{b+1}]), C_j the product of <G_l(x), G_l(x')> over
+    block j's layers as floats multiplied in layer order.
 
     The network's last layer is ungated and contributes a factor of 1.
     """
+    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     corr, d = [*_correlations(gates_x, gates_x2), 1.0], arch.d_blk
-    return [math.prod(corr[j * d:(j + 1) * d]) for j in range(arch.b + 2)]
+    return float(x @ x2), [math.prod(corr[j * d:(j + 1) * d]) for j in range(arch.b + 2)]
 
 
 def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """NPK of the ResNet: the sum of its 2^b sub-FCN product kernels, in O(b)."""
     if arch.family != RES:
         raise ValueError("npk_res_ensemble requires the res family")
-    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
-    c = _block_correlations(arch, gates_x, gates_x2)
-    return float(x @ x2) * (c[0] * c[-1] * math.prod(1.0 + c_j for c_j in c[1:-1]))
+    xx, c = _res_blocks(arch, x, x2, gates_x, gates_x2)
+    return xx * (c[0] * c[-1] * math.prod(1.0 + c_j for c_j in c[1:-1]))
 
 
 def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
@@ -190,13 +197,12 @@ def ntk_fixed_gates(
 ) -> float:
     """<grad y(x), grad y(x')> w.r.t. the value-network weights, gates fixed.
 
-    The weight gradient of a layer is an outer product of its input z and
-    the cotangent delta at its pre-activation, so the inner product
-    contracts per layer without forming either gradient:
+    Per layer, from its input z and the cotangent delta at its pre-activation:
 
-    * dense and res layers: <z, z'> <delta, delta'>;
-    * conv layers, where tap c of the filter saw z at p + c for output
-      position p: sum_c sum_{p, p'} <z_{p+c}, z'_{p'+c}> <delta_p, delta'_{p'}>.
+    * dense and res layers: <z, z'> <delta, delta'>, as their weight gradient
+      is the outer product of z and delta, which is never formed;
+    * conv layers: the inner product of the two (w_cv, c_in, c_out) filter
+      gradients, from the filter-gradient rule the ``conv_circular`` op uses.
     """
     if arch.n_out != 1:
         raise ValueError(f"the NTK needs a scalar output, got n_out={arch.n_out}")
@@ -206,9 +212,8 @@ def ntk_fixed_gates(
         if z.ndim == 1:  # dense: z (fan_in,), delta (fan_out,)
             total += float(z @ z2) * float(d @ d2)
         else:  # conv: z (d_in, c_in), delta (d_in, c_out)
-            zz = z @ z2.T
-            taps = sum(np.roll(zz, (-c, -c), axis=(0, 1)) for c in range(arch.w_cv))
-            total += float(np.sum(taps * (d @ d2.T)))
+            total += float(np.sum(circular_conv_vjp_theta(z[None], d[None], arch.w_cv)
+                                  * circular_conv_vjp_theta(z2[None], d2[None], arch.w_cv)))
     return total
 
 
@@ -282,14 +287,13 @@ def mc_target(
     check_gates(arch, gates_x)
     check_input(arch, x)
     check_input(arch, x2)
-    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
-    c = _block_correlations(arch, gates_x, gates_x2)
+    xx, c = _res_blocks(arch, x, x2, gates_x, gates_x2)
     e = np.zeros(arch.b + 1)
     e[0] = 1.0
     for c_j in c[1:-1]:
         e[1:] += c_j * e[:-1]
     factors = [_limit_factor(sigmas[:(k + 2) * arch.d_blk]) for k in range(arch.b + 1)]
-    return float(x @ x2) * float(c[0] * c[-1] * (e @ factors))
+    return xx * float(c[0] * c[-1] * (e @ factors))
 
 
 # ---------------------------------------------------------------------------

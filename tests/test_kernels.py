@@ -129,6 +129,21 @@ def test_kernel_constants():
     assert np.isclose(mixed(target) / mixed(kernel), 8 * 0.5**14)
 
 
+@pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
+def test_bool_gates_count_as_float64(arch):
+    # numpy's @ of two bool arrays is an OR of ANDs, which once made every
+    # fc and res correlation 0 or 1
+    p, x, x2, gx, gx2 = _pair(arch, 0)
+    bx, bx2 = [g > 0 for g in gx], [g > 0 for g in gx2]
+    assert npk(arch, x, x2, bx, bx2) == npk(arch, x, x2, gx, gx2)
+    assert mc_target(arch, x, x2, bx, bx2, sigma=0.5) == mc_target(arch, x, x2, gx, gx2, sigma=0.5)
+    assert np.array_equal(gate_correlations(bx, bx2), gate_correlations(gx, gx2))
+    table = enumerate_paths(arch)
+    phi, phi2 = (dual_vectors(arch, p, a, g, table).npf for a, g in ((x, bx), (x2, bx2)))
+    brute = float(phi @ phi2)
+    assert abs(npk(arch, x, x2, bx, bx2) - brute) <= 1e-9 * (1 + abs(brute))
+
+
 def test_npk_fc_matches_brute_force():
     arch = ArchSpec(family="fc", d_in=3, depth=4, width=4)
     p, x, x2, gx, gx2 = _pair(arch, 1)
@@ -425,6 +440,13 @@ def test_gram_csv_refuses_what_the_dataset_reader_refuses(tmp_path, body, line, 
     with pytest.raises(ValueError) as err:
         GramMatrix.load_csv(path)
     assert str(err.value) == f"{path}: line {line}: could not convert string to float: {bad!r}"
+
+
+def test_gram_csv_reads_values_padded_with_non_ascii_whitespace(tmp_path):
+    # the line-wide check for 1_0 and non-ASCII digits must fall back to the values
+    path = tmp_path / "padded.csv"
+    path.write_text("# tag=t n=2\n 1 ,0\n0, 2\n")
+    assert np.array_equal(GramMatrix.load_csv(path).matrix, [[1.0, 0.0], [0.0, 2.0]])
 
 
 @pytest.mark.parametrize("body, rows, n", [("", 0, 2), ("1,0\n\n", 1, 2), ("1\n2\n", 2, 1)],
