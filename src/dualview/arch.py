@@ -33,8 +33,9 @@ The weight stack, :func:`run_stack`, and the feature network,
 runs them on :data:`ARRAYS`, numpy on plain arrays with no graph, and
 differentiates them with :func:`stack_vjp` and :meth:`FeatureNet.vjp`.
 ``forward_relu``, ``forward_gated`` and ``feature_gates`` run them on the
-graph ops of :mod:`dualview.autodiff`: they are what the kernels run and
-the graph oracle the tests compare with.
+graph ops of :mod:`dualview.autodiff`: the commands take gates from
+``forward_relu``, and the three are the graph oracle the tests compare
+with. The fixed-gate NTK runs :func:`run_stack` on those ops itself.
 """
 
 from __future__ import annotations
@@ -221,9 +222,14 @@ Gates = Sequence[np.ndarray]
 def check_gates(arch: ArchSpec, gates: Gates) -> None:
     """Refuse a gate list that is not one sample's gates of `arch`: one
     array per gated layer, of the shape `arch.gate_layer_shapes()` gives."""
-    if tuple(g.shape for g in gates) != arch._gate_shapes:
-        raise ValueError(f"gate shapes {[g.shape for g in gates]} do not fit the {arch.family} "
-                         f"network: expected {list(arch._gate_shapes)}")
+    try:  # free when every gate is an array, as npk checks gates per Gram entry
+        shapes = tuple(g.shape for g in gates)
+    except AttributeError:  # a gate that is not an array
+        shapes = None
+    if shapes != arch._gate_shapes:
+        raise ValueError(f"gate shapes {[np.shape(g) for g in gates]} do not fit the {arch.family} "
+                         f"network: expected {list(arch._gate_shapes)}"
+                         + ("" if shapes is not None else " arrays"))
 
 
 def check_input(arch: ArchSpec, x) -> None:

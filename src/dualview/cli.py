@@ -135,8 +135,10 @@ class ExperimentConfig:
         bundle = self.doc["experiment"]["bundle"]
         if bundle not in BUNDLES:
             raise ValueError(f"unknown bundle {bundle!r}; choose from {sorted(BUNDLES)}")
-        if self.doc["dataset"]["kind"] == "file" and not self.doc["dataset"]["path"]:
-            raise ValueError("dataset.kind == 'file' requires dataset.path")
+        path = self.doc["dataset"]["path"]
+        if self.doc["dataset"]["kind"] == "file" and not (isinstance(path, str) and path):
+            raise ValueError(f"dataset.kind == 'file' requires dataset.path, a non-empty string, "
+                             f"got {path!r}")
         check_perm(self.arch(), self.train_config().perm)
 
     @classmethod

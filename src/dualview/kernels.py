@@ -5,8 +5,9 @@ The closed forms here are checked against the enumeration oracle in
 never calls that oracle. Conventions:
 
 * Gates are plain lists with one array per gated layer, as
-  ``ForwardResult.gates`` holds them. Any hard or soft gate array, bool
-  included, counts as float64.
+  ``ForwardResult.gates`` holds them for one sample; ``npk``, ``mc_target``
+  and the NTK take one sample's gates and input and refuse anything else.
+  Any hard or soft gate array, bool included, counts as float64.
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
   of x and x'; ``mc_target`` is its width limit: a chain of weight layers
   scales its NPK by sum_k prod_{j != k} sigma_j^2 (per sub-FCN for res).
@@ -38,8 +39,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input,
-                   forward_gated, init_params, weight_layer_specs)
+from . import autodiff
+from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input, init_params,
+                   run_stack, weight_layer_specs)
 from .autodiff import backward, circular_conv_vjp_theta, value_of
 from .data import parse_floats
 from .numerics import check_positive
@@ -66,8 +68,9 @@ def _correlations(gates_x: Gates, gates_x2: Gates) -> list[float]:
         raise ValueError("gate lists have different layer counts")
     out = []
     for g, g2 in zip(gates_x, gates_x2):
-        if g.shape != g2.shape:
-            raise ValueError(f"gate shape mismatch {g.shape} vs {g2.shape}")
+        if getattr(g2, "shape", None) != g.shape:  # a gate that is not an array has no shape
+            raise ValueError(f"gate shape mismatch {g.shape} vs "
+                             f"{getattr(g2, 'shape', type(g2).__name__)}")
         if g.dtype is not _F64 or g2.dtype is not _F64:  # numpy's builtin dtypes are singletons
             g, g2 = np.asarray(g, dtype=np.float64), np.asarray(g2, dtype=np.float64)
         out.append(float(g.ravel() @ g2.ravel()))
@@ -175,16 +178,20 @@ def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
 
 
 def _layer_cotangents(arch: ArchSpec, params_v, gates: Gates, x) -> list:
-    """Per weight layer of the value network on one input x: (z, delta).
+    """Per weight layer of the value network on one input x under one
+    sample's gates: (z, delta), each with a batch axis of one row.
 
     z is the layer's input and delta the cotangent of y at its
-    pre-activation. One forward pass and one backward pass from y, which
-    reaches every pre-activation Node. No parameter is a Node, so no weight
-    gradient is formed.
+    pre-activation. One run of the weight stack on autodiff's ops and one
+    backward pass from y, which reaches every pre-activation Node. No
+    parameter is a Node, so no weight gradient is formed.
     """
-    out = forward_gated(arch, params_v, gates, x_v=x)
-    cot = backward(out.y_node)
-    return [(value_of(z)[0], cot[id(q)][0]) for z, q in zip(out.tape.zs, out.tape.qs)]
+    check_gates(arch, gates)
+    check_input(arch, x)
+    tape = run_stack(arch, params_v, np.asarray(x, dtype=np.float64)[None],
+                     lambda i, q: gates[i][None], ops=autodiff)
+    cot = backward(tape.y)
+    return [(value_of(z), cot[id(q)]) for z, q in zip(tape.zs, tape.qs)]
 
 
 def ntk_fixed_gates(
@@ -197,7 +204,9 @@ def ntk_fixed_gates(
 ) -> float:
     """<grad y(x), grad y(x')> w.r.t. the value-network weights, gates fixed.
 
-    Per layer, from its input z and the cotangent delta at its pre-activation:
+    Takes one sample's gates and input for each of x and x', as ``npk``
+    does, and refuses the same misfits. Per layer, from its input z and the
+    cotangent delta at its pre-activation:
 
     * dense and res layers: <z, z'> <delta, delta'>, as their weight gradient
       is the outer product of z and delta, which is never formed;
@@ -209,11 +218,11 @@ def ntk_fixed_gates(
     total = 0.0
     for (z, d), (z2, d2) in zip(_layer_cotangents(arch, params_v, gates_x, x),
                                 _layer_cotangents(arch, params_v, gates_x2, x2)):
-        if z.ndim == 1:  # dense: z (fan_in,), delta (fan_out,)
-            total += float(z @ z2) * float(d @ d2)
-        else:  # conv: z (d_in, c_in), delta (d_in, c_out)
-            total += float(np.sum(circular_conv_vjp_theta(z[None], d[None], arch.w_cv)
-                                  * circular_conv_vjp_theta(z2[None], d2[None], arch.w_cv)))
+        if z.ndim == 2:  # dense: z (1, fan_in), delta (1, fan_out)
+            total += float(z[0] @ z2[0]) * float(d[0] @ d2[0])
+        else:  # conv: z (1, d_in, c_in), delta (1, d_in, c_out)
+            total += float(np.sum(circular_conv_vjp_theta(z, d, arch.w_cv)
+                                  * circular_conv_vjp_theta(z2, d2, arch.w_cv)))
     return total
 
 
@@ -245,9 +254,6 @@ def ntk_expectation_mc(
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
-    # the batch axis of one input, added once rather than per sample
-    gates_x = [np.asarray(g, dtype=np.float64)[None] for g in gates_x]
-    gates_x2 = [np.asarray(g, dtype=np.float64)[None] for g in gates_x2]
     samples = np.empty(n_samples)
     for s in range(n_samples):
         params_v = init_params(arch, rng, sigma=sigma)
@@ -353,7 +359,7 @@ class GramMatrix:
             meta = dict(token.split("=", 1) for token in tokens if "=" in token)
             if len(meta) < len(tokens) or not {"tag", "n"} <= meta.keys():
                 raise ValueError(f"{path}: gram header {header!r} needs key=value tokens, tag, n")
-            if not meta["n"].isdecimal():
+            if not (meta["n"].isascii() and meta["n"].isdecimal()):
                 raise ValueError(f"{path}: gram header n={meta['n']!r} is not an integer")
             n = int(meta["n"])
             # n rows of n values and n - 1 commas: refuse a shorter file before allocating

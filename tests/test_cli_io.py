@@ -539,6 +539,23 @@ def test_cli_config_value_types(tmp_path, capsys):
     assert cfg.make_dataset().n == DEFAULT_CONFIG["dataset"]["n"]
 
 
+@pytest.mark.parametrize("command", ["train", "kernel"])
+@pytest.mark.parametrize("value", ["[1]", '{"a":1}', "3.5", "true", "7", '""'])
+def test_cli_file_dataset_path_must_be_a_string(tmp_path, capsys, monkeypatch, command, value):
+    # a list, an object or a float once crashed with a TypeError traceback,
+    # and true or 7 were opened as file descriptors 1 and 7
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened the dataset before refusing its path")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    out = tmp_path / "t"
+    assert main([command, "--out", str(out), "--override", "dataset.kind=file",
+                 "--override", f"dataset.path={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dataset.path, a non-empty string" in err
+    assert not out.exists()
+
+
 def test_cli_kernel_usage_errors(tmp_path, capsys):
     for spec, msg in (("dataset.kind=blobs", "arch.d_in=3 != dataset d_in=2"),
                       ("kernel.n=0", "kernel.n must be >= 1"),

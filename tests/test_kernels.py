@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -42,41 +43,56 @@ def _pair(arch, seed, spread=0.4):
     return p, x, x2, gx, gx2
 
 
-@pytest.mark.parametrize("fault", ["missing_layer", "extra_unit", "batched"])
+@pytest.mark.parametrize("fault", ["missing_layer", "extra_unit", "batched", "batch_of_one",
+                                   "lists"])
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_gate_lists_that_do_not_fit_arch_are_refused(arch, fault):
-    # a short list, a wider layer or a batch of gates once gave numbers
+    # a short list, a wider layer or a batch of gates once gave numbers, the
+    # NTK took a batch of one, and gates that are not arrays raised AttributeError
     p, x, x2, gx, gx2 = _pair(arch, 3)
     if fault == "missing_layer":
         bad, bad2 = gx[:-1], gx2[:-1]
     elif fault == "extra_unit":
         bad, bad2 = ([np.concatenate([g, g[..., :1]], axis=-1) for g in gs] for gs in (gx, gx2))
-    else:
+    elif fault == "batched":
         bad = bad2 = forward_relu(arch, p, np.stack([x, x2])).gates
+    elif fault == "batch_of_one":
+        bad, bad2 = [g[None] for g in gx], [g[None] for g in gx2]
+    else:
+        bad, bad2 = [g.tolist() for g in gx], [g.tolist() for g in gx2]
     table = enumerate_paths(arch)
     calls = [lambda: npk(arch, x, x2, bad, bad2), lambda: mc_target(arch, x, x2, bad, bad2),
-             lambda: dual_vectors(arch, p, x, bad, table)]
+             lambda: dual_vectors(arch, p, x, bad, table),
+             lambda: ntk_fixed_gates(arch, p, bad, bad2, x, x2),
+             lambda: ntk_expectation_mc(arch, bad, bad2, x, x2, 100, make_rng(0))]
     for call in calls:
         with pytest.raises(ValueError, match=r"do not fit the \w+ network: expected \["):
             call()
     # a bad second list alone is refused too
-    for call in (lambda: npk(arch, x, x2, gx, bad2), lambda: mc_target(arch, x, x2, gx, bad2)):
+    for call in (lambda: npk(arch, x, x2, gx, bad2), lambda: mc_target(arch, x, x2, gx, bad2),
+                 lambda: ntk_fixed_gates(arch, p, gx, bad2, x, x2),
+                 lambda: ntk_expectation_mc(arch, gx, bad2, x, x2, 100, make_rng(0))):
         with pytest.raises(ValueError):
             call()
 
 
-@pytest.mark.parametrize("length", ["long", "short"])
-@pytest.mark.parametrize("function", ["npk", "mc_target", "dual_vectors"])
+@pytest.mark.parametrize("length", ["long", "short", "row"])
+@pytest.mark.parametrize("function", ["npk", "mc_target", "dual_vectors", "ntk_fixed_gates",
+                                      "ntk_expectation_mc"])
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_inputs_that_do_not_fit_arch_are_refused(arch, function, length):
-    # a longer input once gave numbers, and a shorter one numbers or a bare IndexError
+    # a longer input once gave numbers, a shorter one numbers or a bare
+    # IndexError, and the NTK took a (1, d_in) row
     p, x, x2, gx, gx2 = _pair(arch, 3)
-    bad = np.append(x, 1.0) if length == "long" else x[:-1]
+    bad = {"long": np.append(x, 1.0), "short": x[:-1], "row": x[None]}[length]
     table = enumerate_paths(arch)
     call = {"npk": lambda a, b: npk(arch, a, b, gx, gx2),
             "mc_target": lambda a, b: mc_target(arch, a, b, gx, gx2),
-            "dual_vectors": lambda a, b: dual_vectors(arch, p, a, gx, table)}[function]
-    msg = (rf"input shape \({bad.size},\) does not fit the {arch.family} network: "
+            "dual_vectors": lambda a, b: dual_vectors(arch, p, a, gx, table),
+            "ntk_fixed_gates": lambda a, b: ntk_fixed_gates(arch, p, gx, gx2, a, b),
+            "ntk_expectation_mc": lambda a, b: ntk_expectation_mc(arch, gx, gx2, a, b, 100,
+                                                                  make_rng(0))}[function]
+    msg = (rf"input shape {re.escape(str(bad.shape))} does not fit the {arch.family} network: "
            rf"expected \({arch.d_in},\)")
     for pair in [(bad, x2)] + ([(x, bad)] if function != "dual_vectors" else []):
         with pytest.raises(ValueError, match=msg):
@@ -138,6 +154,7 @@ def test_bool_gates_count_as_float64(arch):
     assert npk(arch, x, x2, bx, bx2) == npk(arch, x, x2, gx, gx2)
     assert mc_target(arch, x, x2, bx, bx2, sigma=0.5) == mc_target(arch, x, x2, gx, gx2, sigma=0.5)
     assert np.array_equal(gate_correlations(bx, bx2), gate_correlations(gx, gx2))
+    assert ntk_fixed_gates(arch, p, bx, bx2, x, x2) == ntk_fixed_gates(arch, p, gx, gx2, x, x2)
     table = enumerate_paths(arch)
     phi, phi2 = (dual_vectors(arch, p, a, g, table).npf for a, g in ((x, bx), (x2, bx2)))
     brute = float(phi @ phi2)
@@ -409,10 +426,12 @@ def test_gram_csv_malformed_header(tmp_path, header):
 
 
 def test_gram_csv_non_integer_n(tmp_path):
+    # str.isdecimal once read an Arabic-Indic or a fullwidth 2 as n = 2
     path = tmp_path / "bad.csv"
-    path.write_text("# tag=t n=x\n1\n")
-    with pytest.raises(ValueError, match=r"bad\.csv: gram header n='x' is not an integer"):
-        GramMatrix.load_csv(path)
+    for n in ("x", "\u0662", "\uff12"):
+        path.write_text(f"# tag=t n={n}\n1,0\n0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad\.csv: gram header n='{n}' is not an integer"):
+            GramMatrix.load_csv(path)
 
 
 def test_gram_csv_ragged_row(tmp_path):
