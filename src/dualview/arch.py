@@ -219,25 +219,22 @@ def check_perm(arch: ArchSpec, perm: Sequence[int] | None) -> None:
 Gates = Sequence[np.ndarray]
 
 
-def check_gates(arch: ArchSpec, gates: Gates) -> None:
-    """Refuse a gate list that is not one sample's gates of `arch`: one
-    array per gated layer, of the shape `arch.gate_layer_shapes()` gives."""
-    try:  # free when every gate is an array, as npk checks gates per Gram entry
-        shapes = tuple(g.shape for g in gates)
-    except AttributeError:  # a gate that is not an array
-        shapes = None
-    if shapes != arch._gate_shapes:
-        raise ValueError(f"gate shapes {[np.shape(g) for g in gates]} do not fit the {arch.family} "
-                         f"network: expected {list(arch._gate_shapes)}"
-                         + ("" if shapes is not None else " arrays"))
-
-
-def check_input(arch: ArchSpec, x) -> None:
-    """Refuse an input that is not one sample of `arch`, of shape (arch.d_in,)."""
+def check_sample(arch: ArchSpec, x, gates: Gates) -> None:
+    """Refuse what is not one sample of `arch`: an input of shape
+    (arch.d_in,) and one gate array per gated layer, of the shape
+    `arch.gate_layer_shapes()` gives."""
     # an array's .shape first: np.shape is about four times slower, and npk runs per Gram entry
     if getattr(x, "shape", None) != (arch.d_in,) and np.shape(x) != (arch.d_in,):
         raise ValueError(f"input shape {np.shape(x)} does not fit the {arch.family} network: "
                          f"expected ({arch.d_in},)")
+    try:
+        shapes = tuple([g.shape for g in gates])
+    except AttributeError:  # a gate that is not an array
+        shapes = None
+    if shapes != arch._gate_shapes:
+        raise ValueError(f"gate shapes {[getattr(g, 'shape', type(g).__name__) for g in gates]} "
+                         f"do not fit the {arch.family} network: expected "
+                         f"{list(arch._gate_shapes)}" + ("" if shapes is not None else " arrays"))
 
 
 # The op set of :func:`run_stack` and :class:`FeatureNet` on plain arrays:

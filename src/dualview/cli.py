@@ -107,6 +107,7 @@ class ExperimentConfig:
     list's items need the type of the default's first item, and a key whose
     default is None takes any value). `arch` takes every ArchSpec field,
     typed as the field's default, and a key in MINIMUM must reach its bound.
+    A section other than `arch` takes the default of a key it lacks.
     The ArchSpec, TrainConfig and its `perm`, `experiment.bundle` and a
     file dataset's path are checked for every command; the dataset generator
     or loader checks the other dataset values.
@@ -128,6 +129,8 @@ class ExperimentConfig:
                 for f in fields(ArchSpec):
                     if f.default is MISSING and f.name not in value:
                         raise ValueError(f"config key arch.{f.name} is missing")
+            else:  # a section an override replaced takes the defaults of the keys it lacks
+                value = self.doc[section] = {**copy.deepcopy(default), **value}
             for key, v in value.items():
                 if key not in default:
                     raise ValueError(f"unknown config key {section}.{key}")

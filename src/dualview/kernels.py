@@ -5,8 +5,9 @@ The closed forms here are checked against the enumeration oracle in
 never calls that oracle. Conventions:
 
 * Gates are plain lists with one array per gated layer, as
-  ``ForwardResult.gates`` holds them for one sample; ``npk``, ``mc_target``
-  and the NTK take one sample's gates and input and refuse anything else.
+  ``ForwardResult.gates`` holds them for one sample; ``npk``, its conv and
+  res forms, ``mc_target`` and the NTK take one sample's gates and input
+  and refuse anything else (``arch.check_sample``).
   Any hard or soft gate array, bool included, counts as float64.
 * ``npk`` returns <phi(x), phi(x')> for every family from the hard gates
   of x and x'; ``mc_target`` is its width limit: a chain of weight layers
@@ -40,8 +41,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import autodiff
-from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_gates, check_input, init_params,
-                   run_stack, weight_layer_specs)
+from .arch import (ArchSpec, CONV_GAP, FC, RES, Gates, check_sample, init_params, run_stack,
+                   weight_layer_specs)
 from .autodiff import backward, circular_conv_vjp_theta, value_of
 from .data import parse_floats
 from .numerics import check_positive
@@ -131,6 +132,8 @@ def npk_conv_rotsum(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> f
     """
     if arch.family != CONV_GAP:
         raise ValueError("npk_conv_rotsum requires the conv_gap family")
+    check_sample(arch, x, gates_x)
+    check_sample(arch, x2, gates_x2)
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     pos = np.arange(arch.d_in)
@@ -146,6 +149,8 @@ def _res_blocks(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates):
 
     The network's last layer is ungated and contributes a factor of 1.
     """
+    check_sample(arch, x, gates_x)
+    check_sample(arch, x2, gates_x2)
     x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
     corr, d = [*_correlations(gates_x, gates_x2), 1.0], arch.d_blk
     return float(x @ x2), [math.prod(corr[j * d:(j + 1) * d]) for j in range(arch.b + 2)]
@@ -161,13 +166,11 @@ def npk_res_ensemble(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> 
 
 def npk(arch: ArchSpec, x, x2, gates_x: Gates, gates_x2: Gates) -> float:
     """<phi(x), phi(x')> for any family, from one sample's hard gates of x and of x'."""
-    check_gates(arch, gates_x)  # fc and res correlations check that gates_x2 matches
-    check_input(arch, x)
-    check_input(arch, x2)
-    if arch.family == FC:
+    if arch.family == FC:  # npk_fc takes no arch; the other forms check their samples
+        check_sample(arch, x, gates_x)
+        check_sample(arch, x2, gates_x2)
         return npk_fc(x, x2, gates_x, gates_x2)
     if arch.family == CONV_GAP:
-        check_gates(arch, gates_x2)
         return npk_conv_rotsum(arch, x, x2, gates_x, gates_x2) / arch.d_in**2
     return npk_res_ensemble(arch, x, x2, gates_x, gates_x2)
 
@@ -186,8 +189,7 @@ def _layer_cotangents(arch: ArchSpec, params_v, gates: Gates, x) -> list:
     backward pass from y, which reaches every pre-activation Node. No
     parameter is a Node, so no weight gradient is formed.
     """
-    check_gates(arch, gates)
-    check_input(arch, x)
+    check_sample(arch, x, gates)
     tape = run_stack(arch, params_v, np.asarray(x, dtype=np.float64)[None],
                      lambda i, q: gates[i][None], ops=autodiff)
     cot = backward(tape.y)
@@ -290,9 +292,6 @@ def mc_target(
               for _, _, kind in weight_layer_specs(arch)]
     if arch.family != RES:
         return _limit_factor(sigmas) * npk(arch, x, x2, gates_x, gates_x2)
-    check_gates(arch, gates_x)
-    check_input(arch, x)
-    check_input(arch, x2)
     xx, c = _res_blocks(arch, x, x2, gates_x, gates_x2)
     e = np.zeros(arch.b + 1)
     e[0] = 1.0

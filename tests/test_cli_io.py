@@ -1,14 +1,18 @@
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualview import cli
 from dualview.arch import ArchSpec, forward_relu, init_params
@@ -266,6 +270,13 @@ def test_config_overrides(tmp_path):
         ExperimentConfig.load(None, overrides=["no-equals-sign"])
 
 
+def test_config_section_override_keeps_the_defaults_it_lacks():
+    # `--override kernel={}` once left kernel.n out and `kernel` raised KeyError
+    assert ExperimentConfig.load(overrides=["kernel={}"]).doc == DEFAULT_CONFIG
+    doc = ExperimentConfig.load(overrides=['dataset={"n": 20}']).doc
+    assert doc["dataset"] == {**DEFAULT_CONFIG["dataset"], "n": 20}
+
+
 def test_config_train_defaults_are_train_config():
     assert ExperimentConfig().train_config() == TrainConfig()
 
@@ -346,6 +357,34 @@ def test_cli_kernel_artifacts(tmp_path):
     assert g.n == 12
     assert np.max(np.abs(g.matrix - b.matrix)) <= 1e-12
     assert g.is_psd()
+
+
+@pytest.mark.parametrize("command, n, override", [("train", 200, "train.epochs=2"),
+                                                  ("kernel", 50, "kernel.n=12")])
+def test_cli_file_dataset_runs_as_the_generated_one(tmp_path, command, n, override):
+    # the circles the command generates (dataset.seed 0), written with every
+    # float's 17 digits and read back as a file dataset, give the same outputs
+    ds = generate_synthetic("circles", n, 0)
+    path = tmp_path / "circles.csv"
+    np.savetxt(path, np.column_stack([ds.X, ds.y]), fmt="%.17g", delimiter=",")
+    outs = {}
+    for kind, dataset in (("generated", [f"dataset.n={n}"]),
+                          ("file", ["dataset.kind=file", f"dataset.path={path}"])):
+        outs[kind] = tmp_path / kind
+        assert main([command, "--out", str(outs[kind]),
+                     *[arg for ov in [override, *dataset] for arg in ("--override", ov)]]) == 0
+    if command == "train":
+        def report(out):
+            doc = json.loads((out / "train_report.json").read_text())
+            return {k: v for k, v in doc.items() if k not in ("wall_clock_s", "eval_s")}
+
+        assert report(outs["file"]) == report(outs["generated"])
+        params = [np.load(outs[kind] / "params.npz") for kind in ("generated", "file")]
+        assert params[0].files == params[1].files
+        assert all(np.array_equal(params[0][k], params[1][k]) for k in params[0].files)
+    else:
+        for name in ("gram.npkg", "gram.csv"):
+            assert (outs["file"] / name).read_bytes() == (outs["generated"] / name).read_bytes()
 
 
 def test_cli_experiment_permutation_sweep(tmp_path):
@@ -832,6 +871,30 @@ def test_cli_train_empty_split(tmp_path, capsys, fraction, side):
     assert err.count("\n") == 1
     assert f"train_fraction {fraction} of n=50 samples leaves the {side} set empty" in err
     assert not out.exists()
+
+
+# Every config key a `--override` can set: the sections, their keys and every
+# ArchSpec field.
+FUZZ_KEYS = sorted({*DEFAULT_CONFIG, *(f"arch.{f.name}" for f in fields(ArchSpec)),
+                    *(f"{section}.{key}" for section, default in DEFAULT_CONFIG.items()
+                      if isinstance(default, dict) for key in default)})
+FUZZ_VALUES = [-1, 0, 1, 2.5, "x", None, True, [], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+def test_cli_kernel_exits_cleanly_on_any_one_bad_key(tmp_path_factory, key, value):
+    # one key at a time set to a value of each JSON type: the command runs,
+    # fails its check or refuses the config in one line, never with a traceback
+    out = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["kernel", "--out", str(out), "--override", "kernel.n=4",
+                     "--override", "dataset.n=20", "--override", f"{key}={json.dumps(value)}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_cli_heap_policy_is_optional(tmp_path, monkeypatch):

@@ -43,12 +43,19 @@ def _pair(arch, seed, spread=0.4):
     return p, x, x2, gx, gx2
 
 
+# The closed forms that take an arch but refuse every family but their own by name.
+FAMILY_FORMS = {"npk_conv_rotsum": (npk_conv_rotsum, "conv_gap"),
+                "npk_res_ensemble": (npk_res_ensemble, "res")}
+
+
 @pytest.mark.parametrize("fault", ["missing_layer", "extra_unit", "batched", "batch_of_one",
-                                   "lists"])
+                                   "lists", "ragged"])
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_gate_lists_that_do_not_fit_arch_are_refused(arch, fault):
-    # a short list, a wider layer or a batch of gates once gave numbers, the
-    # NTK took a batch of one, and gates that are not arrays raised AttributeError
+    # a short list, a wider layer or a batch of gates once gave numbers (the
+    # conv and res forms, called directly, did so until they checked their
+    # samples), the NTK took a batch of one, gates that are not arrays raised
+    # AttributeError and a ragged list numpy's inhomogeneous-shape error
     p, x, x2, gx, gx2 = _pair(arch, 3)
     if fault == "missing_layer":
         bad, bad2 = gx[:-1], gx2[:-1]
@@ -58,31 +65,37 @@ def test_gate_lists_that_do_not_fit_arch_are_refused(arch, fault):
         bad = bad2 = forward_relu(arch, p, np.stack([x, x2])).gates
     elif fault == "batch_of_one":
         bad, bad2 = [g[None] for g in gx], [g[None] for g in gx2]
-    else:
+    elif fault == "lists":
         bad, bad2 = [g.tolist() for g in gx], [g.tolist() for g in gx2]
+    else:
+        bad, bad2 = [[1, 0, [1]], *gx[1:]], [[1, 0, [1]], *gx2[1:]]
     table = enumerate_paths(arch)
+    forms = [form for form, family in FAMILY_FORMS.values() if family == arch.family]
     calls = [lambda: npk(arch, x, x2, bad, bad2), lambda: mc_target(arch, x, x2, bad, bad2),
              lambda: dual_vectors(arch, p, x, bad, table),
              lambda: ntk_fixed_gates(arch, p, bad, bad2, x, x2),
-             lambda: ntk_expectation_mc(arch, bad, bad2, x, x2, 100, make_rng(0))]
+             lambda: ntk_expectation_mc(arch, bad, bad2, x, x2, 100, make_rng(0)),
+             *(lambda form=form: form(arch, x, x2, bad, bad2) for form in forms)]
     for call in calls:
         with pytest.raises(ValueError, match=r"do not fit the \w+ network: expected \["):
             call()
     # a bad second list alone is refused too
     for call in (lambda: npk(arch, x, x2, gx, bad2), lambda: mc_target(arch, x, x2, gx, bad2),
                  lambda: ntk_fixed_gates(arch, p, gx, bad2, x, x2),
-                 lambda: ntk_expectation_mc(arch, gx, bad2, x, x2, 100, make_rng(0))):
-        with pytest.raises(ValueError):
+                 lambda: ntk_expectation_mc(arch, gx, bad2, x, x2, 100, make_rng(0)),
+                 *(lambda form=form: form(arch, x, x2, gx, bad2) for form in forms)):
+        with pytest.raises(ValueError, match=r"do not fit the \w+ network: expected \["):
             call()
 
 
 @pytest.mark.parametrize("length", ["long", "short", "row"])
 @pytest.mark.parametrize("function", ["npk", "mc_target", "dual_vectors", "ntk_fixed_gates",
-                                      "ntk_expectation_mc"])
+                                      "ntk_expectation_mc", *FAMILY_FORMS])
 @pytest.mark.parametrize("arch", ALL_SMALL, ids=lambda a: a.family)
 def test_inputs_that_do_not_fit_arch_are_refused(arch, function, length):
     # a longer input once gave numbers, a shorter one numbers or a bare
-    # IndexError, and the NTK took a (1, d_in) row
+    # IndexError, and the NTK took a (1, d_in) row; a conv or res form called
+    # on another family refuses it by name before it reads the input
     p, x, x2, gx, gx2 = _pair(arch, 3)
     bad = {"long": np.append(x, 1.0), "short": x[:-1], "row": x[None]}[length]
     table = enumerate_paths(arch)
@@ -91,9 +104,13 @@ def test_inputs_that_do_not_fit_arch_are_refused(arch, function, length):
             "dual_vectors": lambda a, b: dual_vectors(arch, p, a, gx, table),
             "ntk_fixed_gates": lambda a, b: ntk_fixed_gates(arch, p, gx, gx2, a, b),
             "ntk_expectation_mc": lambda a, b: ntk_expectation_mc(arch, gx, gx2, a, b, 100,
-                                                                  make_rng(0))}[function]
+                                                                  make_rng(0)),
+            **{name: lambda a, b, form=form: form(arch, a, b, gx, gx2)
+               for name, (form, _) in FAMILY_FORMS.items()}}[function]
+    family = FAMILY_FORMS.get(function, (None, arch.family))[1]
     msg = (rf"input shape {re.escape(str(bad.shape))} does not fit the {arch.family} network: "
-           rf"expected \({arch.d_in},\)")
+           rf"expected \({arch.d_in},\)" if family == arch.family
+           else f"requires the {family} family")
     for pair in [(bad, x2)] + ([(x, bad)] if function != "dual_vectors" else []):
         with pytest.raises(ValueError, match=msg):
             call(*pair)

@@ -118,6 +118,18 @@ def test_quadratic_descent_monotone(name):
     assert min(losses) == losses[-1] or losses[-1] < 1e-3
 
 
+@pytest.mark.parametrize("build, msg", [
+    (lambda: SGDMomentum(lr=0), r"need lr > 0 and 0 <= momentum < 1"),
+    (lambda: SGDMomentum(momentum=1.0), r"need lr > 0 and 0 <= momentum < 1"),
+    (lambda: Adam(lr=-1), r"need lr > 0"),
+    (lambda: make_optimizer("rmsprop", 0.1), r"unknown optimizer 'rmsprop'; choose adam or sgd"),
+], ids=["sgd_lr_0", "sgd_momentum_1", "adam_lr_negative", "unknown_name"])
+def test_optimizers_refuse_bad_settings(build, msg):
+    # the classes are public, so they guard what TrainConfig checks for train
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        build()
+
+
 def test_adam_step_bound():
     opt = Adam(lr=0.01)
     theta = np.array([0.0, 5.0, -2.0])
